@@ -38,6 +38,7 @@ from .rgraph import brute_force_eligible_paths, build_rgraph, enumerate_rpaths
 from .scenario import (
     compare_with_simulation,
     parse_scenario_file,
+    parse_topology_text,
     run_scenario,
     write_report_files,
 )
@@ -49,7 +50,6 @@ from .topology import (
     attach_destination,
     derive_vf_policies,
     generate_random_topology,
-    parse_caida_asrel,
     parse_topology,
     serialize_topology,
 )
@@ -78,15 +78,7 @@ def cmd_ingest(path: str | Path, out: str | Path | None = None) -> str:
     Returns the canonical text; writes it to ``out`` when given.
     """
     source = _resolve_data_path(path)
-    text = source.read_text()
-    is_caida = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        is_caida = "|" in line
-        break
-    topology = parse_caida_asrel(text) if is_caida else parse_topology(text)
+    topology = parse_topology_text(source.read_text())
     topology.validate()
     canonical = serialize_topology(topology)
     if out is not None:
@@ -547,15 +539,9 @@ def cmd_validate(level: str = "quick", seed: int = 0, echo=print) -> bool:
 @click.group()
 @click.version_option(__version__)
 @click.option("--verbose", is_flag=True, help="debug logging")
-@click.option(
-    "--threads", type=int, default=1, show_default=True,
-    help="worker threads for batch subcommands",
-)
-@click.pass_context
-def main(ctx: click.Context, verbose: bool, threads: int) -> None:
+def main(verbose: bool) -> None:
     """Catchment inference for multi-ingress destinations."""
     logging.basicConfig(level=logging.DEBUG if verbose else logging.WARNING)
-    ctx.obj = {"threads": threads}
 
 
 @main.command("ingest")

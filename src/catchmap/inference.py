@@ -35,7 +35,6 @@ def certain_inference(g: RGraph) -> RoutingFunction:
     parents share it. Unreachable nodes stay uncertain.
     """
     routes: RoutingFunction = {node: None for node in g.nodes}
-    order = topological_order(g)
     seeded = set()
     for child in g.children[g.root]:
         try:
@@ -45,7 +44,7 @@ def certain_inference(g: RGraph) -> RoutingFunction:
                 f"node {child} is attached to the root but has no ingress label"
             ) from None
         seeded.add(child)
-    for node in order:
+    for node in topological_order(g):
         if node == g.root or node in seeded:
             continue
         parent_routes = {routes[p] for p in g.parents[node]}
@@ -67,11 +66,10 @@ def uniform_tie_probabilities(g: RGraph) -> dict[int, dict[int, float]]:
 
 def _validated_tie_probs(
     g: RGraph, tie_probs: TieProbabilities | None
-) -> dict[int, dict[int, float]]:
-    """Fill in uniform defaults and check support and normalization."""
-    full = uniform_tie_probabilities(g)
+) -> TieProbabilities:
+    """Check caller overrides for support and normalization; return them."""
     if tie_probs is None:
-        return full
+        return {}
     for node, given in tie_probs.items():
         if node not in g.parents:
             raise InputError(f"tie probabilities for unknown node {node}")
@@ -88,8 +86,17 @@ def _validated_tie_probs(
             raise InputError(
                 f"tie probabilities of node {node} sum to {sum_p!r}, not 1"
             )
-        full[node] = dict(given)
-    return full
+    return tie_probs
+
+
+def _tie_weights(
+    overrides: TieProbabilities, node: int, parents: tuple[int, ...]
+) -> list[float]:
+    """Probability of picking each of ``parents``: override, else uniform."""
+    given = overrides.get(node)
+    if given is not None:
+        return [given[p] for p in parents]
+    return [1.0 / len(parents)] * len(parents) if parents else []
 
 
 def probabilistic_inference(
@@ -105,7 +112,7 @@ def probabilistic_inference(
     overrides; overrides must sum to one per node, tolerance 1e-9).
     Unreachable nodes get an empty distribution.
     """
-    probs_of = _validated_tie_probs(g, tie_probs)
+    overrides = _validated_tie_probs(g, tie_probs)
     out: RouteProbabilities = {}
     for node in topological_order(g):
         if node == g.root:
@@ -116,8 +123,8 @@ def probabilistic_inference(
             out[node] = {assigned: 1.0}
             continue
         mixed: dict[str, float] = {}
-        for parent in g.parents[node]:
-            weight = probs_of[node][parent]
+        parents = g.parents[node]
+        for parent, weight in zip(parents, _tie_weights(overrides, node, parents)):
             if weight == 0.0:
                 continue
             if parent == g.root:

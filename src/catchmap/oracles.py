@@ -33,9 +33,10 @@ from .inference import (
     RouteProbabilities,
     RoutingFunction,
     TieProbabilities,
+    _tie_weights,
     _validated_tie_probs,
 )
-from .rgraph import RGraph, topological_order
+from .rgraph import MAX_EXACT_NODES, RGraph, topological_order
 
 logger = logging.getLogger(__name__)
 
@@ -287,7 +288,6 @@ def apply_oracles(
 
 # -- conditional distributions -------------------------------------------------
 
-_MAX_EXACT_NODES = 14
 _MAX_OUTCOMES = 2_000_000
 
 
@@ -304,19 +304,18 @@ def enumerate_route_outcomes(
     a tie to roll — so it contributes no randomness. Zero-probability
     outcomes are skipped. Unreachable nodes and the root map to None.
     """
-    probs_of = _validated_tie_probs(g, tie_probs)
-    order = topological_order(g)
+    overrides = _validated_tie_probs(g, tie_probs)
     choosers: list[int] = []
-    domains: list[tuple[int, ...]] = []
+    domains: list[tuple[tuple[int, float], ...]] = []
     count = 1
-    for n in order:
+    for n in topological_order(g):
         parents = g.parents[n]
         if not parents:
             continue
         if g.root in parents:
-            domains.append((g.root,))
+            domains.append(((g.root, 1.0),))
         else:
-            domains.append(parents)
+            domains.append(tuple(zip(parents, _tie_weights(overrides, n, parents))))
             count *= len(parents)
             if count > max_outcomes:
                 raise CapacityError(
@@ -328,13 +327,12 @@ def enumerate_route_outcomes(
     }
     for combo in itertools.product(*domains):
         weight = 1.0
-        for n, choice in zip(choosers, combo):
-            if choice != g.root:
-                weight *= probs_of[n][choice]
+        for _, p in combo:
+            weight *= p
         if weight == 0.0:
             continue
         ingress_of = dict(base)
-        for n, choice in zip(choosers, combo):
+        for n, (choice, _) in zip(choosers, combo):
             if choice == g.root:
                 ingress_of[n] = g.ingress_map[n]
             else:
@@ -363,11 +361,11 @@ def exact_conditional_distribution(
 
     Conditions the tie-break outcome space on agreement with every
     observation and renormalizes. With no observations this equals the
-    forward probabilistic pass. Guarded to graphs of at most 14 nodes.
+    forward probabilistic pass. Guarded to ``MAX_EXACT_NODES`` nodes.
     """
-    if len(g.nodes) > _MAX_EXACT_NODES:
+    if len(g.nodes) > MAX_EXACT_NODES:
         raise CapacityError(
-            f"exact conditioning limited to {_MAX_EXACT_NODES} nodes, "
+            f"exact conditioning limited to {MAX_EXACT_NODES} nodes, "
             f"got {len(g.nodes)}"
         )
     observed = _check_observed(g, oracles or {})
@@ -415,24 +413,20 @@ def monte_carlo_inference(
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
     observed = _check_observed(g, oracles or {})
-    probs_of = _validated_tie_probs(g, tie_probs)
-    order = topological_order(g)
+    overrides = _validated_tie_probs(g, tie_probs)
     base: dict[int, str | None] = {n: None for n in g.nodes if not g.parents[n]}
 
     # per chooser: parent tuple and cumulative weights for inverse sampling;
     # root-attached nodes always take the direct edge (ground truth, no draw)
     schedule: list[tuple[int, tuple[int, ...], list[float]]] = []
-    for n in order:
+    for n in topological_order(g):
         parents = g.parents[n]
         if not parents:
             continue
         if g.root in parents:
             schedule.append((n, (g.root,), [1.0]))
             continue
-        acc, cum = 0.0, []
-        for p in parents:
-            acc += probs_of[n][p]
-            cum.append(acc)
+        cum = list(itertools.accumulate(_tie_weights(overrides, n, parents)))
         schedule.append((n, parents, cum))
 
     rng = random.Random(seed)

@@ -28,11 +28,10 @@ from .inference import (
     probabilistic_inference,
 )
 from .oracles import OracleSet, apply_oracles, enumerate_route_outcomes
-from .rgraph import RGraph
+from .rgraph import MAX_EXACT_NODES, RGraph
 
 logger = logging.getLogger(__name__)
 
-_MAX_EXACT_NODES = 14
 _MAX_EXACT_MEASUREMENTS = 6
 
 
@@ -152,7 +151,7 @@ def expected_nc(
     applied in ascending node order). ``exact`` enumerates the full
     tie-break outcome space, conditions it on already-pinned routes, and
     scores each joint measurement outcome by which nodes are forced to a
-    single ingress; guarded to 14 nodes and 6 measured nodes.
+    single ingress; guarded to ``MAX_EXACT_NODES`` nodes and 6 measured nodes.
     """
     weights = weights or ObjectiveWeights()
     measured = sorted(set(measured))
@@ -167,9 +166,9 @@ def expected_nc(
     if mode != "exact":
         raise InputError(f"mode must be 'approx' or 'exact', got {mode!r}")
 
-    if len(g.nodes) > _MAX_EXACT_NODES:
+    if len(g.nodes) > MAX_EXACT_NODES:
         raise CapacityError(
-            f"exact mode limited to {_MAX_EXACT_NODES} nodes, got {len(g.nodes)}"
+            f"exact mode limited to {MAX_EXACT_NODES} nodes, got {len(g.nodes)}"
         )
     if len(measured) > _MAX_EXACT_MEASUREMENTS:
         raise CapacityError(

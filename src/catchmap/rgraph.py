@@ -31,7 +31,9 @@ class RGraph:
     An edge parent -> child means the child may forward through the parent.
     ``ingress_map`` names the ingress point of each node directly attached to
     the root; ``report_nodes`` is the accounting universe (real nodes only,
-    no root, no virtual chain nodes).
+    no root, no virtual chain nodes). ``order`` lists every node parents
+    first; it is computed once at construction, which rejects any directed
+    cycle, so every ``RGraph`` is acyclic.
     """
 
     root: int
@@ -40,6 +42,7 @@ class RGraph:
     children: Mapping[int, tuple[int, ...]]
     nodes: tuple[int, ...]
     report_nodes: tuple[int, ...]
+    order: tuple[int, ...]
 
     @classmethod
     def from_parent_map(
@@ -67,6 +70,7 @@ class RGraph:
         for child, ps in norm_parents.items():
             for p in ps:
                 children[p].append(child)
+        norm_children = {n: tuple(sorted(c)) for n, c in children.items()}
         node_tuple = tuple(sorted(all_nodes))
         if report_nodes is None:
             report = tuple(n for n in node_tuple if n != root)
@@ -76,9 +80,10 @@ class RGraph:
             root=root,
             ingress_map=dict(ingress_map),
             parents=norm_parents,
-            children={n: tuple(sorted(c)) for n, c in children.items()},
+            children=norm_children,
             nodes=node_tuple,
             report_nodes=report,
+            order=_kahn_order(norm_parents, norm_children),
         )
 
     @classmethod
@@ -149,27 +154,34 @@ def build_rgraph(aug: AugmentedTopology, seed: int = 0) -> RGraph:
     )
 
 
-def topological_order(g: RGraph) -> tuple[int, ...]:
+def _kahn_order(
+    parents: Mapping[int, tuple[int, ...]], children: Mapping[int, tuple[int, ...]]
+) -> tuple[int, ...]:
     """Parents-before-children order, smallest node id first among ready nodes.
 
-    Deterministic for a given graph. Raises CycleError if the graph has a
-    directed cycle.
+    Kahn's algorithm with a heap of ready nodes. Raises CycleError if the
+    edges contain a directed cycle.
     """
-    indegree = {node: len(g.parents[node]) for node in g.nodes}
+    indegree = {node: len(ps) for node, ps in parents.items()}
     ready = [node for node, deg in indegree.items() if deg == 0]
     heapq.heapify(ready)
     order: list[int] = []
     while ready:
         node = heapq.heappop(ready)
         order.append(node)
-        for child in g.children[node]:
+        for child in children[node]:
             indegree[child] -= 1
             if indegree[child] == 0:
                 heapq.heappush(ready, child)
-    if len(order) != len(g.nodes):
+    if len(order) != len(indegree):
         stuck = sorted(node for node, deg in indegree.items() if deg > 0)
         raise CycleError(f"directed cycle through nodes {stuck}")
     return tuple(order)
+
+
+def topological_order(g: RGraph) -> tuple[int, ...]:
+    """The order fixed when ``g`` was built: parents first, smallest id first."""
+    return g.order
 
 
 @dataclass(frozen=True)
@@ -189,7 +201,6 @@ def enumerate_rpaths(g: RGraph, node: int, limit: int = 100_000) -> PathEnumerat
     """
     if node not in g.parents:
         raise UnknownNodeError(f"node {node} not in forwarding graph")
-    topological_order(g)  # reject cyclic input up front
     paths: list[Path] = []
     truncated = False
     # stack of (node, suffix built so far); parents pushed in reverse so the
@@ -210,7 +221,9 @@ def enumerate_rpaths(g: RGraph, node: int, limit: int = 100_000) -> PathEnumerat
 
 # -- exhaustive cross-check ---------------------------------------------------
 
-_MAX_BRUTE_NODES = 14
+# largest graph (nodes, destination included) any exhaustive enumeration takes:
+# brute-force paths, exact conditioning, exact planning, automatic posteriors
+MAX_EXACT_NODES = 14
 
 
 def _receivable_paths(
@@ -256,12 +269,12 @@ def brute_force_eligible_paths(aug: AugmentedTopology, node: int) -> frozenset[P
     the ranking. Written independently of the forwarding-graph construction
     so the two can be compared.
 
-    Guarded to small inputs (<= 14 nodes including the destination).
+    Guarded to ``MAX_EXACT_NODES`` nodes, destination included.
     """
     topology = aug.topology
-    if topology.num_nodes > _MAX_BRUTE_NODES:
+    if topology.num_nodes > MAX_EXACT_NODES:
         raise CapacityError(
-            f"exhaustive enumeration limited to {_MAX_BRUTE_NODES} nodes, "
+            f"exhaustive enumeration limited to {MAX_EXACT_NODES} nodes, "
             f"got {topology.num_nodes}"
         )
     if node not in topology:
@@ -351,12 +364,13 @@ def rgraph_edgelist(g: RGraph) -> str:
 def rgraph_dot(g: RGraph) -> str:
     """Graphviz description of the forwarding graph for visualization."""
     lines = ["digraph forwarding {", "  rankdir=TB;"]
+    report = set(g.report_nodes)
     for node in g.nodes:
         if node == g.root:
             lines.append(f'  "{node}" [label="dst {node}" shape=doublecircle];')
         elif node in g.ingress_map:
             lines.append(f'  "{node}" [label="{node}\\n{g.ingress_map[node]}" shape=box];')
-        elif node not in g.report_nodes:
+        elif node not in report:
             lines.append(f'  "{node}" [label="{node}" style=dashed];')
         else:
             lines.append(f'  "{node}" [label="{node}"];')

@@ -13,7 +13,6 @@ import json
 import logging
 import random
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +40,7 @@ from .oracles import (
     parse_oracle_file,
 )
 from .planner import MeasurementPlan, export_plan_csv, greedy_plan
-from .rgraph import RGraph, build_rgraph, rgraph_dot, rgraph_edgelist
+from .rgraph import MAX_EXACT_NODES, RGraph, build_rgraph, rgraph_dot, rgraph_edgelist
 from .topology import (
     AugmentedTopology,
     DestinationSpec,
@@ -62,7 +61,6 @@ _REL_TOKENS = {
     "p2p": Relationship.P2P,
     "c2p": Relationship.C2P,
 }
-_EXACT_POSTERIOR_LIMIT = 14
 
 
 @dataclass
@@ -156,7 +154,7 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
                 if "n" not in params:
                     raise TopologyParseError("generator needs n=<nodes>", line_no)
                 cfg.generate = params
-            elif key in ("attach", "add_ingress") and len(parts) in (3, 4):
+            elif key == "attach" and len(parts) in (3, 4):
                 node = int(parts[1])
                 if node in cfg.attachments:
                     raise TopologyParseError(
@@ -226,6 +224,11 @@ def _load_topology(cfg: ScenarioConfig) -> Topology:
     text = cfg.topology_text
     if text is None:
         text = Path(cfg.topology_file).read_text()
+    return parse_topology_text(text)
+
+
+def parse_topology_text(text: str) -> Topology:
+    """Parse either format: CAIDA pipe if the first data line has a ``|``."""
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -398,7 +401,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
             method = cfg.posterior
             if method is None:
                 method = (
-                    "exact" if len(g.nodes) <= _EXACT_POSTERIOR_LIMIT else "monte-carlo"
+                    "exact" if len(g.nodes) <= MAX_EXACT_NODES else "monte-carlo"
                 )
             if method == "exact":
                 probs = exact_conditional_distribution(g, None, oracles)
@@ -612,7 +615,6 @@ def compare_with_simulation(
     runs: int,
     seed: int = 0,
     sp_mode: bool = False,
-    threads: int = 1,
 ) -> SimulationComparison:
     """Run many seeded propagations and compare catchment statistics.
 
@@ -633,23 +635,16 @@ def compare_with_simulation(
     }
 
     base_rng = random.Random(seed)
-    run_seeds = [base_rng.randrange(2**63) for _ in range(runs)]
-
-    def one_run(run_seed: int) -> dict[str, int]:
-        result = run_bgp(aug, run_seed, sp_mode=sp_mode)
+    all_counts = []
+    for _ in range(runs):
+        result = run_bgp(aug, base_rng.randrange(2**63), sp_mode=sp_mode)
         catchment = simulated_catchment(result, aug)
         counts = {m: 0 for m in ingress_points}
         for node in universe:
             ingress = catchment.get(node)
             if ingress is not None:
                 counts[ingress] += 1
-        return counts
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_counts = list(pool.map(one_run, run_seeds))
-    else:
-        all_counts = [one_run(s) for s in run_seeds]
+        all_counts.append(counts)
 
     violations = 0
     for counts in all_counts:

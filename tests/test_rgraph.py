@@ -15,6 +15,7 @@ from catchmap import (
     build_rgraph,
     derive_vf_policies,
     enumerate_rpaths,
+    shortest_path_transform,
     topological_order,
 )
 from catchmap.errors import CapacityError, CycleError
@@ -73,9 +74,13 @@ class TestTopologicalOrder:
         assert topological_order(g) == (0, 3, 5, 7)
 
     def test_cycle_detected(self):
-        g = RGraph.from_edges(0, [(0, 1), (1, 2), (2, 3), (3, 1)], {1: "m"})
         with pytest.raises(CycleError):
-            topological_order(g)
+            RGraph.from_edges(0, [(0, 1), (1, 2), (2, 3), (3, 1)], {1: "m"})
+
+    def test_pruned_graph_carries_its_own_order(self, example_graph):
+        pruned = shortest_path_transform(example_graph)
+        pos = {n: i for i, n in enumerate(topological_order(pruned))}
+        assert all(pos[parent] < pos[child] for parent, child in pruned.edges())
 
 
 class TestPathEnumeration:

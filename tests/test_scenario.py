@@ -8,10 +8,12 @@ import math
 import pytest
 
 from catchmap import (
+    Relationship,
     ScenarioConfig,
     build_rgraph,
     certain_inference,
     compare_with_simulation,
+    exact_conditional_distribution,
     parse_scenario_file,
     prepending_sweep,
     probabilistic_inference,
@@ -20,8 +22,14 @@ from catchmap import (
     shortest_path_transform,
     write_report_files,
 )
+from catchmap.rgraph import MAX_EXACT_NODES
 from catchmap.scenario import build_augmented
-from catchmap.errors import InputError, TopologyParseError, UnknownNodeError
+from catchmap.errors import (
+    CapacityError,
+    InputError,
+    TopologyParseError,
+    UnknownNodeError,
+)
 
 import helpers
 
@@ -97,6 +105,30 @@ class TestScenarioParsing:
         with pytest.raises(InputError):
             build_augmented(cfg)
 
+    def test_caida_topology_file_matches_canonical(self, tmp_path):
+        topo = helpers.example_base_topology()
+        pipe_lines = [
+            f"{i}|{j}|-1"
+            for i in sorted(topo.nodes())
+            for j in sorted(topo.neighbors(i))
+            if topo.relationship(i, j) == Relationship.P2C
+        ]
+        (tmp_path / "rels.asrel").write_text(
+            "# serial-1\n" + "\n".join(pipe_lines) + "\n"
+        )
+        (tmp_path / "topo.txt").write_text(example_topology_text())
+        reports = []
+        for name in ("rels.asrel", "topo.txt"):
+            cfg = parse_scenario_file(
+                f"topology file {name}\nattach 1 m1\nattach 2 m2\ndst_id 9\n"
+                "mode probabilistic\n",
+                base_dir=tmp_path,
+            )
+            reports.append(run_scenario(cfg)[0])
+        caida, canonical = reports
+        assert caida.routes == canonical.routes == helpers.EXPECTED_ROUTES
+        assert caida.probs == canonical.probs
+
 
 class TestRunScenario:
     def test_certain_row_reproduces_routing_table(self):
@@ -157,6 +189,33 @@ class TestRunScenario:
         )
         assert "posterior-sampling" in report.stages
         assert report.probs[4]["m1"] == 1.0
+
+    def test_automatic_posterior_choice_follows_the_size_limit(self):
+        def run_with_graph_nodes(count):
+            topo = helpers.example_base_topology()
+            extra = helpers.DST + 1
+            while topo.num_nodes + 1 < count:  # + 1 for the destination
+                topo.add_node(extra)
+                extra += 1
+            cfg = example_config(
+                topology_text=serialize_topology(topo),
+                mode="probabilistic",
+                oracle_text="8,m1\n",
+                posterior_trials=500,
+            )
+            report, g = run_scenario(cfg)
+            assert len(g.nodes) == count
+            return report, g
+
+        report, _ = run_with_graph_nodes(MAX_EXACT_NODES)
+        assert "posterior-exact" in report.stages
+        assert set(report.prob_status.values()) == {"posterior-exact"}
+
+        report, g = run_with_graph_nodes(MAX_EXACT_NODES + 1)
+        assert "posterior-sampling" in report.stages
+        assert set(report.prob_status.values()) == {"posterior-sampled"}
+        with pytest.raises(CapacityError):
+            exact_conditional_distribution(g, None, {8: "m1"})
 
     def test_plan_stage(self):
         report, _ = run_scenario(example_config(plan_budget=1))
@@ -257,17 +316,15 @@ class TestSimulationComparison:
         assert cmp.bound_violations == 0
         assert all(cmp.within_3se.values())
 
-    def test_threaded_run_matches_serial(self):
+    def test_same_seed_repeats(self):
         aug = helpers.example_aug()
         g = build_rgraph(aug, seed=0)
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
-        serial = compare_with_simulation(aug, g, routes, probs, runs=60, seed=2)
-        threaded = compare_with_simulation(
-            aug, g, routes, probs, runs=60, seed=2, threads=4
-        )
-        assert serial.simulated_mean == threaded.simulated_mean
-        assert serial.cma == threaded.cma
+        first = compare_with_simulation(aug, g, routes, probs, runs=60, seed=2)
+        again = compare_with_simulation(aug, g, routes, probs, runs=60, seed=2)
+        assert first.simulated_mean == again.simulated_mean
+        assert first.cma == again.cma
 
     def test_rejects_zero_runs(self):
         aug = helpers.example_aug()
