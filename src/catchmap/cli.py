@@ -304,7 +304,7 @@ def _quick_checks(seed: int) -> list[tuple[str, bool, str]]:
 
     enum = enumerate_rpaths(g, 8)
     expected_paths = {(8, 5, 2, 9), (8, 6, 4, 1, 9), (8, 6, 4, 2, 9)}
-    brute = brute_force_eligible_paths(aug, 4)
+    brute = brute_force_eligible_paths(aug)[4]
     checks.append((
         "example path enumeration",
         enum.paths == frozenset(expected_paths)
@@ -368,9 +368,10 @@ def _full_checks(seed: int) -> list[tuple[str, bool, str]]:
     for idx in range(30):
         aug = _random_instance(idx)
         g = build_rgraph(aug, seed)
+        brute = brute_force_eligible_paths(aug)
         for node in aug.real_nodes:
             mine = enumerate_rpaths(g, node).paths
-            theirs = brute_force_eligible_paths(aug, node)
+            theirs = brute[node]
             if mine != theirs:
                 bad.append((idx, node))
     checks.append((

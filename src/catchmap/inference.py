@@ -3,7 +3,8 @@
 Two passes over the same DAG: a certainty pass that labels a node with an
 ingress only when every possible next hop already carries that label, and a
 probabilistic pass that mixes parent distributions with per-edge tie-break
-probabilities. Both run in one topological sweep.
+probabilities. Both run in one topological sweep. When more nodes get
+pinned later, the probabilistic pass is redone on the cone below them only.
 
 The shortest-path transform prunes edges that cannot lie on a
 minimum-length route, for scenarios where routers break preference ties by
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import CatchmapError, InputError
 from .rgraph import RGraph, topological_order
@@ -99,6 +100,38 @@ def _tie_weights(
     return [1.0 / len(parents)] * len(parents) if parents else []
 
 
+def _mixed_distribution(
+    g: RGraph,
+    overrides: TieProbabilities,
+    routes: RoutingFunction,
+    out: RouteProbabilities,
+    node: int,
+) -> dict[str, float]:
+    """One node's distribution, from its parents' entries already in ``out``."""
+    if node == g.root:
+        return {}
+    assigned = routes.get(node)
+    if assigned is not None:
+        return {assigned: 1.0}
+    mixed: dict[str, float] = {}
+    parents = g.parents[node]
+    for parent, weight in zip(parents, _tie_weights(overrides, node, parents)):
+        if weight == 0.0:
+            continue
+        if parent == g.root:
+            # an uncertain node directly attached to the root enters
+            # through its own attachment with that tie's probability
+            mixed[g.ingress_map[node]] = (
+                mixed.get(g.ingress_map[node], 0.0) + weight
+            )
+            continue
+        for ingress, p in out[parent].items():
+            if p == 0.0:
+                continue
+            mixed[ingress] = mixed.get(ingress, 0.0) + weight * p
+    return mixed
+
+
 def probabilistic_inference(
     g: RGraph,
     routes: RoutingFunction,
@@ -115,31 +148,57 @@ def probabilistic_inference(
     overrides = _validated_tie_probs(g, tie_probs)
     out: RouteProbabilities = {}
     for node in topological_order(g):
-        if node == g.root:
-            out[node] = {}
-            continue
-        assigned = routes.get(node)
-        if assigned is not None:
-            out[node] = {assigned: 1.0}
-            continue
-        mixed: dict[str, float] = {}
-        parents = g.parents[node]
-        for parent, weight in zip(parents, _tie_weights(overrides, node, parents)):
-            if weight == 0.0:
-                continue
-            if parent == g.root:
-                # an uncertain node directly attached to the root enters
-                # through its own attachment with that tie's probability
-                mixed[g.ingress_map[node]] = (
-                    mixed.get(g.ingress_map[node], 0.0) + weight
-                )
-                continue
-            for ingress, p in out[parent].items():
-                if p == 0.0:
-                    continue
-                mixed[ingress] = mixed.get(ingress, 0.0) + weight * p
-        out[node] = mixed
+        out[node] = _mixed_distribution(g, overrides, routes, out, node)
     return out
+
+
+def update_probabilistic_inference(
+    g: RGraph,
+    probs: RouteProbabilities,
+    routes: RoutingFunction,
+    pinned: Iterable[int],
+    tie_probs: TieProbabilities | None = None,
+) -> RouteProbabilities:
+    """The forward pass for ``routes``, derived from the one for older routes.
+
+    ``probs`` must be ``probabilistic_inference(g, old_routes, tie_probs)``
+    and ``routes`` may differ from ``old_routes`` only at the ``pinned``
+    nodes. Only those nodes and their descendants are recomputed, in a
+    topological order of that cone; every other entry is shared with
+    ``probs``, which is not modified. The result equals
+    ``probabilistic_inference(g, routes, tie_probs)`` float for float.
+    ``tie_probs`` are not validated again: they are the overrides that
+    ``probs`` was computed with.
+    """
+    overrides = tie_probs or {}
+    out = dict(probs)
+    for node in _cone_order(g, pinned):
+        out[node] = _mixed_distribution(g, overrides, routes, out, node)
+    return out
+
+
+def _cone_order(g: RGraph, sources: Iterable[int]) -> list[int]:
+    """``sources`` and every node below them, parents before children."""
+    cone: set[int] = set()
+    stack = list(sources)
+    while stack:
+        node = stack.pop()
+        if node not in cone:
+            cone.add(node)
+            stack.extend(g.children[node])
+    # Kahn's algorithm restricted to the cone: every child of a cone node
+    # is in the cone, so only parents inside it hold a node back
+    waiting = {node: sum(p in cone for p in g.parents[node]) for node in cone}
+    ready = [node for node, count in waiting.items() if count == 0]
+    order: list[int] = []
+    while ready:
+        node = ready.pop()
+        order.append(node)
+        for child in g.children[node]:
+            waiting[child] -= 1
+            if waiting[child] == 0:
+                ready.append(child)
+    return order
 
 
 def shortest_path_transform(g: RGraph) -> RGraph:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import io
 import itertools
 import logging
@@ -168,8 +169,11 @@ def serialize_oracles(oracles: OracleSet) -> str:
 class OracleApplication:
     """Result of folding observations into an inference state.
 
-    Unpacks as ``(routes, probs)``. ``set_route_calls`` counts propagation
-    steps (bounded by the node count); ``skipped`` lists observations
+    Unpacks as ``(routes, probs)``. ``probs`` shares every entry that the
+    observations left unchanged with the input distributions, so treat it
+    as read-only. ``pinned`` lists the nodes the propagation pinned, in
+    the order it pinned them (at most one step per node);
+    ``set_route_calls`` is their number. ``skipped`` lists observations
     dropped for contradicting existing certainty when downgrading is on.
     ``stale_probability_nodes`` are nodes still uncertain, whose
     distributions were carried over unchanged from before the observations
@@ -178,12 +182,23 @@ class OracleApplication:
 
     routes: RoutingFunction
     probs: RouteProbabilities
-    set_route_calls: int = 0
+    graph: RGraph = field(repr=False, compare=False)
+    pinned: tuple[int, ...] = ()
     skipped: tuple[tuple[int, str], ...] = ()
-    stale_probability_nodes: frozenset[int] = frozenset()
 
     def __iter__(self) -> Iterator:
         return iter((self.routes, self.probs))
+
+    @property
+    def set_route_calls(self) -> int:
+        return len(self.pinned)
+
+    @functools.cached_property
+    def stale_probability_nodes(self) -> frozenset[int]:
+        g = self.graph
+        return frozenset(
+            n for n in g.nodes if n != g.root and self.routes.get(n) is None
+        )
 
 
 def apply_oracles(
@@ -199,7 +214,8 @@ def apply_oracles(
     Upward: if exactly one parent of an observed node could have carried
     its ingress, that parent is pinned too. Downward: a node whose parents
     all became pinned to the same ingress is pinned. Inputs are not
-    mutated. Applying the same observations again changes nothing, and the
+    mutated; the returned distributions share their unchanged entries with
+    ``probs``. Applying the same observations again changes nothing, and the
     resulting certain set does not depend on observation order.
 
     Raises ContradictionError when an observation disagrees with an
@@ -213,8 +229,9 @@ def apply_oracles(
         oracles = OracleSet(oracles)
     known_ingresses = set(g.ingress_map.values())
     new_routes = dict(routes)
-    new_probs = {node: dict(dist) for node, dist in probs.items()}
-    calls = 0
+    # pinning replaces entries and never mutates one, so sharing is safe
+    new_probs = dict(probs)
+    pinned: list[int] = []
     skipped: list[tuple[int, str]] = []
 
     for node, ingress in oracles.items():
@@ -253,7 +270,7 @@ def apply_oracles(
                         f"{already!r} and {current_ingress!r}"
                     )
                 continue
-            calls += 1
+            pinned.append(current_node)
             new_routes[current_node] = current_ingress
             new_probs[current_node] = {current_ingress: 1.0}
 
@@ -274,15 +291,12 @@ def apply_oracles(
                     if only is not None:
                         stack.append((child, only))
 
-    stale = frozenset(
-        n for n in g.nodes if n != g.root and new_routes.get(n) is None
-    )
     return OracleApplication(
         routes=new_routes,
         probs=new_probs,
-        set_route_calls=calls,
+        graph=g,
+        pinned=tuple(pinned),
         skipped=tuple(skipped),
-        stale_probability_nodes=stale,
     )
 
 

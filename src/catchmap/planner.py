@@ -26,6 +26,7 @@ from .inference import (
     RoutingFunction,
     TieProbabilities,
     probabilistic_inference,
+    update_probabilistic_inference,
 )
 from .oracles import OracleSet, apply_oracles, enumerate_route_outcomes
 from .rgraph import MAX_EXACT_NODES, RGraph
@@ -61,12 +62,15 @@ class ObjectiveWeights:
         return self.costs.get(node, 1.0)
 
 
+def _scored_nodes(g: RGraph, weights: ObjectiveWeights) -> list[tuple[int, float]]:
+    """``(node, weight)`` for every reporting node, in ``report_nodes`` order."""
+    return [(n, weights.weight(n)) for n in g.report_nodes]
+
+
 def _certain_value(
-    g: RGraph, routes: RoutingFunction, weights: ObjectiveWeights
+    scored: list[tuple[int, float]], routes: RoutingFunction
 ) -> float:
-    return sum(
-        weights.weight(n) for n in g.report_nodes if routes.get(n) is not None
-    )
+    return sum(w for n, w in scored if routes.get(n) is not None)
 
 
 def conditional_nc(
@@ -79,7 +83,7 @@ def conditional_nc(
     """Objective value after folding in one concrete set of outcomes."""
     weights = weights or ObjectiveWeights()
     applied = apply_oracles(g, routes, probs, observations)
-    return _certain_value(g, applied.routes, weights)
+    return _certain_value(_scored_nodes(g, weights), applied.routes)
 
 
 # -- branch bookkeeping ---------------------------------------------------------
@@ -87,15 +91,28 @@ def conditional_nc(
 
 @dataclass
 class _Branch:
+    """One combination of outcomes, with its probability and inference state.
+
+    ``probs`` weighs the outcomes of the next measurement and guides
+    observation propagation; ``forward`` is the forward pass of ``routes``.
+    They are the same object except in the initial branch, whose ``probs``
+    are the caller's (possibly conditioned on earlier observations).
+    Branches share dictionaries with each other and never mutate them.
+    """
+
     prob: float
     routes: RoutingFunction
     probs: RouteProbabilities
+    forward: RouteProbabilities
 
 
 def _initial_branches(
-    routes: RoutingFunction, probs: RouteProbabilities
+    g: RGraph,
+    routes: RoutingFunction,
+    probs: RouteProbabilities,
+    tie_probs: TieProbabilities | None,
 ) -> list[_Branch]:
-    return [_Branch(1.0, dict(routes), {n: dict(d) for n, d in probs.items()})]
+    return [_Branch(1.0, routes, probs, probabilistic_inference(g, routes, tie_probs))]
 
 
 def _extend_branches(
@@ -108,8 +125,10 @@ def _extend_branches(
 
     Each outcome is folded in and the distributions of still-uncertain nodes
     are recomputed forward with the original tie probabilities (their parent
-    sets are untouched by new certainty). Zero-probability outcomes are
-    dropped. Measuring a node with no possible route changes nothing.
+    sets are untouched by new certainty); only the nodes the outcome pinned
+    and those below them can change. ``tie_probs`` were validated when the
+    initial branch was built. Zero-probability outcomes are dropped.
+    Measuring a node with no possible route changes nothing.
     """
     out: list[_Branch] = []
     for branch in branches:
@@ -121,15 +140,19 @@ def _extend_branches(
             if p == 0.0:
                 continue
             applied = apply_oracles(g, branch.routes, branch.probs, {node: ingress})
-            refreshed = probabilistic_inference(g, applied.routes, tie_probs)
-            out.append(_Branch(branch.prob * p, applied.routes, refreshed))
+            refreshed = update_probabilistic_inference(
+                g, branch.forward, applied.routes, applied.pinned, tie_probs
+            )
+            out.append(
+                _Branch(branch.prob * p, applied.routes, refreshed, refreshed)
+            )
     return out
 
 
 def _branch_value(
-    g: RGraph, branches: list[_Branch], weights: ObjectiveWeights
+    branches: list[_Branch], scored: list[tuple[int, float]]
 ) -> float:
-    return sum(b.prob * _certain_value(g, b.routes, weights) for b in branches)
+    return sum(b.prob * _certain_value(scored, b.routes) for b in branches)
 
 
 # -- expected objective ----------------------------------------------------------
@@ -159,10 +182,10 @@ def expected_nc(
         if node not in g.parents:
             raise UnknownNodeError(f"measured node {node} not in forwarding graph")
     if mode == "approx":
-        branches = _initial_branches(routes, probs)
+        branches = _initial_branches(g, routes, probs, tie_probs)
         for node in measured:
             branches = _extend_branches(g, branches, node, tie_probs)
-        return _branch_value(g, branches, weights)
+        return _branch_value(branches, _scored_nodes(g, weights))
     if mode != "exact":
         raise InputError(f"mode must be 'approx' or 'exact', got {mode!r}")
 
@@ -278,11 +301,12 @@ def greedy_plan(
         raise InputError(f"budget must be non-negative, got {budget}")
     weights = weights or ObjectiveWeights()
     pool, notes = _prepare_candidates(g, routes, probs, candidates)
-    baseline = _certain_value(g, routes, weights)
+    scored = _scored_nodes(g, weights)
+    baseline = _certain_value(scored, routes)
     if not pool and budget > 0:
         notes.append("no measurable candidates; empty plan")
 
-    branches = _initial_branches(routes, probs)
+    branches = _initial_branches(g, routes, probs, tie_probs)
     selected: list[int] = []
     step_values: list[float] = []
     remaining = float(budget)
@@ -293,7 +317,7 @@ def greedy_plan(
         best_node, best_value, best_branches = None, -math.inf, None
         for node in affordable:
             trial = _extend_branches(g, branches, node, tie_probs)
-            value = _branch_value(g, trial, weights)
+            value = _branch_value(trial, scored)
             if value > best_value:
                 best_node, best_value, best_branches = node, value, trial
         selected.append(best_node)
@@ -331,7 +355,7 @@ def exhaustive_plan(
         raise InputError(f"budget must be non-negative, got {budget}")
     weights = weights or ObjectiveWeights()
     pool, notes = _prepare_candidates(g, routes, probs, candidates)
-    baseline = _certain_value(g, routes, weights)
+    baseline = _certain_value(_scored_nodes(g, weights), routes)
 
     feasible: list[tuple[int, ...]] = []
     for size in range(0, len(pool) + 1):

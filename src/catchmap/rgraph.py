@@ -7,7 +7,8 @@ root-to-node path in it is a route the node could take under some tie-break.
 
 ``brute_force_eligible_paths`` recomputes the same path sets by exhaustively
 enumerating tie-break choices and re-running propagation for each, sharing no
-code with the graph construction: it exists to cross-check it.
+code with the graph construction: it exists to cross-check it. One
+enumeration yields the path sets of every node at once.
 """
 from __future__ import annotations
 
@@ -261,13 +262,14 @@ def _receivable_paths(
     return received
 
 
-def brute_force_eligible_paths(aug: AugmentedTopology, node: int) -> frozenset[Path]:
-    """Every best path ``node`` can end up with under some tie-break.
+def brute_force_eligible_paths(aug: AugmentedTopology) -> dict[int, frozenset[Path]]:
+    """Every best path each non-root node can end up with under some tie-break.
 
     Enumerates, for each node, which neighbor it favors when indifferent,
-    and replays propagation per combination with that favoritism baked into
-    the ranking. Written independently of the forwarding-graph construction
-    so the two can be compared.
+    and replays propagation once per combination with that favoritism baked
+    into the ranking, collecting every node's best path from each replay.
+    Written independently of the forwarding-graph construction so the two
+    can be compared. A node no replay routes gets an empty set.
 
     Guarded to ``MAX_EXACT_NODES`` nodes, destination included.
     """
@@ -277,11 +279,7 @@ def brute_force_eligible_paths(aug: AugmentedTopology, node: int) -> frozenset[P
             f"exhaustive enumeration limited to {MAX_EXACT_NODES} nodes, "
             f"got {topology.num_nodes}"
         )
-    if node not in topology:
-        raise UnknownNodeError(f"node {node} not in topology")
     root = aug.n_dst
-    if node == root:
-        return frozenset({(root,)})
     received = _receivable_paths(aug)
 
     # candidate next hops per node: neighbors that could ever offer it a route
@@ -299,18 +297,17 @@ def brute_force_eligible_paths(aug: AugmentedTopology, node: int) -> frozenset[P
             if profile_count > 2_000_000:
                 raise CapacityError("too many tie-break combinations to enumerate")
 
-    results: set[Path] = set()
+    results: dict[int, set[Path]] = {n: set() for n in topology.nodes() if n != root}
     for combo in itertools.product(*domains) if domains else [()]:
         favored = dict(zip(choosers, combo))
-        best = _propagate_with_favorites(aug, favored)
-        path = best.get(node)
-        if path is not None:
-            results.add(path)
+        for n, path in _propagate_with_favorites(aug, favored).items():
+            if path is not None:
+                results[n].add(path)
     logger.debug(
-        "enumerated %d tie-break combinations for node %d: %d distinct paths",
-        profile_count, node, len(results),
+        "enumerated %d tie-break combinations for %d nodes",
+        profile_count, len(results),
     )
-    return frozenset(results)
+    return {n: frozenset(paths) for n, paths in results.items()}
 
 
 def _propagate_with_favorites(

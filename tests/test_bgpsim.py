@@ -68,10 +68,8 @@ def test_best_paths_within_eligible_sets():
     # every seeded selection must be one of the enumerable eligible paths
     for idx in range(6):
         aug = helpers.random_instance(idx, num_nodes=8)
-        eligible = {
-            node: brute_force_eligible_paths(aug, node)
-            for node in aug.real_nodes
-        }
+        brute = brute_force_eligible_paths(aug)
+        eligible = {node: brute[node] for node in aug.real_nodes}
         for seed in range(25):
             result = run_bgp(aug, seed=seed)
             for node, best in result.best_paths.items():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import random
 
 import pytest
 
@@ -12,11 +14,15 @@ from catchmap import (
     catchment_bounds,
     certain_inference,
     expected_load,
+    apply_oracles,
     probabilistic_inference,
+    run_bgp,
     shortest_path_transform,
+    simulated_catchment,
     uniform_tie_probabilities,
 )
 from catchmap.errors import InputError
+from catchmap.inference import update_probabilistic_inference
 
 import helpers
 
@@ -102,6 +108,60 @@ def test_tie_probabilities_validated(example_graph, example_routes):
     wrong_support = {4: {1: 0.5, 7: 0.5}}
     with pytest.raises(InputError):
         probabilistic_inference(example_graph, example_routes, wrong_support)
+
+
+def _random_ties(g, rng):
+    """Positive, unequal tie probabilities for every node with two parents or more."""
+    ties = {}
+    for node, parents in g.parents.items():
+        if len(parents) > 1:
+            raw = [rng.uniform(0.1, 1.0) for _ in parents]
+            ties[node] = {p: r / sum(raw) for p, r in zip(parents, raw)}
+    return ties
+
+
+def _items(probs):
+    return [(node, list(dist.items())) for node, dist in probs.items()]
+
+
+class TestConeUpdate:
+    """The cone update equals a full forward pass, float for float."""
+
+    @pytest.mark.parametrize("with_ties", [False, True])
+    def test_equals_full_pass_after_random_observations(self, with_ties):
+        instances = [helpers.random_instance(idx) for idx in range(40)]
+        instances.append(helpers.random_instance(0, num_nodes=500, avg_degree=3.0))
+        rng = random.Random(2024)
+        updates = 0
+        for aug in instances:
+            g = build_rgraph(aug, seed=0)
+            ties = _random_ties(g, rng) if with_ties else None
+            truth = simulated_catchment(run_bgp(aug, seed=rng.randrange(1000)), aug)
+            observable = sorted(truth)
+            routes = certain_inference(g)
+            probs = probabilistic_inference(g, routes, ties)
+            # successive observation batches, each updating the previous pass
+            for _ in range(3):
+                batch = rng.sample(observable, min(len(observable), rng.randint(1, 4)))
+                before = copy.deepcopy((routes, probs))
+                applied = apply_oracles(g, routes, probs, {n: truth[n] for n in batch})
+                updated = update_probabilistic_inference(
+                    g, probs, applied.routes, applied.pinned, ties
+                )
+                full = probabilistic_inference(g, applied.routes, ties)
+                assert updated == full
+                assert _items(updated) == _items(full)
+                assert (routes, probs) == before
+                routes, probs = applied.routes, updated
+                updates += 1
+        assert updates == 3 * len(instances)
+
+    def test_no_pins_shares_every_entry(self, example_graph, example_routes, example_probs):
+        updated = update_probabilistic_inference(
+            example_graph, example_probs, example_routes, ()
+        )
+        assert updated is not example_probs
+        assert all(updated[n] is example_probs[n] for n in example_probs)
 
 
 class TestShortestPathTransform:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 
@@ -112,6 +113,23 @@ class TestPropagation:
         assert applied.routes[4] is None
         assert applied.routes[6] is None
         assert applied.set_route_calls == 1
+
+    def test_pinned_lists_nodes_in_propagation_order(
+        self, example_graph, example_routes, example_probs
+    ):
+        applied = apply_oracles(example_graph, example_routes, example_probs, {8: "m1"})
+        assert applied.pinned == (8, 6, 4)
+        assert applied.set_route_calls == len(applied.pinned)
+
+    def test_inputs_left_unchanged(self, example_graph, example_routes, example_probs):
+        routes_before = copy.deepcopy(example_routes)
+        probs_before = copy.deepcopy(example_probs)
+        applied = apply_oracles(example_graph, example_routes, example_probs, {8: "m1"})
+        assert example_routes == routes_before
+        assert example_probs == probs_before
+        # unchanged entries are shared, pinned ones replaced
+        assert applied.probs[5] is example_probs[5]
+        assert applied.probs[8] is not example_probs[8]
 
     def test_reapplication_is_free(self, example_graph, example_routes, example_probs):
         first = apply_oracles(example_graph, example_routes, example_probs, {8: "m1"})

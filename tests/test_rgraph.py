@@ -118,10 +118,10 @@ class TestBruteForceEligiblePaths:
         topo.add_edge(2, 1, Relationship.C2P)
         vf = derive_vf_policies(topo)
         aug = attach_destination(vf, DestinationSpec(attachments={2: "m"}))
-        assert brute_force_eligible_paths(aug, 1) == {(1, 2, aug.n_dst)}
+        assert brute_force_eligible_paths(aug)[1] == {(1, 2, aug.n_dst)}
 
     def test_two_route_node(self, example_aug):
-        assert brute_force_eligible_paths(example_aug, 4) == {
+        assert brute_force_eligible_paths(example_aug)[4] == {
             (4, 1, helpers.DST),
             (4, 2, helpers.DST),
         }
@@ -130,15 +130,16 @@ class TestBruteForceEligiblePaths:
         for idx in range(25):
             aug = helpers.random_instance(idx)
             g = build_rgraph(aug, seed=0)
+            brute = brute_force_eligible_paths(aug)
             for node in g.report_nodes:
-                assert brute_force_eligible_paths(aug, node) == (
+                assert brute[node] == (
                     enumerate_rpaths(g, node).paths
                 ), (idx, node)
 
     def test_size_guard(self):
         aug = helpers.random_instance(0, num_nodes=20)
         with pytest.raises(CapacityError):
-            brute_force_eligible_paths(aug, next(iter(aug.real_nodes)))
+            brute_force_eligible_paths(aug)
 
 
 class TestGraphValue:
