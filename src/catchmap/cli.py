@@ -16,7 +16,7 @@ import click
 
 from . import __version__
 from .bgpsim import run_bgp, simulated_catchment
-from .errors import CatchmapError, InputError
+from .errors import CatchmapError, ContradictionError, InfeasibleOracleError, InputError
 from .inference import (
     catchment_bounds,
     certain_inference,
@@ -154,7 +154,12 @@ def cmd_plan(
         full_routes = certain_inference(g)
         full_routes.update(routes)
         probs = probabilistic_inference(g, full_routes)
-        candidates = [n for n in report.nodes if full_routes.get(n) is None and probs.get(n)]
+        if cfg.plan_candidates is not None:
+            candidates = list(cfg.plan_candidates)
+        else:
+            candidates = [
+                n for n in report.nodes if full_routes.get(n) is None and probs.get(n)
+            ]
         if baselines > 0:
             values = random_plan_values(
                 g, full_routes, probs, candidates, cfg.plan_budget,
@@ -228,19 +233,6 @@ def _compare_probs(actual: dict, expected: dict, tol: float = 1e-12) -> list[str
             if not _close(got.get(m, 0.0), dist.get(m, 0.0), tol):
                 problems.append(f"node {n} ingress {m}: {got.get(m, 0.0)} != {dist.get(m, 0.0)}")
     return problems
-
-
-def _random_instance(idx: int, *, num_nodes: int | None = None, ingresses: int = 2):
-    seed = 7_000 + idx
-    n = num_nodes if num_nodes is not None else 6 + idx % 5
-    topo = generate_random_topology(n, avg_degree=2.2, peer_fraction=0.15, seed=seed)
-    rng = random.Random(seed)
-    nodes = sorted(topo.nodes())
-    attach = rng.sample(nodes, min(ingresses, len(nodes)))
-    spec = DestinationSpec(
-        attachments={node: f"m{i + 1}" for i, node in enumerate(sorted(attach))}
-    )
-    return attach_destination(derive_vf_policies(topo), spec)
 
 
 def _quick_checks(seed: int) -> list[tuple[str, bool, str]]:
@@ -360,36 +352,66 @@ def _quick_checks(seed: int) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _full_checks(seed: int) -> list[tuple[str, bool, str]]:
-    checks: list[tuple[str, bool, str]] = []
+# -- validation sweeps ------------------------------------------------------------
+# Each sweep checks one claim against an independent oracle and returns what it
+# found; `validate --level full` and the acceptance tests run them at their own
+# counts. Positions in the findings index the ``instances`` given.
 
-    # eligible-path equivalence on random instances
+
+def random_instance(
+    idx: int,
+    *,
+    num_nodes: int | None = None,
+    avg_degree: float = 2.2,
+    peer_fraction: float = 0.15,
+    seed_base: int = 7000,
+    attach_by_degree: bool = False,
+) -> AugmentedTopology:
+    """Small random scenario with two ingress points, deterministic per idx."""
+    seed = seed_base + idx
+    n = num_nodes if num_nodes is not None else 6 + idx % 5
+    topo = generate_random_topology(
+        n, avg_degree=avg_degree, peer_fraction=peer_fraction, seed=seed
+    )
+    vf = derive_vf_policies(topo)
+    if attach_by_degree:
+        picks = sorted(vf.nodes(), key=lambda x: (-len(vf.neighbors(x)), x))[:2]
+    else:
+        picks = sorted(random.Random(seed).sample(sorted(vf.nodes()), 2))
+    spec = DestinationSpec(attachments={picks[0]: "m1", picks[1]: "m2"})
+    return attach_destination(vf, spec)
+
+
+def path_mismatches(instances: list[AugmentedTopology]) -> list[tuple[int, int]]:
+    """``(position, node)`` wherever the forwarding graph's path set differs
+    from the brute-forced eligible paths."""
     bad = []
-    for idx in range(30):
-        aug = _random_instance(idx)
-        g = build_rgraph(aug, seed)
+    for idx, aug in enumerate(instances):
+        g = build_rgraph(aug)
         brute = brute_force_eligible_paths(aug)
-        for node in aug.real_nodes:
-            mine = enumerate_rpaths(g, node).paths
-            theirs = brute[node]
-            if mine != theirs:
+        for node in g.report_nodes:
+            if enumerate_rpaths(g, node).paths != brute[node]:
                 bad.append((idx, node))
-    checks.append((
-        "eligible-path equivalence (30 instances)",
-        not bad,
-        f"mismatches at {bad[:5]}",
-    ))
+    return bad
 
-    # certainty soundness + bound containment under seed sweeps
-    violations = 0
-    for idx in range(20):
-        aug = _random_instance(idx)
-        g = build_rgraph(aug, seed)
+
+def certainty_violations(
+    instances: list[AugmentedTopology], seeds: range
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, str]]]:
+    """Seeded simulations that contradict certain inference.
+
+    Returns ``(moved, outside)``: ``(position, seed, node)`` for each certain
+    node that the simulation routes elsewhere, and ``(position, seed,
+    ingress)`` for each catchment count outside ``catchment_bounds``.
+    """
+    moved, outside = [], []
+    for idx, aug in enumerate(instances):
+        g = build_rgraph(aug)
         routes = certain_inference(g)
         view = {n: routes[n] for n in g.report_nodes}
         ingress_points = tuple(sorted(set(g.ingress_map.values())))
         bounds = catchment_bounds(view, ingress_points, len(g.report_nodes))
-        for s in range(20):
+        for s in seeds:
             catchment = simulated_catchment(run_bgp(aug, s), aug)
             counts = {m: 0 for m in ingress_points}
             for node in g.report_nodes:
@@ -397,65 +419,120 @@ def _full_checks(seed: int) -> list[tuple[str, bool, str]]:
                 if got is not None:
                     counts[got] += 1
                 if routes[node] is not None and got != routes[node]:
-                    violations += 1
-            for m in ingress_points:
-                if not bounds[m][0] <= counts[m] <= bounds[m][1]:
-                    violations += 1
+                    moved.append((idx, s, node))
+            outside += [
+                (idx, s, m)
+                for m in ingress_points
+                if not bounds[m][0] <= counts[m] <= bounds[m][1]
+            ]
+    return moved, outside
+
+
+def propagation_findings(cases: list[tuple]) -> tuple[int, list, list, list]:
+    """Observation propagation against exact conditioning, per ``(label,
+    graph, observations)`` case; jointly impossible observations are skipped.
+
+    Returns the number of cases compared, the labels whose propagation made
+    more calls than the graph has nodes, ``(label, node)`` for each pin the
+    exact conditional leaves open, and ``(label, node, ingress)`` for each
+    node left open although its exact conditional is degenerate.
+    """
+    tested = 0
+    over_budget, unsound, gaps = [], [], []
+    for label, g, observations in cases:
+        routes = certain_inference(g)
+        probs = probabilistic_inference(g, routes)
+        try:
+            applied = apply_oracles(g, routes, probs, observations)
+            posterior = exact_conditional_distribution(g, None, observations)
+        except (ContradictionError, InfeasibleOracleError):
+            continue
+        tested += 1
+        if applied.set_route_calls > len(g.nodes):
+            over_budget.append(label)
+        for node in g.report_nodes:
+            post = posterior[node]
+            got = applied.routes[node]
+            if got is not None:
+                if post.get(got, 0.0) <= 1.0 - 1e-12:
+                    unsound.append((label, node))
+            elif post and max(post.values()) > 1.0 - 1e-9:
+                gaps.append((label, node, max(post, key=post.get)))
+    return tested, over_budget, unsound, gaps
+
+
+def sp_regressions(instances: list[AugmentedTopology]) -> list[tuple]:
+    """``(position, node, before, after)`` for each certain node whose route
+    shortest-path pruning changes or loses."""
+    regressions = []
+    for idx, aug in enumerate(instances):
+        g = build_rgraph(aug)
+        before = certain_inference(g)
+        after = certain_inference(shortest_path_transform(g))
+        regressions += [
+            (idx, n, before[n], after[n])
+            for n in g.report_nodes
+            if before[n] is not None and after[n] != before[n]
+        ]
+    return regressions
+
+
+def plan_scores(
+    g, routes, probs, candidates, budget: int, baselines: int, seed: int
+) -> tuple[float, float, float, float]:
+    """The greedy plan's own value, its exact value, the exhaustive optimum,
+    and the mean exact value of ``baselines`` random plans drawn with ``seed``."""
+    greedy = greedy_plan(g, routes, probs, candidates, budget)
+    greedy_exact = expected_nc(g, routes, probs, greedy.selected, mode="exact")
+    optimum = exhaustive_plan(g, routes, probs, candidates, budget).expected_value
+    values = random_plan_values(
+        g, routes, probs, candidates, budget, count=baselines, seed=seed
+    )
+    return greedy.expected_value, greedy_exact, optimum, sum(values) / len(values)
+
+
+def _full_checks(seed: int) -> list[tuple[str, bool, str]]:
+    checks: list[tuple[str, bool, str]] = []
+    instances = [random_instance(idx) for idx in range(30)]
+
+    bad = path_mismatches(instances)
     checks.append((
-        "certainty soundness (20 instances x 20 seeds)",
-        violations == 0,
-        f"{violations} violations",
+        "eligible-path equivalence (30 instances)",
+        not bad,
+        f"mismatches at {bad[:5]}",
     ))
 
-    # observation propagation never pins a node the exact conditional
-    # distribution leaves open.  The reverse direction (pinning *every* node
-    # whose exact posterior is degenerate) is not achievable with local rules
-    # on multiply-connected graphs -- two candidate carriers can be perfectly
-    # correlated through a shared ancestor -- so completeness gaps are
-    # reported but do not fail the check.
-    unsound = []
-    gaps = 0
+    moved, outside = certainty_violations(instances[:20], range(20))
+    checks.append((
+        "certainty soundness (20 instances x 20 seeds)",
+        not moved and not outside,
+        f"{len(moved) + len(outside)} violations",
+    ))
+
+    # Completeness gaps are reported but do not fail the check: local rules
+    # cannot pin nodes whose candidate carriers are perfectly correlated
+    # through a shared ancestor.
     rng = random.Random(seed)
-    for idx in range(15):
-        aug = _random_instance(idx)
+    cases = []
+    for idx, aug in enumerate(instances[:15]):
         g = build_rgraph(aug, seed)
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
         uncertain = [n for n in g.report_nodes if routes[n] is None and probs[n]]
-        if not uncertain:
-            continue
-        target = rng.choice(uncertain)
-        ingress = rng.choice(sorted(probs[target]))
-        applied = apply_oracles(g, routes, probs, {target: ingress})
-        if applied.set_route_calls > len(g.nodes):
-            unsound.append((idx, "call bound"))
-        posterior = exact_conditional_distribution(g, None, {target: ingress})
-        for n in g.report_nodes:
-            post = posterior[n]
-            got = applied.routes[n]
-            if got is not None:
-                if post.get(got, 0.0) <= 1.0 - 1e-12:
-                    unsound.append((idx, n))
-            elif post and max(post.values()) > 1.0 - 1e-12:
-                gaps += 1
+        if uncertain:
+            target = rng.choice(uncertain)
+            cases.append((idx, g, {target: rng.choice(sorted(probs[target]))}))
+    _, over_budget, unsound, gaps = propagation_findings(cases)
+    flagged = [(idx, "call bound") for idx in over_budget] + unsound
     checks.append((
         "observation propagation is sound (15 instances)",
-        not unsound,
-        f"violations at {unsound[:5]}"
-        if unsound
-        else f"{gaps} completeness gap(s) left open, as expected",
+        not flagged,
+        f"violations at {flagged[:5]}"
+        if flagged
+        else f"{len(gaps)} completeness gap(s) left open, as expected",
     ))
 
-    # shortest-path pruning never loses certainty
-    regressions = []
-    for idx in range(30):
-        aug = _random_instance(idx)
-        g = build_rgraph(aug, seed)
-        routes = certain_inference(g)
-        sp_routes = certain_inference(shortest_path_transform(g))
-        for n in g.report_nodes:
-            if routes[n] is not None and sp_routes[n] != routes[n]:
-                regressions.append((idx, n))
+    regressions = sp_regressions(instances)
     checks.append((
         "shortest-path pruning monotone (30 instances)",
         not regressions,
@@ -465,7 +542,7 @@ def _full_checks(seed: int) -> list[tuple[str, bool, str]]:
     # predicted expected sizes vs simulation
     off = []
     for idx in range(2):
-        aug = _random_instance(idx, num_nodes=60)
+        aug = random_instance(idx, num_nodes=60)
         g = build_rgraph(aug, seed)
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
@@ -480,11 +557,8 @@ def _full_checks(seed: int) -> list[tuple[str, bool, str]]:
         f"instances {off}",
     ))
 
-    # greedy vs exhaustive vs random
-    over_optimum, under_random = 0, 0
-    compared = 0
-    for idx in range(10):
-        aug = _random_instance(idx)
+    over_optimum, under_random, compared = 0, 0, 0
+    for aug in instances[:10]:
         g = build_rgraph(aug, seed)
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
@@ -492,19 +566,11 @@ def _full_checks(seed: int) -> list[tuple[str, bool, str]]:
         if not candidates:
             continue
         compared += 1
-        budget = min(2, len(candidates))
-        greedy = greedy_plan(g, routes, probs, candidates, budget)
-        greedy_exact = expected_nc(
-            g, routes, probs, greedy.selected, mode="exact"
+        _, greedy_exact, optimum, random_mean = plan_scores(
+            g, routes, probs, candidates, min(2, len(candidates)), 20, seed
         )
-        optimum = exhaustive_plan(g, routes, probs, candidates, budget)
-        if greedy_exact > optimum.expected_value + 1e-9:
-            over_optimum += 1
-        values = random_plan_values(
-            g, routes, probs, candidates, budget, count=20, seed=seed
-        )
-        if greedy_exact + 1e-9 < sum(values) / len(values):
-            under_random += 1
+        over_optimum += greedy_exact > optimum + 1e-9
+        under_random += greedy_exact + 1e-9 < random_mean
     checks.append((
         f"planner sanity ({compared} instances)",
         over_optimum == 0 and under_random <= compared // 3,

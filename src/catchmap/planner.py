@@ -155,6 +155,19 @@ def _branch_value(
     return sum(b.prob * _certain_value(scored, b.routes) for b in branches)
 
 
+def _replay(
+    g: RGraph,
+    branches: list[_Branch],
+    measured: list[int],
+    tie_probs: TieProbabilities | None,
+    scored: list[tuple[int, float]],
+) -> float:
+    """Value of measuring ``measured`` in order, starting from ``branches``."""
+    for node in measured:
+        branches = _extend_branches(g, branches, node, tie_probs)
+    return _branch_value(branches, scored)
+
+
 # -- expected objective ----------------------------------------------------------
 
 
@@ -182,10 +195,8 @@ def expected_nc(
         if node not in g.parents:
             raise UnknownNodeError(f"measured node {node} not in forwarding graph")
     if mode == "approx":
-        branches = _initial_branches(g, routes, probs, tie_probs)
-        for node in measured:
-            branches = _extend_branches(g, branches, node, tie_probs)
-        return _branch_value(branches, _scored_nodes(g, weights))
+        initial = _initial_branches(g, routes, probs, tie_probs)
+        return _replay(g, initial, measured, tie_probs, _scored_nodes(g, weights))
     if mode != "exact":
         raise InputError(f"mode must be 'approx' or 'exact', got {mode!r}")
 
@@ -418,21 +429,28 @@ def random_plan_values(
     """Expected objective of ``count`` uniformly drawn budget-sized plans.
 
     Baseline distribution for judging the greedy plan. Assumes unit costs
-    when sizing the drawn subsets.
+    when sizing the drawn subsets. In ``approx`` mode every plan is replayed
+    from one shared initial branch, so the call makes one forward pass.
     """
     weights = weights or ObjectiveWeights()
     pool, _ = _prepare_candidates(g, routes, probs, candidates)
     rng = random.Random(seed)
     size = min(int(budget), len(pool))
+    if mode == "approx":
+        initial = _initial_branches(g, routes, probs, tie_probs)
+        scored = _scored_nodes(g, weights)
     values = []
     for _ in range(count):
         subset = rng.sample(pool, size) if size else []
-        values.append(
-            expected_nc(
-                g, routes, probs, subset,
-                mode=mode, tie_probs=tie_probs, weights=weights,
+        if mode == "approx":
+            values.append(_replay(g, initial, sorted(subset), tie_probs, scored))
+        else:
+            values.append(
+                expected_nc(
+                    g, routes, probs, subset,
+                    mode=mode, tie_probs=tie_probs, weights=weights,
+                )
             )
-        )
     return values
 
 

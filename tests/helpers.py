@@ -8,8 +8,6 @@ engine's output against these constants, never the other way around.
 
 from __future__ import annotations
 
-import random
-
 from catchmap import (
     AugmentedTopology,
     DestinationSpec,
@@ -17,8 +15,8 @@ from catchmap import (
     Topology,
     attach_destination,
     derive_vf_policies,
-    generate_random_topology,
 )
+from catchmap.cli import random_instance  # noqa: F401  (re-exported)
 
 DST = 9
 
@@ -88,28 +86,3 @@ def example_base_topology() -> Topology:
 def example_aug() -> AugmentedTopology:
     spec = DestinationSpec(attachments=dict(EXAMPLE_ATTACHMENTS), dst_id=DST)
     return attach_destination(example_base_topology(), spec)
-
-
-def random_instance(
-    idx: int,
-    *,
-    num_nodes: int | None = None,
-    avg_degree: float = 2.2,
-    peer_fraction: float = 0.15,
-    seed_base: int = 7000,
-    attach_by_degree: bool = False,
-) -> AugmentedTopology:
-    """Small random scenario with two ingress points, deterministic per idx."""
-    seed = seed_base + idx
-    n = num_nodes if num_nodes is not None else 6 + idx % 5
-    topo = generate_random_topology(
-        n, avg_degree=avg_degree, peer_fraction=peer_fraction, seed=seed
-    )
-    vf = derive_vf_policies(topo)
-    if attach_by_degree:
-        ranked = sorted(vf.nodes(), key=lambda x: (-len(vf.neighbors(x)), x))
-        picks = ranked[:2]
-    else:
-        picks = sorted(random.Random(seed).sample(sorted(vf.nodes()), 2))
-    spec = DestinationSpec(attachments={picks[0]: "m1", picks[1]: "m2"})
-    return attach_destination(vf, spec)

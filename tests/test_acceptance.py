@@ -21,32 +21,29 @@ import random
 import time
 
 from catchmap import (
-    ContradictionError,
     DestinationSpec,
-    InfeasibleOracleError,
     RGraph,
-    apply_oracles,
     attach_destination,
-    brute_force_eligible_paths,
     build_rgraph,
     certain_inference,
     compare_with_simulation,
     derive_vf_policies,
     enumerate_route_outcomes,
     enumerate_rpaths,
-    exact_conditional_distribution,
-    exhaustive_plan,
     expected_nc,
     generate_random_topology,
-    greedy_plan,
     monte_carlo_inference,
     nonsubmodularity_witness,
     nonsupermodularity_witness,
     probabilistic_inference,
-    random_plan_values,
-    run_bgp,
     shortest_path_transform,
-    simulated_catchment,
+)
+from catchmap.cli import (
+    certainty_violations,
+    path_mismatches,
+    plan_scores,
+    propagation_findings,
+    sp_regressions,
 )
 
 import helpers
@@ -83,16 +80,12 @@ def test_a01_worked_example_golden_paths_and_routes():
 def test_a02_forwarding_graph_equals_exhaustive_eligible_paths(acceptance_notes):
     """Graph paths = brute-forced eligible paths on 200 random instances."""
     started = time.perf_counter()
-    mismatches: list[tuple[int, int]] = []
-    nodes_checked = 0
-    for idx in range(200):
-        aug = helpers.random_instance(idx, num_nodes=5 + idx % 8, seed_base=9000)
-        g = build_rgraph(aug, seed=0)
-        brute = brute_force_eligible_paths(aug)
-        for node in sorted(g.report_nodes):
-            if enumerate_rpaths(g, node).paths != brute[node]:
-                mismatches.append((idx, node))
-            nodes_checked += 1
+    instances = [
+        helpers.random_instance(idx, num_nodes=5 + idx % 8, seed_base=9000)
+        for idx in range(200)
+    ]
+    mismatches = path_mismatches(instances)
+    nodes_checked = sum(len(aug.real_nodes) for aug in instances)
     elapsed = time.perf_counter() - started
     acceptance_notes.append(
         f"a02: {nodes_checked} node path-sets across 200 instances in {elapsed:.1f}s"
@@ -102,24 +95,20 @@ def test_a02_forwarding_graph_equals_exhaustive_eligible_paths(acceptance_notes)
 
 
 def test_a03_certain_routes_never_contradicted_by_simulation():
-    """A node inferred certain keeps that ingress under every tie-break seed."""
+    """A node inferred certain keeps that ingress under every tie-break seed,
+    and every simulated catchment count stays inside the certain bounds."""
     started = time.perf_counter()
-    violations: list[tuple[int, int, int]] = []
-    for idx in range(100):
-        aug = helpers.random_instance(
+    instances = [
+        helpers.random_instance(
             idx, num_nodes=6 + idx % 7, avg_degree=2.3, seed_base=4000
         )
-        g = build_rgraph(aug, seed=0)
-        routes = certain_inference(g)
-        pinned = {
-            n: r for n, r in routes.items() if n in g.report_nodes and r is not None
-        }
-        for s in range(50):
-            catchment = simulated_catchment(run_bgp(aug, s), aug)
-            for node, want in pinned.items():
-                if catchment.get(node) != want:
-                    violations.append((idx, s, node))
-    assert not violations, f"certain nodes moved at (instance, seed, node): {violations[:10]}"
+        for idx in range(100)
+    ]
+    moved, outside = certainty_violations(instances, range(50))
+    assert not moved, f"certain nodes moved at (instance, seed, node): {moved[:10]}"
+    assert not outside, (
+        f"catchment counts left the bounds at (instance, seed, ingress): {outside[:10]}"
+    )
     assert time.perf_counter() - started < 120.0
 
 
@@ -174,32 +163,7 @@ def test_a05_oracle_propagation_pins_exactly_the_determined_set(acceptance_notes
     correlated through a shared uncertain ancestor, which no local
     single-carrier rule can see.
     """
-    call_bound_violations: list[str] = []
-    unsound: list[tuple[str, int]] = []
-    incomplete: list[tuple[str, int, str]] = []
-    tested = 0
-
-    def check(label: str, g: RGraph, observations: dict[int, str]) -> None:
-        nonlocal tested
-        routes = certain_inference(g)
-        probs = probabilistic_inference(g, routes)
-        try:
-            applied = apply_oracles(g, routes, probs, observations)
-            posterior = exact_conditional_distribution(g, None, observations)
-        except (ContradictionError, InfeasibleOracleError):
-            return  # jointly impossible draw; nothing to compare
-        tested += 1
-        if applied.set_route_calls > len(g.nodes):
-            call_bound_violations.append(label)
-        for node in g.report_nodes:
-            post = posterior[node]
-            got = applied.routes[node]
-            if got is not None:
-                if post.get(got, 0.0) <= 1.0 - TOL:
-                    unsound.append((label, node))
-            elif post and max(post.values()) > 1.0 - TOL:
-                incomplete.append((label, node, max(post, key=post.get)))
-
+    cases = []
     for idx in range(80):
         aug = helpers.random_instance(
             idx, num_nodes=5 + idx % 6, avg_degree=2.4, seed_base=5000
@@ -214,10 +178,8 @@ def test_a05_oracle_propagation_pins_exactly_the_determined_set(acceptance_notes
             continue
         rng = random.Random(idx)
         chosen = rng.sample(open_nodes, rng.randint(1, min(2, len(open_nodes))))
-        check(
-            f"instance {idx}",
-            g,
-            {n: rng.choice(sorted(probs[n])) for n in chosen},
+        cases.append(
+            (f"instance {idx}", g, {n: rng.choice(sorted(probs[n])) for n in chosen})
         )
 
     # Distilled counterexample: the root's two children are the only real
@@ -228,7 +190,8 @@ def test_a05_oracle_propagation_pins_exactly_the_determined_set(acceptance_notes
         [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)],
         {1: "m1", 2: "m2"},
     )
-    check("correlated-carrier gadget", gadget, {6: "m2"})
+    cases.append(("correlated-carrier gadget", gadget, {6: "m2"}))
+    tested, call_bound_violations, unsound, incomplete = propagation_findings(cases)
 
     assert tested >= 50, f"sweep too thin, only {tested} applications compared"
     assert not call_bound_violations, (
@@ -264,21 +227,12 @@ def test_a06_shortest_path_pruning_only_adds_certainty():
     assert (3, 7) in dropped
     assert dropped == set(helpers.EXPECTED_SP_DROPPED)
 
-    regressions = []
-    for idx in range(120):
-        aug = helpers.random_instance(
+    regressions = sp_regressions([
+        helpers.random_instance(
             idx, num_nodes=5 + idx % 7, avg_degree=2.4, seed_base=4500
         )
-        g = build_rgraph(aug, seed=0)
-        before = certain_inference(g)
-        after = certain_inference(shortest_path_transform(g))
-        for node in g.report_nodes:
-            if before[node] is not None and after[node] != before[node]:
-                regressions.append((idx, node, before[node], after[node]))
-        certain_before = sum(1 for n in g.report_nodes if before[n] is not None)
-        certain_after = sum(1 for n in g.report_nodes if after[n] is not None)
-        if certain_after < certain_before:
-            regressions.append((idx, "count", certain_before, certain_after))
+        for idx in range(120)
+    ])
     assert not regressions, f"pruning lost certainty: {regressions[:10]}"
 
 
@@ -383,14 +337,12 @@ def test_a09_greedy_plans_near_optimal_and_beat_random(acceptance_notes):
         if len(open_nodes) < 5:
             continue
         candidates = open_nodes[:6]
-        greedy = greedy_plan(g, routes, probs, candidates, 2)
-        optimum = exhaustive_plan(g, routes, probs, candidates, 2)
-        assert greedy.expected_value <= optimum.expected_value + TOL
-        max_gap = max(max_gap, optimum.expected_value - greedy.expected_value)
-        baseline = random_plan_values(
-            g, routes, probs, candidates, 2, count=100, seed=0
+        greedy, _, optimum, random_mean = plan_scores(
+            g, routes, probs, candidates, 2, 100, 0
         )
-        if greedy.expected_value > sum(baseline) / len(baseline) + TOL:
+        assert greedy <= optimum + TOL
+        max_gap = max(max_gap, optimum - greedy)
+        if greedy > random_mean + TOL:
             strict_wins += 1
         eligible += 1
     assert eligible == 20, f"only {eligible} instances had enough uncertainty"

@@ -154,6 +154,21 @@ class TestPlan:
         assert summary["gap"] == pytest.approx(0.0)
         assert "gap to exhaustive optimum: 0" in result.output
 
+    def test_baselines_and_exact_guard_obey_plan_candidates(self, runner, tmp_path):
+        scenario = write_scenario(tmp_path, "plan candidates 8\nplan budget 1\n")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["plan", scenario, "--out", str(out),
+             "--baselines", "10", "--exact-guard", "12"],
+        )
+        assert result.exit_code == 0, result.output
+        summary = json.loads((out / "plan.json").read_text())
+        # node 8 is the only candidate, so every plan is the greedy plan
+        assert summary["selected"] == [8]
+        assert summary["gap"] == 0.0
+        assert summary["random_baseline_mean"] == 6.5
+
     def test_no_budget_anywhere_fails(self, runner, tmp_path):
         scenario = write_scenario(tmp_path)
         result = runner.invoke(main, ["plan", scenario, "--out", str(tmp_path / "o")])
@@ -167,6 +182,30 @@ class TestValidate:
         assert result.exit_code == 0, result.output
         assert "all checks passed" in result.output
         assert "FAIL" not in result.output
+
+    def test_full_level_passes(self, runner):
+        result = runner.invoke(main, ["validate", "--level", "full", "--seed", "0"])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines() == [
+            "ok   example forwarding graph",
+            "ok   example certain inference",
+            "ok   example route probabilities",
+            "ok   example bounds and loads",
+            "ok   example observation propagation",
+            "ok   example shortest-path pruning",
+            "ok   example path enumeration",
+            "ok   objective-shape witnesses",
+            "ok   serialization round-trip",
+            "ok   deterministic propagation",
+            "ok   negative control (tampered fixture rejected)",
+            "ok   eligible-path equivalence (30 instances)",
+            "ok   certainty soundness (20 instances x 20 seeds)",
+            "ok   observation propagation is sound (15 instances)",
+            "ok   shortest-path pruning monotone (30 instances)",
+            "ok   simulation agreement (2 x 200 runs)",
+            "ok   planner sanity (8 instances)",
+            "all checks passed (17/17)",
+        ]
 
     def test_rejects_unknown_level(self, runner):
         result = runner.invoke(main, ["validate", "--level", "paranoid"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import statistics
 
 import pytest
@@ -18,6 +19,7 @@ from catchmap import (
     probabilistic_inference,
     random_plan_values,
 )
+from catchmap import planner
 from catchmap.errors import CapacityError, InputError, UnknownNodeError
 from catchmap.planner import (
     export_plan_csv,
@@ -276,6 +278,35 @@ class TestBaselines:
             example_graph, example_routes, example_probs, (4, 6, 8), 1, 50, seed=0
         )
         assert greedy_exact > statistics.mean(baseline)
+
+    def test_approx_values_share_one_forward_pass(self, monkeypatch):
+        aug = helpers.random_instance(
+            7, num_nodes=12, avg_degree=3.0, seed_base=6000, attach_by_degree=True
+        )
+        g = build_rgraph(aug, seed=0)
+        routes = certain_inference(g)
+        probs = probabilistic_inference(g, routes)
+        pool = [n for n in g.report_nodes if routes[n] is None and probs[n]]
+        assert len(pool) == 5
+        rng = random.Random(3)
+        per_plan = [
+            expected_nc(g, routes, probs, rng.sample(pool, 2), mode="approx")
+            for _ in range(15)
+        ]
+
+        calls = []
+        forward = planner.probabilistic_inference
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "probabilistic_inference", counted)
+        values = random_plan_values(
+            g, routes, probs, pool, 2, 15, seed=3, mode="approx"
+        )
+        assert values == per_plan
+        assert len(calls) == 1
 
 
 def test_plan_csv_round_numbers(example_graph, example_routes, example_probs):
