@@ -29,7 +29,6 @@ from .inference import (
     expected_load,
     probabilistic_inference,
     shortest_path_transform,
-    uniform_tie_probabilities,
 )
 from .oracles import (
     MonteCarloEstimate,
@@ -99,15 +98,15 @@ __all__ = [
     "serialize_topology", "derive_vf_policies", "attach_destination",
     "apply_prepending", "generate_random_topology",
     # propagation
-    "Path", "SimResult", "run_bgp", "simulated_catchment", "export_sim_csv",
+    "SimResult", "run_bgp", "simulated_catchment", "export_sim_csv",
     # forwarding graph
     "RGraph", "PathEnumeration", "build_rgraph", "topological_order",
     "enumerate_rpaths", "brute_force_eligible_paths", "rgraph_edgelist",
     "rgraph_dot",
     # inference
     "RoutingFunction", "RouteProbabilities", "certain_inference",
-    "probabilistic_inference", "uniform_tie_probabilities",
-    "shortest_path_transform", "expected_load", "catchment_bounds",
+    "probabilistic_inference", "shortest_path_transform", "expected_load",
+    "catchment_bounds",
     # observations
     "OracleSet", "OracleApplication", "MonteCarloEstimate", "apply_oracles",
     "parse_oracle_file", "serialize_oracles", "exact_conditional_distribution",

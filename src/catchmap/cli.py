@@ -124,7 +124,10 @@ def cmd_plan(
 
     ``baselines`` random plans are scored for comparison. When
     ``exact_guard`` is given and the forwarding graph has at most that many
-    nodes, the exhaustive optimum is computed as a cross-check.
+    nodes, the exhaustive optimum is computed as a cross-check; ``gap`` is
+    that optimum minus the greedy selection's exact value. All of them are
+    scored on the routes, distributions and candidates the greedy plan was
+    made from.
     """
     path = _resolve_data_path(scenario)
     cfg = parse_scenario_file(path.read_text(), base_dir=path.parent)
@@ -148,31 +151,19 @@ def cmd_plan(
         "baseline_value": plan.baseline_value,
         "notes": list(plan.notes),
     }
-    if baselines > 0 or exact_guard is not None:
-        # rebuild the planner inputs the scenario used
-        routes = {n: report.routes[n] for n in report.nodes}
-        full_routes = certain_inference(g)
-        full_routes.update(routes)
-        probs = probabilistic_inference(g, full_routes)
-        if cfg.plan_candidates is not None:
-            candidates = list(cfg.plan_candidates)
-        else:
-            candidates = [
-                n for n in report.nodes if full_routes.get(n) is None and probs.get(n)
-            ]
-        if baselines > 0:
-            values = random_plan_values(
-                g, full_routes, probs, candidates, cfg.plan_budget,
-                count=baselines, seed=cfg.seed, mode="approx",
-            )
-            summary["random_baseline_mean"] = sum(values) / len(values)
-            summary["random_baseline_max"] = max(values)
-        if exact_guard is not None and len(g.nodes) <= exact_guard:
-            optimum = exhaustive_plan(
-                g, full_routes, probs, candidates, cfg.plan_budget
-            )
-            summary["exhaustive_value"] = optimum.expected_value
-            summary["gap"] = optimum.expected_value - plan.expected_value
+    routes, probs, candidates = report.plan_inputs
+    if baselines > 0:
+        values = random_plan_values(
+            g, routes, probs, candidates, cfg.plan_budget,
+            count=baselines, seed=cfg.seed, mode="approx",
+        )
+        summary["random_baseline_mean"] = sum(values) / len(values)
+        summary["random_baseline_max"] = max(values)
+    if exact_guard is not None and len(g.nodes) <= exact_guard:
+        optimum = exhaustive_plan(g, routes, probs, candidates, cfg.plan_budget)
+        greedy_exact = expected_nc(g, routes, probs, plan.selected, mode="exact")
+        summary["exhaustive_value"] = optimum.expected_value
+        summary["gap"] = optimum.expected_value - greedy_exact
     (out_dir / "plan.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return plan, summary
 
@@ -305,21 +296,21 @@ def _quick_checks(seed: int) -> list[tuple[str, bool, str]]:
         f"got {sorted(enum.paths)} / {sorted(brute)}",
     ))
 
-    wg, wp = nonsupermodularity_witness()
+    wg = nonsupermodularity_witness()
     wroutes = certain_inference(wg)
-    wprobs = probabilistic_inference(wg, wroutes, wp)
-    base = expected_nc(wg, wroutes, wprobs, [], mode="exact", tie_probs=wp)
-    with_3 = expected_nc(wg, wroutes, wprobs, [3], mode="exact", tie_probs=wp)
-    with_4 = expected_nc(wg, wroutes, wprobs, [4], mode="exact", tie_probs=wp)
-    with_34 = expected_nc(wg, wroutes, wprobs, [3, 4], mode="exact", tie_probs=wp)
+    wprobs = probabilistic_inference(wg, wroutes)
+    base = expected_nc(wg, wroutes, wprobs, [], mode="exact")
+    with_3 = expected_nc(wg, wroutes, wprobs, [3], mode="exact")
+    with_4 = expected_nc(wg, wroutes, wprobs, [4], mode="exact")
+    with_34 = expected_nc(wg, wroutes, wprobs, [3, 4], mode="exact")
     gains_ok = _close(with_3 - base, 1.4, 1e-9) and _close(with_34 - with_4, 0.7, 1e-9)
-    g2, p2 = nonsubmodularity_witness()
+    g2 = nonsubmodularity_witness()
     r2 = certain_inference(g2)
-    q2 = probabilistic_inference(g2, r2, p2)
-    b2 = expected_nc(g2, r2, q2, [], mode="exact", tie_probs=p2)
-    w3 = expected_nc(g2, r2, q2, [3], mode="exact", tie_probs=p2)
-    w4 = expected_nc(g2, r2, q2, [4], mode="exact", tie_probs=p2)
-    w34 = expected_nc(g2, r2, q2, [3, 4], mode="exact", tie_probs=p2)
+    q2 = probabilistic_inference(g2, r2)
+    b2 = expected_nc(g2, r2, q2, [], mode="exact")
+    w3 = expected_nc(g2, r2, q2, [3], mode="exact")
+    w4 = expected_nc(g2, r2, q2, [4], mode="exact")
+    w34 = expected_nc(g2, r2, q2, [3, 4], mode="exact")
     gains2_ok = _close(w3 - b2, 1.0, 1e-9) and _close(w34 - w4, 1.5, 1e-9)
     checks.append((
         "objective-shape witnesses",
@@ -444,7 +435,7 @@ def propagation_findings(cases: list[tuple]) -> tuple[int, list, list, list]:
         probs = probabilistic_inference(g, routes)
         try:
             applied = apply_oracles(g, routes, probs, observations)
-            posterior = exact_conditional_distribution(g, None, observations)
+            posterior = exact_conditional_distribution(g, observations)
         except (ContradictionError, InfeasibleOracleError):
             continue
         tested += 1

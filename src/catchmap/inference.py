@@ -23,9 +23,6 @@ logger = logging.getLogger(__name__)
 
 RoutingFunction = dict[int, "str | None"]
 RouteProbabilities = dict[int, dict[str, float]]
-TieProbabilities = Mapping[int, Mapping[int, float]]
-
-_NORMALIZATION_TOL = 1e-9
 
 
 def certain_inference(g: RGraph) -> RoutingFunction:
@@ -56,53 +53,8 @@ def certain_inference(g: RGraph) -> RoutingFunction:
     return routes
 
 
-def uniform_tie_probabilities(g: RGraph) -> dict[int, dict[int, float]]:
-    """Equal probability for each parent of every node that has any."""
-    return {
-        node: {p: 1.0 / len(parents) for p in parents}
-        for node, parents in g.parents.items()
-        if parents
-    }
-
-
-def _validated_tie_probs(
-    g: RGraph, tie_probs: TieProbabilities | None
-) -> TieProbabilities:
-    """Check caller overrides for support and normalization; return them."""
-    if tie_probs is None:
-        return {}
-    for node, given in tie_probs.items():
-        if node not in g.parents:
-            raise InputError(f"tie probabilities for unknown node {node}")
-        parents = g.parents[node]
-        if set(given) != set(parents):
-            raise InputError(
-                f"tie probabilities of node {node} must cover exactly its "
-                f"parents {list(parents)}, got {sorted(given)}"
-            )
-        if any(p < 0 for p in given.values()):
-            raise InputError(f"negative tie probability at node {node}")
-        sum_p = sum(given.values())
-        if abs(sum_p - 1.0) > _NORMALIZATION_TOL:
-            raise InputError(
-                f"tie probabilities of node {node} sum to {sum_p!r}, not 1"
-            )
-    return tie_probs
-
-
-def _tie_weights(
-    overrides: TieProbabilities, node: int, parents: tuple[int, ...]
-) -> list[float]:
-    """Probability of picking each of ``parents``: override, else uniform."""
-    given = overrides.get(node)
-    if given is not None:
-        return [given[p] for p in parents]
-    return [1.0 / len(parents)] * len(parents) if parents else []
-
-
 def _mixed_distribution(
     g: RGraph,
-    overrides: TieProbabilities,
     routes: RoutingFunction,
     out: RouteProbabilities,
     node: int,
@@ -115,7 +67,7 @@ def _mixed_distribution(
         return {assigned: 1.0}
     mixed: dict[str, float] = {}
     parents = g.parents[node]
-    for parent, weight in zip(parents, _tie_weights(overrides, node, parents)):
+    for parent, weight in zip(parents, g.tie_weights(node)):
         if weight == 0.0:
             continue
         if parent == g.root:
@@ -132,23 +84,17 @@ def _mixed_distribution(
     return mixed
 
 
-def probabilistic_inference(
-    g: RGraph,
-    routes: RoutingFunction,
-    tie_probs: TieProbabilities | None = None,
-) -> RouteProbabilities:
+def probabilistic_inference(g: RGraph, routes: RoutingFunction) -> RouteProbabilities:
     """Per-node distribution over ingress points.
 
     Nodes the certainty pass already pinned get probability one on their
     ingress. Every other node mixes its parents' distributions, weighted by
-    the probability of picking each parent (uniform unless ``tie_probs``
-    overrides; overrides must sum to one per node, tolerance 1e-9).
-    Unreachable nodes get an empty distribution.
+    the graph's tie weights (``RGraph.tie_weights``). Unreachable nodes get
+    an empty distribution.
     """
-    overrides = _validated_tie_probs(g, tie_probs)
     out: RouteProbabilities = {}
     for node in topological_order(g):
-        out[node] = _mixed_distribution(g, overrides, routes, out, node)
+        out[node] = _mixed_distribution(g, routes, out, node)
     return out
 
 
@@ -157,23 +103,19 @@ def update_probabilistic_inference(
     probs: RouteProbabilities,
     routes: RoutingFunction,
     pinned: Iterable[int],
-    tie_probs: TieProbabilities | None = None,
 ) -> RouteProbabilities:
     """The forward pass for ``routes``, derived from the one for older routes.
 
-    ``probs`` must be ``probabilistic_inference(g, old_routes, tie_probs)``
-    and ``routes`` may differ from ``old_routes`` only at the ``pinned``
-    nodes. Only those nodes and their descendants are recomputed, in a
-    topological order of that cone; every other entry is shared with
-    ``probs``, which is not modified. The result equals
-    ``probabilistic_inference(g, routes, tie_probs)`` float for float.
-    ``tie_probs`` are not validated again: they are the overrides that
-    ``probs`` was computed with.
+    ``probs`` must be ``probabilistic_inference(g, old_routes)`` and
+    ``routes`` may differ from ``old_routes`` only at the ``pinned`` nodes.
+    Only those nodes and their descendants are recomputed, in a topological
+    order of that cone; every other entry is shared with ``probs``, which is
+    not modified. The result equals ``probabilistic_inference(g, routes)``
+    float for float.
     """
-    overrides = tie_probs or {}
     out = dict(probs)
     for node in _cone_order(g, pinned):
-        out[node] = _mixed_distribution(g, overrides, routes, out, node)
+        out[node] = _mixed_distribution(g, routes, out, node)
     return out
 
 

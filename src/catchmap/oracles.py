@@ -30,13 +30,7 @@ from .errors import (
     TopologyParseError,
     UnknownNodeError,
 )
-from .inference import (
-    RouteProbabilities,
-    RoutingFunction,
-    TieProbabilities,
-    _tie_weights,
-    _validated_tie_probs,
-)
+from .inference import RouteProbabilities, RoutingFunction
 from .rgraph import MAX_EXACT_NODES, RGraph, topological_order
 
 logger = logging.getLogger(__name__)
@@ -306,19 +300,16 @@ _MAX_OUTCOMES = 2_000_000
 
 
 def enumerate_route_outcomes(
-    g: RGraph,
-    tie_probs: TieProbabilities | None = None,
-    max_outcomes: int = _MAX_OUTCOMES,
+    g: RGraph, max_outcomes: int = _MAX_OUTCOMES
 ) -> Iterator[tuple[float, dict[int, "str | None"]]]:
     """Yield (probability, node-to-ingress map) for every tie-break choice.
 
     Each outcome fixes one parent per node; its probability is the product
-    of the tie probabilities. A node directly attached to the root always
+    of the graph's tie weights. A node directly attached to the root always
     takes the direct edge — its ingress is the scenario's ground truth, not
     a tie to roll — so it contributes no randomness. Zero-probability
     outcomes are skipped. Unreachable nodes and the root map to None.
     """
-    overrides = _validated_tie_probs(g, tie_probs)
     choosers: list[int] = []
     domains: list[tuple[tuple[int, float], ...]] = []
     count = 1
@@ -329,7 +320,7 @@ def enumerate_route_outcomes(
         if g.root in parents:
             domains.append(((g.root, 1.0),))
         else:
-            domains.append(tuple(zip(parents, _tie_weights(overrides, n, parents))))
+            domains.append(tuple(zip(parents, g.tie_weights(n))))
             count *= len(parents)
             if count > max_outcomes:
                 raise CapacityError(
@@ -367,9 +358,7 @@ def _check_observed(g: RGraph, oracles: OracleSet | Mapping[int, str]) -> list[t
 
 
 def exact_conditional_distribution(
-    g: RGraph,
-    tie_probs: TieProbabilities | None = None,
-    oracles: OracleSet | Mapping[int, str] | None = None,
+    g: RGraph, oracles: OracleSet | Mapping[int, str] | None = None
 ) -> RouteProbabilities:
     """Exact per-node posterior given the observations, by full enumeration.
 
@@ -385,7 +374,7 @@ def exact_conditional_distribution(
     observed = _check_observed(g, oracles or {})
     mass: dict[int, dict[str, float]] = {n: {} for n in g.nodes}
     total = 0.0
-    for weight, ingress_of in enumerate_route_outcomes(g, tie_probs):
+    for weight, ingress_of in enumerate_route_outcomes(g):
         if any(ingress_of[x] != m for x, m in observed):
             continue
         total += weight
@@ -414,7 +403,6 @@ class MonteCarloEstimate:
 
 def monte_carlo_inference(
     g: RGraph,
-    tie_probs: TieProbabilities | None = None,
     trials: int = 10_000,
     seed: int = 0,
     oracles: OracleSet | Mapping[int, str] | None = None,
@@ -427,7 +415,6 @@ def monte_carlo_inference(
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
     observed = _check_observed(g, oracles or {})
-    overrides = _validated_tie_probs(g, tie_probs)
     base: dict[int, str | None] = {n: None for n in g.nodes if not g.parents[n]}
 
     # per chooser: parent tuple and cumulative weights for inverse sampling;
@@ -440,7 +427,7 @@ def monte_carlo_inference(
         if g.root in parents:
             schedule.append((n, (g.root,), [1.0]))
             continue
-        cum = list(itertools.accumulate(_tie_weights(overrides, n, parents)))
+        cum = list(itertools.accumulate(g.tie_weights(n)))
         schedule.append((n, parents, cum))
 
     rng = random.Random(seed)

@@ -24,7 +24,6 @@ from .errors import CapacityError, InputError, UnknownNodeError
 from .inference import (
     RouteProbabilities,
     RoutingFunction,
-    TieProbabilities,
     probabilistic_inference,
     update_probabilistic_inference,
 )
@@ -107,27 +106,20 @@ class _Branch:
 
 
 def _initial_branches(
-    g: RGraph,
-    routes: RoutingFunction,
-    probs: RouteProbabilities,
-    tie_probs: TieProbabilities | None,
+    g: RGraph, routes: RoutingFunction, probs: RouteProbabilities
 ) -> list[_Branch]:
-    return [_Branch(1.0, routes, probs, probabilistic_inference(g, routes, tie_probs))]
+    return [_Branch(1.0, routes, probs, probabilistic_inference(g, routes))]
 
 
 def _extend_branches(
-    g: RGraph,
-    branches: list[_Branch],
-    node: int,
-    tie_probs: TieProbabilities | None,
+    g: RGraph, branches: list[_Branch], node: int
 ) -> list[_Branch]:
     """Split every branch on the possible outcomes of measuring ``node``.
 
     Each outcome is folded in and the distributions of still-uncertain nodes
-    are recomputed forward with the original tie probabilities (their parent
-    sets are untouched by new certainty); only the nodes the outcome pinned
-    and those below them can change. ``tie_probs`` were validated when the
-    initial branch was built. Zero-probability outcomes are dropped.
+    are recomputed forward with the graph's tie weights (their parent sets
+    are untouched by new certainty); only the nodes the outcome pinned and
+    those below them can change. Zero-probability outcomes are dropped.
     Measuring a node with no possible route changes nothing.
     """
     out: list[_Branch] = []
@@ -141,7 +133,7 @@ def _extend_branches(
                 continue
             applied = apply_oracles(g, branch.routes, branch.probs, {node: ingress})
             refreshed = update_probabilistic_inference(
-                g, branch.forward, applied.routes, applied.pinned, tie_probs
+                g, branch.forward, applied.routes, applied.pinned
             )
             out.append(
                 _Branch(branch.prob * p, applied.routes, refreshed, refreshed)
@@ -159,12 +151,11 @@ def _replay(
     g: RGraph,
     branches: list[_Branch],
     measured: list[int],
-    tie_probs: TieProbabilities | None,
     scored: list[tuple[int, float]],
 ) -> float:
     """Value of measuring ``measured`` in order, starting from ``branches``."""
     for node in measured:
-        branches = _extend_branches(g, branches, node, tie_probs)
+        branches = _extend_branches(g, branches, node)
     return _branch_value(branches, scored)
 
 
@@ -178,7 +169,6 @@ def expected_nc(
     measured: Iterable[int],
     *,
     mode: str = "approx",
-    tie_probs: TieProbabilities | None = None,
     weights: ObjectiveWeights | None = None,
 ) -> float:
     """Expected objective after measuring the given nodes.
@@ -195,8 +185,8 @@ def expected_nc(
         if node not in g.parents:
             raise UnknownNodeError(f"measured node {node} not in forwarding graph")
     if mode == "approx":
-        initial = _initial_branches(g, routes, probs, tie_probs)
-        return _replay(g, initial, measured, tie_probs, _scored_nodes(g, weights))
+        initial = _initial_branches(g, routes, probs)
+        return _replay(g, initial, measured, _scored_nodes(g, weights))
     if mode != "exact":
         raise InputError(f"mode must be 'approx' or 'exact', got {mode!r}")
 
@@ -215,7 +205,7 @@ def expected_nc(
     # reporting node either its constant ingress or a conflict marker
     signatures: dict[tuple, dict] = {}
     total = 0.0
-    for mass, ingress_of in enumerate_route_outcomes(g, tie_probs):
+    for mass, ingress_of in enumerate_route_outcomes(g):
         if any(ingress_of[n] != m for n, m in pinned):
             continue
         total += mass
@@ -299,7 +289,6 @@ def greedy_plan(
     candidates: Iterable[int],
     budget: float,
     *,
-    tie_probs: TieProbabilities | None = None,
     weights: ObjectiveWeights | None = None,
 ) -> MeasurementPlan:
     """Pick measurements one at a time, each maximizing the expected objective.
@@ -317,7 +306,7 @@ def greedy_plan(
     if not pool and budget > 0:
         notes.append("no measurable candidates; empty plan")
 
-    branches = _initial_branches(g, routes, probs, tie_probs)
+    branches = _initial_branches(g, routes, probs)
     selected: list[int] = []
     step_values: list[float] = []
     remaining = float(budget)
@@ -327,7 +316,7 @@ def greedy_plan(
             break
         best_node, best_value, best_branches = None, -math.inf, None
         for node in affordable:
-            trial = _extend_branches(g, branches, node, tie_probs)
+            trial = _extend_branches(g, branches, node)
             value = _branch_value(trial, scored)
             if value > best_value:
                 best_node, best_value, best_branches = node, value, trial
@@ -352,7 +341,6 @@ def exhaustive_plan(
     candidates: Iterable[int],
     budget: float,
     *,
-    tie_probs: TieProbabilities | None = None,
     weights: ObjectiveWeights | None = None,
     max_subsets: int = 20_000,
 ) -> MeasurementPlan:
@@ -388,7 +376,7 @@ def exhaustive_plan(
     for subset in feasible:
         value = expected_nc(
             g, routes, probs, subset,
-            mode="exact", tie_probs=tie_probs, weights=weights,
+            mode="exact", weights=weights,
         )
         if value > best_value + 1e-12 or (
             abs(value - best_value) <= 1e-12
@@ -399,7 +387,7 @@ def exhaustive_plan(
     step_values = tuple(
         expected_nc(
             g, routes, probs, best_subset[: k + 1],
-            mode="exact", tie_probs=tie_probs, weights=weights,
+            mode="exact", weights=weights,
         )
         for k in range(len(best_subset))
     )
@@ -423,7 +411,6 @@ def random_plan_values(
     seed: int = 0,
     *,
     mode: str = "exact",
-    tie_probs: TieProbabilities | None = None,
     weights: ObjectiveWeights | None = None,
 ) -> list[float]:
     """Expected objective of ``count`` uniformly drawn budget-sized plans.
@@ -437,19 +424,16 @@ def random_plan_values(
     rng = random.Random(seed)
     size = min(int(budget), len(pool))
     if mode == "approx":
-        initial = _initial_branches(g, routes, probs, tie_probs)
+        initial = _initial_branches(g, routes, probs)
         scored = _scored_nodes(g, weights)
     values = []
     for _ in range(count):
         subset = rng.sample(pool, size) if size else []
         if mode == "approx":
-            values.append(_replay(g, initial, sorted(subset), tie_probs, scored))
+            values.append(_replay(g, initial, sorted(subset), scored))
         else:
             values.append(
-                expected_nc(
-                    g, routes, probs, subset,
-                    mode=mode, tie_probs=tie_probs, weights=weights,
-                )
+                expected_nc(g, routes, probs, subset, mode=mode, weights=weights)
             )
     return values
 
@@ -467,48 +451,37 @@ def export_plan_csv(plan: MeasurementPlan) -> str:
 # -- objective-shape witnesses ---------------------------------------------------
 
 
-def nonsupermodularity_witness(
-    p: float = 0.6, q: float = 0.5
-) -> tuple[RGraph, dict[int, dict[int, float]]]:
+def nonsupermodularity_witness(p: float = 0.6, q: float = 0.5) -> RGraph:
     """Fixture where a measurement helps less after another one.
 
     Two pinned attachment nodes (1 and 2), an uncertain node 3 hanging off
     both, and an uncertain node 4 fed by 3 and 2. Measuring 3 alone gains
     2 - p; measuring it after 4 gains only 1 - p*q.
     """
-    g = RGraph.from_edges(
+    return RGraph.from_edges(
         0,
         [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (2, 4)],
         {1: "m1", 2: "m2"},
+        tie_probs={3: {1: p, 2: 1.0 - p}, 4: {3: q, 2: 1.0 - q}},
     )
-    tie_probs = {
-        1: {0: 1.0},
-        2: {0: 1.0},
-        3: {1: p, 2: 1.0 - p},
-        4: {3: q, 2: 1.0 - q},
-    }
-    return g, tie_probs
 
 
 def nonsubmodularity_witness(
     p1: float = 0.5, p2: float = 0.5, r: float = 0.5
-) -> tuple[RGraph, dict[int, dict[int, float]]]:
+) -> RGraph:
     """Fixture where a measurement helps more after another one.
 
     Nodes 3 and 4 each hang off both attachments; node 5 hangs off 3 and 4.
     Measuring 3 alone gains 1; measuring it after 4 gains
     1 + P(3 and 4 agree).
     """
-    g = RGraph.from_edges(
+    return RGraph.from_edges(
         0,
         [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)],
         {1: "m1", 2: "m2"},
+        tie_probs={
+            3: {1: p1, 2: 1.0 - p1},
+            4: {1: p2, 2: 1.0 - p2},
+            5: {3: r, 4: 1.0 - r},
+        },
     )
-    tie_probs = {
-        1: {0: 1.0},
-        2: {0: 1.0},
-        3: {1: p1, 2: 1.0 - p1},
-        4: {1: p2, 2: 1.0 - p2},
-        5: {3: r, 4: 1.0 - r},
-    }
-    return g, tie_probs

@@ -15,14 +15,16 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
 from .bgpsim import Path, run_bgp
-from .errors import CapacityError, ConvergenceError, CycleError, UnknownNodeError
+from .errors import CapacityError, ConvergenceError, CycleError, InputError, UnknownNodeError
 from .topology import AugmentedTopology
 
 logger = logging.getLogger(__name__)
+
+_NORMALIZATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,12 @@ class RGraph:
     no root, no virtual chain nodes). ``order`` lists every node parents
     first; it is computed once at construction, which rejects any directed
     cycle, so every ``RGraph`` is acyclic.
+
+    ``tie_probs`` holds the tie-break weights that differ from uniform:
+    node -> parent -> probability of forwarding through that parent. Each
+    entry covers exactly the node's parents and sums to one (tolerance
+    1e-9); that is checked whenever a graph is made. ``tie_weights`` gives
+    any node's weights, and every probabilistic pass reads them there.
     """
 
     root: int
@@ -44,6 +52,7 @@ class RGraph:
     nodes: tuple[int, ...]
     report_nodes: tuple[int, ...]
     order: tuple[int, ...]
+    tie_probs: Mapping[int, Mapping[int, float]]
 
     @classmethod
     def from_parent_map(
@@ -54,6 +63,7 @@ class RGraph:
         *,
         nodes: Iterable[int] = (),
         report_nodes: Iterable[int] | None = None,
+        tie_probs: Mapping[int, Mapping[int, float]] | None = None,
     ) -> "RGraph":
         all_nodes = {root}
         all_nodes.update(nodes)
@@ -85,6 +95,7 @@ class RGraph:
             nodes=node_tuple,
             report_nodes=report,
             order=_kahn_order(norm_parents, norm_children),
+            tie_probs=_validated_tie_probs(norm_parents, tie_probs),
         )
 
     @classmethod
@@ -96,6 +107,7 @@ class RGraph:
         *,
         nodes: Iterable[int] = (),
         report_nodes: Iterable[int] | None = None,
+        tie_probs: Mapping[int, Mapping[int, float]] | None = None,
     ) -> "RGraph":
         """Build from (parent, child) pairs; handy for hand-drawn fixtures."""
         parent_map: dict[int, list[int]] = {}
@@ -104,7 +116,8 @@ class RGraph:
             parent_map.setdefault(child, []).append(parent)
             extra.add(parent)
         return cls.from_parent_map(
-            root, ingress_map, parent_map, nodes=extra, report_nodes=report_nodes
+            root, ingress_map, parent_map,
+            nodes=extra, report_nodes=report_nodes, tie_probs=tie_probs,
         )
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -117,14 +130,56 @@ class RGraph:
         return sum(len(ps) for ps in self.parents.values())
 
     def with_parents(self, parents: Mapping[int, Iterable[int]]) -> "RGraph":
-        """Same nodes and labels, different edge set."""
+        """Same nodes, labels and tie overrides, different edge set.
+
+        Raises InputError if an override no longer covers exactly its
+        node's new parents.
+        """
         return RGraph.from_parent_map(
             self.root,
             self.ingress_map,
             parents,
             nodes=self.nodes,
             report_nodes=self.report_nodes,
+            tie_probs=self.tie_probs,
         )
+
+    def with_tie_probs(self, tie_probs: Mapping[int, Mapping[int, float]]) -> "RGraph":
+        """Same graph with ``tie_probs`` as its overrides, replacing any old ones."""
+        return replace(self, tie_probs=_validated_tie_probs(self.parents, tie_probs))
+
+    def tie_weights(self, node: int) -> list[float]:
+        """Probability of picking each of ``node``'s parents: override, else uniform."""
+        parents = self.parents[node]
+        given = self.tie_probs.get(node)
+        if given is not None:
+            return [given[p] for p in parents]
+        return [1.0 / len(parents)] * len(parents) if parents else []
+
+
+def _validated_tie_probs(
+    parents: Mapping[int, tuple[int, ...]],
+    tie_probs: Mapping[int, Mapping[int, float]] | None,
+) -> dict[int, dict[int, float]]:
+    """Check overrides for support and normalization; return a copy."""
+    if not tie_probs:
+        return {}
+    for node, given in tie_probs.items():
+        if node not in parents:
+            raise InputError(f"tie probabilities for unknown node {node}")
+        if set(given) != set(parents[node]):
+            raise InputError(
+                f"tie probabilities of node {node} must cover exactly its "
+                f"parents {list(parents[node])}, got {sorted(given)}"
+            )
+        if any(p < 0 for p in given.values()):
+            raise InputError(f"negative tie probability at node {node}")
+        sum_p = sum(given.values())
+        if abs(sum_p - 1.0) > _NORMALIZATION_TOL:
+            raise InputError(
+                f"tie probabilities of node {node} sum to {sum_p!r}, not 1"
+            )
+    return {node: dict(given) for node, given in tie_probs.items()}
 
 
 def build_rgraph(aug: AugmentedTopology, seed: int = 0) -> RGraph:

@@ -288,6 +288,9 @@ class ScenarioReport:
     rgraph_nodes: int
     rgraph_edges: int
     seed: int
+    # (routes, probs, candidates) the plan was made from, for scoring other
+    # plans on the same inputs; not exported
+    plan_inputs: tuple | None = field(default=None, repr=False)
 
     def to_json(self) -> str:
         doc = {
@@ -404,12 +407,12 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
                     "exact" if len(g.nodes) <= MAX_EXACT_NODES else "monte-carlo"
                 )
             if method == "exact":
-                probs = exact_conditional_distribution(g, None, oracles)
+                probs = exact_conditional_distribution(g, oracles)
                 stages.append("posterior-exact")
                 status = "posterior-exact"
             else:
                 estimate = monte_carlo_inference(
-                    g, None, cfg.posterior_trials, cfg.seed, oracles
+                    g, cfg.posterior_trials, cfg.seed, oracles
                 )
                 probs = estimate.probs
                 stages.append("posterior-sampling")
@@ -422,12 +425,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
     probs_view = {n: probs.get(n, {}) for n in universe} if probs is not None else None
     ingress_points = tuple(sorted(set(g.ingress_map.values())))
 
-    certain_counts = {m: 0 for m in ingress_points}
-    for n in universe:
-        if routes_view[n] is not None:
-            certain_counts[routes_view[n]] += 1
-    uncertain = len(universe) - sum(certain_counts.values())
     bounds = catchment_bounds(routes_view, ingress_points, len(universe))
+    certain_counts = {m: lower for m, (lower, _) in bounds.items()}
+    uncertain = len(universe) - sum(certain_counts.values())
 
     loads = None
     deficit: dict[int, float] = {}
@@ -439,6 +439,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
                 deficit[n] = mass
 
     plan: MeasurementPlan | None = None
+    plan_inputs = None
     if cfg.plan_budget is not None:
         if cfg.plan_candidates is not None:
             candidates: tuple[int, ...] = cfg.plan_candidates
@@ -448,12 +449,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
                 if plan_routes.get(n) is None and plan_probs.get(n)
             )
         plan = greedy_plan(g, plan_routes, plan_probs, candidates, cfg.plan_budget)
+        plan_inputs = (plan_routes, plan_probs, candidates)
         stages.append("measurement-planning")
-
-    if cfg.mode == "certain" and not oracles and cfg.plan_budget is None:
-        probs_view = None
-        prob_status = None
-        loads = None
 
     report = ScenarioReport(
         config=cfg.echo(),
@@ -474,6 +471,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
         rgraph_nodes=len(g.nodes),
         rgraph_edges=g.num_edges,
         seed=cfg.seed,
+        plan_inputs=plan_inputs,
     )
     return report, g
 
@@ -564,20 +562,13 @@ def prepending_sweep(
         universe = g.report_nodes
         routes_view = {n: routes[n] for n in universe}
         ingress_points = tuple(sorted(set(g.ingress_map.values())))
-        counts = {m: 0 for m in ingress_points}
-        for n in universe:
-            if routes_view[n] is not None:
-                counts[routes_view[n]] += 1
+        bounds = catchment_bounds(routes_view, ingress_points, len(universe))
+        counts = {m: lower for m, (lower, _) in bounds.items()}
         entry: dict = {
             "k": k,
             "certain_counts": counts,
             "uncertain": len(universe) - sum(counts.values()),
-            "bounds": {
-                m: list(b)
-                for m, b in catchment_bounds(
-                    routes_view, ingress_points, len(universe)
-                ).items()
-            },
+            "bounds": {m: list(b) for m, b in bounds.items()},
         }
         if cfg.mode == "probabilistic":
             probs = probabilistic_inference(g, routes)

@@ -86,3 +86,13 @@ def example_base_topology() -> Topology:
 def example_aug() -> AugmentedTopology:
     spec = DestinationSpec(attachments=dict(EXAMPLE_ATTACHMENTS), dst_id=DST)
     return attach_destination(example_base_topology(), spec)
+
+
+def random_tie_probs(g, rng) -> dict[int, dict[int, float]]:
+    """Positive, unequal tie probabilities for every node with two parents or more."""
+    ties = {}
+    for node, parents in g.parents.items():
+        if len(parents) > 1:
+            raw = [rng.uniform(0.1, 1.0) for _ in parents]
+            ties[node] = {p: r / sum(raw) for p, r in zip(parents, raw)}
+    return ties

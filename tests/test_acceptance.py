@@ -239,12 +239,12 @@ def test_a06_shortest_path_pruning_only_adds_certainty():
 def test_a07_planner_objective_gain_witnesses():
     """The two hand-built gadgets show the objective's gain can shrink
     below 1 or grow past 1 depending on what was measured before."""
-    g, ties = nonsupermodularity_witness(p=0.6, q=0.5)
+    g = nonsupermodularity_witness(p=0.6, q=0.5)
     routes = certain_inference(g)
-    probs = probabilistic_inference(g, routes, ties)
+    probs = probabilistic_inference(g, routes)
 
     def value(measured):
-        return expected_nc(g, routes, probs, measured, mode="exact", tie_probs=ties)
+        return expected_nc(g, routes, probs, measured, mode="exact")
 
     gain_alone = value((3,)) - value(())
     gain_after = value((3, 4)) - value((4,))
@@ -252,12 +252,12 @@ def test_a07_planner_objective_gain_witnesses():
     assert math.isclose(gain_after, 0.7, abs_tol=TOL)
     assert gain_alone >= 1.0 >= gain_after
 
-    g, ties = nonsubmodularity_witness(p1=0.5, p2=0.5, r=0.5)
+    g = nonsubmodularity_witness(p1=0.5, p2=0.5, r=0.5)
     routes = certain_inference(g)
-    probs = probabilistic_inference(g, routes, ties)
+    probs = probabilistic_inference(g, routes)
 
     def value2(measured):
-        return expected_nc(g, routes, probs, measured, mode="exact", tie_probs=ties)
+        return expected_nc(g, routes, probs, measured, mode="exact")
 
     gain_alone = value2((3,)) - value2(())
     gain_after = value2((3, 4)) - value2((4,))

@@ -169,6 +169,29 @@ class TestPlan:
         assert summary["gap"] == 0.0
         assert summary["random_baseline_mean"] == 6.5
 
+    def test_baselines_and_exact_guard_use_the_planned_inputs(self, runner, tmp_path):
+        # the plan is made on observation-refined distributions; the baselines
+        # and the optimum must be scored on those, not on a fresh forward pass
+        (tmp_path / "obs.csv").write_text("11,m0\n")
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(
+            "topology generate n=11 avg_degree=2.6 seed=5\n"
+            "attach 10 m0\nattach 5 m1\nattach 6 m2\noracles obs.csv\n"
+            "plan budget 1\nplan candidates 4\n"
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["plan", str(scenario), "--out", str(out),
+             "--baselines", "3", "--exact-guard", "14"],
+        )
+        assert result.exit_code == 0, result.output
+        summary = json.loads((out / "plan.json").read_text())
+        # [4] is the only possible plan
+        assert summary["selected"] == [4]
+        assert summary["random_baseline_mean"] == summary["expected_value"]
+        assert summary["gap"] == 0.0
+
     def test_no_budget_anywhere_fails(self, runner, tmp_path):
         scenario = write_scenario(tmp_path)
         result = runner.invoke(main, ["plan", scenario, "--out", str(tmp_path / "o")])

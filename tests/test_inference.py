@@ -19,7 +19,6 @@ from catchmap import (
     run_bgp,
     shortest_path_transform,
     simulated_catchment,
-    uniform_tie_probabilities,
 )
 from catchmap.errors import InputError
 from catchmap.inference import update_probabilistic_inference
@@ -80,44 +79,43 @@ def test_probabilities_normalized_on_random_instances():
                 assert sum(dist.values()) <= 1.0 + TOL
 
 
-def test_uniform_tie_probabilities(example_graph):
-    ties = uniform_tie_probabilities(example_graph)
-    assert ties[4] == {1: 0.5, 2: 0.5}
-    assert ties[8] == {5: 0.5, 6: 0.5}
-    for node, dist in ties.items():
-        assert close(sum(dist.values()), 1.0)
+def test_default_tie_weights_are_uniform(example_graph):
+    assert example_graph.tie_probs == {}
+    assert example_graph.tie_weights(4) == [0.5, 0.5]
+    assert example_graph.tie_weights(8) == [0.5, 0.5]
+    assert example_graph.tie_weights(helpers.DST) == []
+    for node, parents in example_graph.parents.items():
+        if parents:
+            assert close(sum(example_graph.tie_weights(node)), 1.0)
 
 
 def test_custom_tie_probabilities_shift_mass(example_graph, example_routes):
-    ties = uniform_tie_probabilities(example_graph)
-    ties[4] = {1: 1.0, 2: 0.0}
-    probs = probabilistic_inference(example_graph, example_routes, ties)
+    g = example_graph.with_tie_probs({4: {1: 1.0, 2: 0.0}})
+    assert g.tie_weights(4) == [1.0, 0.0]
+    assert g.tie_weights(8) == [0.5, 0.5]
+    probs = probabilistic_inference(g, example_routes)
     assert close(probs[4]["m1"], 1.0)
     # node 8 = 0.5 via 5 (m2) + 0.5 via 6 -> 4 (now all m1)
     assert close(probs[8]["m1"], 0.5)
     assert close(probs[8]["m2"], 0.5)
 
 
-def test_tie_probabilities_validated(example_graph, example_routes):
+def test_tie_probabilities_validated(example_graph):
     bad_sum = {4: {1: 0.6, 2: 0.6}}
-    with pytest.raises(InputError):
-        probabilistic_inference(example_graph, example_routes, bad_sum)
+    with pytest.raises(InputError, match="sum to"):
+        example_graph.with_tie_probs(bad_sum)
     negative = {4: {1: 1.5, 2: -0.5}}
-    with pytest.raises(InputError):
-        probabilistic_inference(example_graph, example_routes, negative)
+    with pytest.raises(InputError, match="negative"):
+        example_graph.with_tie_probs(negative)
     wrong_support = {4: {1: 0.5, 7: 0.5}}
-    with pytest.raises(InputError):
-        probabilistic_inference(example_graph, example_routes, wrong_support)
-
-
-def _random_ties(g, rng):
-    """Positive, unequal tie probabilities for every node with two parents or more."""
-    ties = {}
-    for node, parents in g.parents.items():
-        if len(parents) > 1:
-            raw = [rng.uniform(0.1, 1.0) for _ in parents]
-            ties[node] = {p: r / sum(raw) for p, r in zip(parents, raw)}
-    return ties
+    with pytest.raises(InputError, match="cover exactly"):
+        example_graph.with_tie_probs(wrong_support)
+    unknown = {99: {1: 1.0}}
+    with pytest.raises(InputError, match="unknown node"):
+        example_graph.with_tie_probs(unknown)
+    with pytest.raises(InputError, match="sum to"):
+        RGraph.from_edges(0, [(0, 1), (0, 2), (1, 3), (2, 3)], {1: "m1", 2: "m2"},
+                          tie_probs={3: {1: 0.5, 2: 0.4}})
 
 
 def _items(probs):
@@ -135,20 +133,21 @@ class TestConeUpdate:
         updates = 0
         for aug in instances:
             g = build_rgraph(aug, seed=0)
-            ties = _random_ties(g, rng) if with_ties else None
+            if with_ties:
+                g = g.with_tie_probs(helpers.random_tie_probs(g, rng))
             truth = simulated_catchment(run_bgp(aug, seed=rng.randrange(1000)), aug)
             observable = sorted(truth)
             routes = certain_inference(g)
-            probs = probabilistic_inference(g, routes, ties)
+            probs = probabilistic_inference(g, routes)
             # successive observation batches, each updating the previous pass
             for _ in range(3):
                 batch = rng.sample(observable, min(len(observable), rng.randint(1, 4)))
                 before = copy.deepcopy((routes, probs))
                 applied = apply_oracles(g, routes, probs, {n: truth[n] for n in batch})
                 updated = update_probabilistic_inference(
-                    g, probs, applied.routes, applied.pinned, ties
+                    g, probs, applied.routes, applied.pinned
                 )
-                full = probabilistic_inference(g, applied.routes, ties)
+                full = probabilistic_inference(g, applied.routes)
                 assert updated == full
                 assert _items(updated) == _items(full)
                 assert (routes, probs) == before

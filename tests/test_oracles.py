@@ -11,16 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catchmap import (
-    OracleSet,
     RGraph,
     apply_oracles,
     build_rgraph,
     certain_inference,
     monte_carlo_inference,
+    nonsupermodularity_witness,
     parse_oracle_file,
     probabilistic_inference,
     run_bgp,
     serialize_oracles,
+    shortest_path_transform,
     simulated_catchment,
 )
 from catchmap.errors import (
@@ -248,13 +249,13 @@ class TestExactConditioning:
                 )
 
     def test_minority_observation_collapses_the_chain(self, example_graph):
-        post = exact_conditional_distribution(example_graph, None, {8: "m1"})
+        post = exact_conditional_distribution(example_graph, {8: "m1"})
         assert post[6] == {"m1": 1.0}
         assert post[4] == {"m1": 1.0}
 
     def test_fully_certain_graph_unchanged(self):
         g = RGraph.from_edges(0, [(0, 1), (1, 2)], {1: "m"})
-        post = exact_conditional_distribution(g, None, {2: "m"})
+        post = exact_conditional_distribution(g, {2: "m"})
         assert post[1] == {"m": 1.0}
         assert post[2] == {"m": 1.0}
 
@@ -266,7 +267,7 @@ class TestExactConditioning:
 
     def test_infeasible_observation_set_rejected(self, example_graph):
         with pytest.raises(InfeasibleOracleError):
-            exact_conditional_distribution(example_graph, None, {7: "m2"})
+            exact_conditional_distribution(example_graph, {7: "m2"})
 
     def test_outcome_weights_form_a_distribution(self, example_graph):
         total = 0.0
@@ -290,7 +291,7 @@ class TestExactConditioning:
             target = rng.choice(uncertain)
             ingress = rng.choice(sorted(probs[target]))
             applied = apply_oracles(g, routes, probs, {target: ingress})
-            post = exact_conditional_distribution(g, None, {target: ingress})
+            post = exact_conditional_distribution(g, {target: ingress})
             for node in g.report_nodes:
                 got = applied.routes[node]
                 if got is not None:
@@ -318,7 +319,7 @@ def correlated_carrier_gadget():
 def test_correlated_carriers_collapse_exactly_but_not_locally():
     g, routes, probs = correlated_carrier_gadget()
     applied = apply_oracles(g, routes, probs, {6: "m2"})
-    post = exact_conditional_distribution(g, None, {6: "m2"})
+    post = exact_conditional_distribution(g, {6: "m2"})
     # the exact posterior pins the whole chain ...
     for node in (3, 4, 5, 6):
         assert post[node] == {"m2": 1.0}
@@ -332,19 +333,19 @@ def test_correlated_carriers_collapse_exactly_but_not_locally():
 class TestMonteCarlo:
     def test_single_trial_on_chain_is_exact(self):
         g = RGraph.from_edges(0, [(0, 1), (1, 2)], {1: "m"})
-        est = monte_carlo_inference(g, None, trials=1, seed=0)
+        est = monte_carlo_inference(g, trials=1, seed=0)
         assert est.probs[1] == {"m": 1.0}
         assert est.probs[2] == {"m": 1.0}
         assert est.trials == est.accepted == 1
 
     def test_deterministic_per_seed(self, example_graph):
-        a = monte_carlo_inference(example_graph, None, trials=500, seed=42)
-        b = monte_carlo_inference(example_graph, None, trials=500, seed=42)
+        a = monte_carlo_inference(example_graph, trials=500, seed=42)
+        b = monte_carlo_inference(example_graph, trials=500, seed=42)
         assert a.probs == b.probs
 
     def test_matches_forward_probabilities(self, example_graph, example_probs):
         trials = 40_000
-        est = monte_carlo_inference(example_graph, None, trials=trials, seed=7)
+        est = monte_carlo_inference(example_graph, trials=trials, seed=7)
         for node in example_graph.report_nodes:
             for m, p in example_probs[node].items():
                 sigma = math.sqrt(max(p * (1 - p), 1e-12) / trials)
@@ -353,9 +354,9 @@ class TestMonteCarlo:
     def test_conditioning_matches_exact(self, example_graph):
         trials = 40_000
         est = monte_carlo_inference(
-            example_graph, None, trials=trials, seed=3, oracles={8: "m2"}
+            example_graph, trials=trials, seed=3, oracles={8: "m2"}
         )
-        post = exact_conditional_distribution(example_graph, None, {8: "m2"})
+        post = exact_conditional_distribution(example_graph, {8: "m2"})
         for node in example_graph.report_nodes:
             for m in set(post[node]) | set(est.probs[node]):
                 p = post[node].get(m, 0.0)
@@ -364,7 +365,7 @@ class TestMonteCarlo:
 
     def test_rejection_counts_reported(self, example_graph):
         est = monte_carlo_inference(
-            example_graph, None, trials=2000, seed=1, oracles={8: "m1"}
+            example_graph, trials=2000, seed=1, oracles={8: "m1"}
         )
         # observation holds in a quarter of outcomes, so many rejections
         assert est.accepted < est.trials
@@ -373,9 +374,52 @@ class TestMonteCarlo:
     def test_impossible_observation_rejected(self, example_graph):
         with pytest.raises(InfeasibleOracleError):
             monte_carlo_inference(
-                example_graph, None, trials=50, seed=0, oracles={7: "m2"}
+                example_graph, trials=50, seed=0, oracles={7: "m2"}
             )
 
     def test_needs_at_least_one_trial(self, example_graph):
         with pytest.raises(InputError):
-            monte_carlo_inference(example_graph, None, trials=0)
+            monte_carlo_inference(example_graph, trials=0)
+
+
+def overridden_graph(name):
+    """A graph whose tie weights differ from uniform."""
+    if name == "witness":
+        return nonsupermodularity_witness()
+    g = build_rgraph(helpers.random_instance(4), seed=0)
+    return g.with_tie_probs(helpers.random_tie_probs(g, random.Random(4)))
+
+
+@pytest.mark.parametrize("name", ["witness", "random"])
+class TestTieOverrides:
+    """Enumeration, sampling and pruning all read the graph's own tie weights."""
+
+    def test_graph_has_unequal_overrides(self, name):
+        g = overridden_graph(name)
+        assert any(len(set(g.tie_weights(n))) > 1 for n in g.tie_probs)
+
+    def test_exact_enumeration_equals_forward_pass(self, name):
+        g = overridden_graph(name)
+        forward = probabilistic_inference(g, certain_inference(g))
+        exact = exact_conditional_distribution(g)
+        for node in g.nodes:
+            for m in set(exact[node]) | set(forward[node]):
+                assert math.isclose(
+                    exact[node].get(m, 0.0), forward[node].get(m, 0.0), abs_tol=1e-12
+                ), (node, m)
+
+    def test_monte_carlo_matches_forward_pass(self, name):
+        g = overridden_graph(name)
+        forward = probabilistic_inference(g, certain_inference(g))
+        trials = 20_000
+        est = monte_carlo_inference(g, trials=trials, seed=5)
+        for node in g.nodes:
+            for m in set(est.probs[node]) | set(forward[node]):
+                p = forward[node].get(m, 0.0)
+                sigma = math.sqrt(p * (1 - p) / trials)
+                assert abs(est.probs[node].get(m, 0.0) - p) <= 4 * sigma + 1e-12
+
+    def test_pruning_past_an_override_raises(self, name):
+        g = overridden_graph(name)
+        with pytest.raises(InputError, match="cover exactly"):
+            shortest_path_transform(g)

@@ -116,14 +116,12 @@ class TestObjectiveShape:
     """The two hand-built fixtures showing the objective bends both ways."""
 
     def test_gain_can_shrink_after_other_measurements(self):
-        g, ties = nonsupermodularity_witness(p=0.6, q=0.5)
+        g = nonsupermodularity_witness(p=0.6, q=0.5)
         routes = certain_inference(g)
-        probs = probabilistic_inference(g, routes, ties)
+        probs = probabilistic_inference(g, routes)
 
         def val(measured):
-            return expected_nc(
-                g, routes, probs, measured, mode="exact", tie_probs=ties
-            )
+            return expected_nc(g, routes, probs, measured, mode="exact")
 
         gain_alone = val((3,)) - val(())
         gain_after = val((3, 4)) - val((4,))
@@ -132,14 +130,12 @@ class TestObjectiveShape:
         assert gain_alone >= 1.0 >= gain_after
 
     def test_gain_can_grow_after_other_measurements(self):
-        g, ties = nonsubmodularity_witness(p1=0.5, p2=0.5, r=0.5)
+        g = nonsubmodularity_witness(p1=0.5, p2=0.5, r=0.5)
         routes = certain_inference(g)
-        probs = probabilistic_inference(g, routes, ties)
+        probs = probabilistic_inference(g, routes)
 
         def val(measured):
-            return expected_nc(
-                g, routes, probs, measured, mode="exact", tie_probs=ties
-            )
+            return expected_nc(g, routes, probs, measured, mode="exact")
 
         gain_alone = val((3,)) - val(())
         gain_after = val((3, 4)) - val((4,))

@@ -155,6 +155,13 @@ class TestGraphValue:
         # original untouched
         assert g.parents[3] == (1, 2)
 
+    def test_with_parents_carries_tie_overrides(self, example_graph):
+        g = example_graph.with_tie_probs({4: {1: 0.25, 2: 0.75}})
+        pruned = shortest_path_transform(g)
+        assert pruned.tie_probs == g.tie_probs
+        assert pruned.tie_weights(4) == [0.25, 0.75]
+        assert example_graph.tie_probs == {}
+
     def test_edgelist_and_dot_cover_all_edges(self, example_graph):
         listing = rgraph_edgelist(example_graph)
         assert len(listing.strip().splitlines()) == example_graph.num_edges

@@ -215,7 +215,7 @@ class TestRunScenario:
         assert "posterior-sampling" in report.stages
         assert set(report.prob_status.values()) == {"posterior-sampled"}
         with pytest.raises(CapacityError):
-            exact_conditional_distribution(g, None, {8: "m1"})
+            exact_conditional_distribution(g, {8: "m1"})
 
     def test_plan_stage(self):
         report, _ = run_scenario(example_config(plan_budget=1))
