@@ -14,8 +14,7 @@ import csv
 import io
 import logging
 import random
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from .errors import ConvergenceError
 from .topology import AugmentedTopology

@@ -20,7 +20,7 @@ import itertools
 import logging
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import (
     CapacityError,
@@ -31,7 +31,7 @@ from .errors import (
     UnknownNodeError,
 )
 from .inference import RouteProbabilities, RoutingFunction
-from .rgraph import MAX_EXACT_NODES, RGraph, topological_order
+from .rgraph import RGraph, exact_limit, topological_order
 
 logger = logging.getLogger(__name__)
 
@@ -212,27 +212,23 @@ def apply_oracles(
     ``probs``. Applying the same observations again changes nothing, and the
     resulting certain set does not depend on observation order.
 
-    Raises ContradictionError when an observation disagrees with an
-    already-certain node (``on_contradiction="skip"`` downgrades that to a
-    warning) and InfeasibleOracleError when an observation has probability
-    zero under the current distributions.
+    Raises UnknownNodeError, before pinning anything, when an observation
+    names a node or ingress the graph does not have; ContradictionError when
+    an observation disagrees with an already-certain node
+    (``on_contradiction="skip"`` downgrades that to a warning); and
+    InfeasibleOracleError when an observation has probability zero under
+    the current distributions.
     """
     if on_contradiction not in ("error", "skip"):
         raise InputError(f"on_contradiction must be 'error' or 'skip', got {on_contradiction!r}")
-    if not isinstance(oracles, OracleSet):
-        oracles = OracleSet(oracles)
-    known_ingresses = set(g.ingress_map.values())
+    observed = _check_observed(g, oracles)
     new_routes = dict(routes)
     # pinning replaces entries and never mutates one, so sharing is safe
     new_probs = dict(probs)
     pinned: list[int] = []
     skipped: list[tuple[int, str]] = []
 
-    for node, ingress in oracles.items():
-        if node not in g.parents:
-            raise UnknownNodeError(f"observed node {node} not in forwarding graph")
-        if ingress not in known_ingresses:
-            raise UnknownNodeError(f"observation names unknown ingress {ingress!r}")
+    for node, ingress in observed:
         current = new_routes.get(node)
         if current is not None and current != ingress:
             if on_contradiction == "skip":
@@ -296,12 +292,8 @@ def apply_oracles(
 
 # -- conditional distributions -------------------------------------------------
 
-_MAX_OUTCOMES = 2_000_000
 
-
-def enumerate_route_outcomes(
-    g: RGraph, max_outcomes: int = _MAX_OUTCOMES
-) -> Iterator[tuple[float, dict[int, "str | None"]]]:
+def enumerate_route_outcomes(g: RGraph) -> Iterator[tuple[float, dict[int, "str | None"]]]:
     """Yield (probability, node-to-ingress map) for every tie-break choice.
 
     Each outcome fixes one parent per node; its probability is the product
@@ -309,10 +301,14 @@ def enumerate_route_outcomes(
     takes the direct edge — its ingress is the scenario's ground truth, not
     a tie to roll — so it contributes no randomness. Zero-probability
     outcomes are skipped. Unreachable nodes and the root map to None.
+    Raises CapacityError, before yielding anything, when ``exact_limit``
+    rejects the graph.
     """
+    reason = exact_limit(g)
+    if reason is not None:
+        raise CapacityError(reason)
     choosers: list[int] = []
     domains: list[tuple[tuple[int, float], ...]] = []
-    count = 1
     for n in topological_order(g):
         parents = g.parents[n]
         if not parents:
@@ -321,11 +317,6 @@ def enumerate_route_outcomes(
             domains.append(((g.root, 1.0),))
         else:
             domains.append(tuple(zip(parents, g.tie_weights(n))))
-            count *= len(parents)
-            if count > max_outcomes:
-                raise CapacityError(
-                    f"more than {max_outcomes} tie-break combinations to enumerate"
-                )
         choosers.append(n)
     base: dict[int, str | None] = {
         n: None for n in g.nodes if not g.parents[n]
@@ -345,14 +336,19 @@ def enumerate_route_outcomes(
         yield weight, ingress_of
 
 
-def _check_observed(g: RGraph, oracles: OracleSet | Mapping[int, str]) -> list[tuple[int, str]]:
+def _check_observed(
+    g: RGraph, oracles: OracleSet | Mapping[int, str] | None
+) -> list[tuple[int, str]]:
+    """Observations as sorted ``(node, ingress)`` pairs, every one checked to
+    name a node of ``g`` and one of its ingress points."""
     if not isinstance(oracles, OracleSet):
-        oracles = OracleSet(oracles) if oracles else None
-    pairs = list(oracles.items()) if oracles else []
+        oracles = OracleSet(oracles or {})
+    known_ingresses = set(g.ingress_map.values())
+    pairs = list(oracles.items())
     for node, ingress in pairs:
         if node not in g.parents:
             raise UnknownNodeError(f"observed node {node} not in forwarding graph")
-        if ingress not in set(g.ingress_map.values()):
+        if ingress not in known_ingresses:
             raise UnknownNodeError(f"observation names unknown ingress {ingress!r}")
     return pairs
 
@@ -364,14 +360,9 @@ def exact_conditional_distribution(
 
     Conditions the tie-break outcome space on agreement with every
     observation and renormalizes. With no observations this equals the
-    forward probabilistic pass. Guarded to ``MAX_EXACT_NODES`` nodes.
+    forward probabilistic pass. Guarded by ``exact_limit``.
     """
-    if len(g.nodes) > MAX_EXACT_NODES:
-        raise CapacityError(
-            f"exact conditioning limited to {MAX_EXACT_NODES} nodes, "
-            f"got {len(g.nodes)}"
-        )
-    observed = _check_observed(g, oracles or {})
+    observed = _check_observed(g, oracles)
     mass: dict[int, dict[str, float]] = {n: {} for n in g.nodes}
     total = 0.0
     for weight, ingress_of in enumerate_route_outcomes(g):
@@ -414,7 +405,7 @@ def monte_carlo_inference(
     """
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
-    observed = _check_observed(g, oracles or {})
+    observed = _check_observed(g, oracles)
     base: dict[int, str | None] = {n: None for n in g.nodes if not g.parents[n]}
 
     # per chooser: parent tuple and cumulative weights for inverse sampling;

@@ -28,7 +28,7 @@ from .inference import (
     update_probabilistic_inference,
 )
 from .oracles import OracleSet, apply_oracles, enumerate_route_outcomes
-from .rgraph import MAX_EXACT_NODES, RGraph
+from .rgraph import RGraph
 
 logger = logging.getLogger(__name__)
 
@@ -177,7 +177,7 @@ def expected_nc(
     applied in ascending node order). ``exact`` enumerates the full
     tie-break outcome space, conditions it on already-pinned routes, and
     scores each joint measurement outcome by which nodes are forced to a
-    single ingress; guarded to ``MAX_EXACT_NODES`` nodes and 6 measured nodes.
+    single ingress; guarded by ``exact_limit`` and to 6 measured nodes.
     """
     weights = weights or ObjectiveWeights()
     measured = sorted(set(measured))
@@ -190,10 +190,6 @@ def expected_nc(
     if mode != "exact":
         raise InputError(f"mode must be 'approx' or 'exact', got {mode!r}")
 
-    if len(g.nodes) > MAX_EXACT_NODES:
-        raise CapacityError(
-            f"exact mode limited to {MAX_EXACT_NODES} nodes, got {len(g.nodes)}"
-        )
     if len(measured) > _MAX_EXACT_MEASUREMENTS:
         raise CapacityError(
             f"exact mode limited to {_MAX_EXACT_MEASUREMENTS} measured nodes, "
@@ -342,13 +338,14 @@ def exhaustive_plan(
     budget: float,
     *,
     weights: ObjectiveWeights | None = None,
-    max_subsets: int = 20_000,
 ) -> MeasurementPlan:
     """Evaluate every affordable candidate subset exactly; return the best.
 
     Ground truth for benchmarking the greedy plan, so it scores subsets in
-    exact mode and inherits its size guards. Ties prefer fewer measurements,
-    then the lexicographically smallest subset.
+    exact mode and inherits its size guards; the empty subset is scored
+    first, so a graph too large for exact mode fails before the subsets
+    grow. Ties prefer fewer measurements, then the lexicographically
+    smallest subset.
     """
     if budget < 0:
         raise InputError(f"budget must be non-negative, got {budget}")
@@ -356,7 +353,7 @@ def exhaustive_plan(
     pool, notes = _prepare_candidates(g, routes, probs, candidates)
     baseline = _certain_value(_scored_nodes(g, weights), routes)
 
-    feasible: list[tuple[int, ...]] = []
+    best_subset, best_value = (), baseline
     for size in range(0, len(pool) + 1):
         if size > _MAX_EXACT_MEASUREMENTS:
             notes.append(
@@ -365,24 +362,17 @@ def exhaustive_plan(
             )
             break
         for subset in itertools.combinations(pool, size):
-            if sum(weights.cost(n) for n in subset) <= budget:
-                feasible.append(subset)
-                if len(feasible) > max_subsets:
-                    raise CapacityError(
-                        f"more than {max_subsets} candidate subsets to evaluate"
-                    )
-
-    best_subset, best_value = (), baseline
-    for subset in feasible:
-        value = expected_nc(
-            g, routes, probs, subset,
-            mode="exact", weights=weights,
-        )
-        if value > best_value + 1e-12 or (
-            abs(value - best_value) <= 1e-12
-            and (len(subset), subset) < (len(best_subset), best_subset)
-        ):
-            best_subset, best_value = subset, value
+            if sum(weights.cost(n) for n in subset) > budget:
+                continue
+            value = expected_nc(
+                g, routes, probs, subset,
+                mode="exact", weights=weights,
+            )
+            if value > best_value + 1e-12 or (
+                abs(value - best_value) <= 1e-12
+                and (len(subset), subset) < (len(best_subset), best_subset)
+            ):
+                best_subset, best_value = subset, value
 
     step_values = tuple(
         expected_nc(

@@ -1,6 +1,6 @@
 """Forwarding graphs: every next hop a node may end up using.
 
-One seeded propagation run yields, per node, the set of neighbors offering a
+One propagation run yields, per node, the set of neighbors offering a
 route in the node's maximal preference class. Those neighbors become the
 node's parents in a directed acyclic graph rooted at the destination; any
 root-to-node path in it is a route the node could take under some tie-break.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
@@ -182,15 +183,15 @@ def _validated_tie_probs(
     return {node: dict(given) for node, given in tie_probs.items()}
 
 
-def build_rgraph(aug: AugmentedTopology, seed: int = 0) -> RGraph:
+def build_rgraph(aug: AugmentedTopology) -> RGraph:
     """Derive the forwarding graph from one propagation run.
 
     A node's parents are every neighbor whose fixed-point offer sits in the
-    node's maximal local-preference class. The result does not depend on the
-    seed (tie-breaks only pick among those same offers); tests sweep seeds to
-    enforce that.
+    node's maximal local-preference class. The run uses seed 0: tie-breaks
+    only pick among those offers, and tests check on random instances that
+    other seeds leave every node's maximal-class offer set unchanged.
     """
-    result = run_bgp(aug, seed)
+    result = run_bgp(aug, 0)
     topology = aug.topology
     parents: dict[int, tuple[int, ...]] = {}
     for node, offers in result.ribs.items():
@@ -275,16 +276,33 @@ def enumerate_rpaths(g: RGraph, node: int, limit: int = 100_000) -> PathEnumerat
     return PathEnumeration(paths=frozenset(paths), truncated=truncated)
 
 
-# -- exhaustive cross-check ---------------------------------------------------
+# -- size guard and exhaustive cross-check -------------------------------------
 
-# largest graph (nodes, destination included) any exhaustive enumeration takes:
-# brute-force paths, exact conditioning, exact planning, automatic posteriors
+# largest input any exhaustive enumeration takes: nodes (destination
+# included) and tie-break combinations
 MAX_EXACT_NODES = 14
+MAX_EXACT_OUTCOMES = 2_000_000
+
+_MAX_RECEIVABLE_PATHS = 500_000
 
 
-def _receivable_paths(
-    aug: AugmentedTopology, max_paths: int = 500_000
-) -> dict[int, set[Path]]:
+def exact_limit(g: RGraph) -> str | None:
+    """Why ``g`` is too large to enumerate exhaustively, or None if it is not.
+
+    The size rule of every exact pass on a forwarding graph: at most
+    ``MAX_EXACT_NODES`` nodes and ``MAX_EXACT_OUTCOMES`` tie-break
+    combinations, one parent per node, where a node attached to the root
+    always takes the direct edge and so adds no factor.
+    """
+    if len(g.nodes) > MAX_EXACT_NODES:
+        return f"{len(g.nodes)} nodes, over the exact limit of {MAX_EXACT_NODES}"
+    combos = math.prod(len(ps) for ps in g.parents.values() if ps and g.root not in ps)
+    if combos > MAX_EXACT_OUTCOMES:
+        return f"{combos} tie-break combinations, over the exact limit of {MAX_EXACT_OUTCOMES}"
+    return None
+
+
+def _receivable_paths(aug: AugmentedTopology) -> dict[int, set[Path]]:
     """Over-approximate every loop-free path a node could ever be offered.
 
     Ignores best-path selection entirely: a path is receivable if each hop's
@@ -309,9 +327,9 @@ def _receivable_paths(
                 continue
             received[neighbor].add(extended)
             total += 1
-            if total > max_paths:
+            if total > _MAX_RECEIVABLE_PATHS:
                 raise CapacityError(
-                    f"path closure exceeded {max_paths} entries; topology too dense"
+                    f"path closure exceeded {_MAX_RECEIVABLE_PATHS} entries; topology too dense"
                 )
             queue.append((neighbor, extended))
     return received
@@ -326,7 +344,8 @@ def brute_force_eligible_paths(aug: AugmentedTopology) -> dict[int, frozenset[Pa
     Written independently of the forwarding-graph construction so the two
     can be compared. A node no replay routes gets an empty set.
 
-    Guarded to ``MAX_EXACT_NODES`` nodes, destination included.
+    Guarded to ``MAX_EXACT_NODES`` nodes, destination included, and to
+    ``MAX_EXACT_OUTCOMES`` combinations of its own candidate domains.
     """
     topology = aug.topology
     if topology.num_nodes > MAX_EXACT_NODES:
@@ -349,7 +368,7 @@ def brute_force_eligible_paths(aug: AugmentedTopology) -> dict[int, frozenset[Pa
             choosers.append(n)
             domains.append(candidates)
             profile_count *= len(candidates)
-            if profile_count > 2_000_000:
+            if profile_count > MAX_EXACT_OUTCOMES:
                 raise CapacityError("too many tie-break combinations to enumerate")
 
     results: dict[int, set[Path]] = {n: set() for n in topology.nodes() if n != root}

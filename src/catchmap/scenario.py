@@ -40,7 +40,7 @@ from .oracles import (
     parse_oracle_file,
 )
 from .planner import MeasurementPlan, export_plan_csv, greedy_plan
-from .rgraph import MAX_EXACT_NODES, RGraph, build_rgraph, rgraph_dot, rgraph_edgelist
+from .rgraph import RGraph, build_rgraph, exact_limit, rgraph_dot, rgraph_edgelist
 from .topology import (
     AugmentedTopology,
     DestinationSpec,
@@ -365,7 +365,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
     stages: list[str] = []
     aug = build_augmented(cfg)
     stages.append("attach-destination")
-    g = build_rgraph(aug, cfg.seed)
+    g = build_rgraph(aug)
     stages.append("forwarding-graph")
     if cfg.sp:
         g = shortest_path_transform(g)
@@ -388,12 +388,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
         stages.append("probabilistic-inference")
         prob_status = {n: "exact" for n in g.report_nodes}
 
-    plan_probs = probs
-    plan_routes = routes
     if oracles:
         applied = apply_oracles(g, routes, probs, oracles)
         routes, probs = applied.routes, applied.probs
-        plan_routes, plan_probs = routes, probs
         set_route_calls = applied.set_route_calls
         skipped = applied.skipped
         stages.append("observation-propagation")
@@ -403,9 +400,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
         if cfg.mode == "probabilistic":
             method = cfg.posterior
             if method is None:
-                method = (
-                    "exact" if len(g.nodes) <= MAX_EXACT_NODES else "monte-carlo"
-                )
+                method = "exact" if exact_limit(g) is None else "monte-carlo"
             if method == "exact":
                 probs = exact_conditional_distribution(g, oracles)
                 stages.append("posterior-exact")
@@ -418,7 +413,6 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
                 stages.append("posterior-sampling")
                 status = "posterior-sampled"
             prob_status = {n: status for n in g.report_nodes}
-            plan_probs = probs
 
     universe = g.report_nodes
     routes_view = {n: routes[n] for n in universe}
@@ -445,11 +439,10 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
             candidates: tuple[int, ...] = cfg.plan_candidates
         else:
             candidates = tuple(
-                n for n in universe
-                if plan_routes.get(n) is None and plan_probs.get(n)
+                n for n in universe if routes.get(n) is None and probs.get(n)
             )
-        plan = greedy_plan(g, plan_routes, plan_probs, candidates, cfg.plan_budget)
-        plan_inputs = (plan_routes, plan_probs, candidates)
+        plan = greedy_plan(g, routes, probs, candidates, cfg.plan_budget)
+        plan_inputs = (routes, probs, candidates)
         stages.append("measurement-planning")
 
     report = ScenarioReport(
@@ -549,7 +542,7 @@ def prepending_sweep(
     if k_max < 0:
         raise InputError(f"k_max must be >= 0, got {k_max}")
     aug = build_augmented(cfg)
-    base = build_rgraph(aug, cfg.seed)
+    base = build_rgraph(aug)
     if ingress not in set(base.ingress_map.values()):
         raise UnknownNodeError(f"unknown ingress {ingress!r}")
 

@@ -30,7 +30,7 @@ def example_aug():
 
 @pytest.fixture
 def example_graph(example_aug):
-    return build_rgraph(example_aug, seed=0)
+    return build_rgraph(example_aug)
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from catchmap import (
     Topology,
     attach_destination,
     derive_vf_policies,
+    generate_random_topology,
 )
 from catchmap.cli import random_instance  # noqa: F401  (re-exported)
 
@@ -86,6 +87,22 @@ def example_base_topology() -> Topology:
 def example_aug() -> AugmentedTopology:
     spec = DestinationSpec(attachments=dict(EXAMPLE_ATTACHMENTS), dst_id=DST)
     return attach_destination(example_base_topology(), spec)
+
+
+def degree_attached_instance(
+    idx: int, *, num_nodes: int, avg_degree: float, seed_base: int,
+    peer_fraction: float = 0.15,
+) -> AugmentedTopology:
+    """Like ``random_instance``, but attached at the two highest-degree nodes
+    (smallest id first among equal degrees), where most traffic can switch."""
+    topo = derive_vf_policies(generate_random_topology(
+        num_nodes, avg_degree=avg_degree, peer_fraction=peer_fraction,
+        seed=seed_base + idx,
+    ))
+    picks = sorted(topo.nodes(), key=lambda x: (-len(topo.neighbors(x)), x))[:2]
+    return attach_destination(
+        topo, DestinationSpec(attachments={picks[0]: "m1", picks[1]: "m2"})
+    )
 
 
 def random_tie_probs(g, rng) -> dict[int, dict[int, float]]:

@@ -67,7 +67,7 @@ WORKED_EXAMPLE_PATHS = {
 def test_a01_worked_example_golden_paths_and_routes():
     """Eligible-path sets and the certain routing table match, instantly."""
     started = time.perf_counter()
-    g = build_rgraph(helpers.example_aug(), seed=0)
+    g = build_rgraph(helpers.example_aug())
     for node, want in WORKED_EXAMPLE_PATHS.items():
         enum = enumerate_rpaths(g, node)
         assert not enum.truncated
@@ -118,7 +118,7 @@ def test_a04_route_probabilities_exact_and_monte_carlo():
     worst = 0.0
     for idx in range(100):
         aug = helpers.random_instance(idx, seed_base=3000)
-        g = build_rgraph(aug, seed=0)
+        g = build_rgraph(aug)
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
         totals: dict[int, dict[str, float]] = {n: {} for n in g.report_nodes}
@@ -141,7 +141,7 @@ def test_a04_route_probabilities_exact_and_monte_carlo():
     aug = attach_destination(
         vf, DestinationSpec(attachments={first: "m1", second: "m2"})
     )
-    g = build_rgraph(aug, seed=0)
+    g = build_rgraph(aug)
     exact = probabilistic_inference(g, certain_inference(g))
     estimate = monte_carlo_inference(g, trials=100_000, seed=9)
     out_of_band = []
@@ -168,7 +168,7 @@ def test_a05_oracle_propagation_pins_exactly_the_determined_set(acceptance_notes
         aug = helpers.random_instance(
             idx, num_nodes=5 + idx % 6, avg_degree=2.4, seed_base=5000
         )
-        g = build_rgraph(aug, seed=0)
+        g = build_rgraph(aug)
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
         open_nodes = [
@@ -221,7 +221,7 @@ def test_a05_oracle_propagation_pins_exactly_the_determined_set(acceptance_notes
 def test_a06_shortest_path_pruning_only_adds_certainty():
     """Pruning drops the two long-way edges of the example and never costs
     a certain node on random instances."""
-    g = build_rgraph(helpers.example_aug(), seed=0)
+    g = build_rgraph(helpers.example_aug())
     pruned = shortest_path_transform(g)
     dropped = set(g.edges()) - set(pruned.edges())
     assert (3, 7) in dropped
@@ -273,15 +273,14 @@ def test_a08_predicted_catchments_match_large_simulations(acceptance_notes):
     worst_deviation = 0.0
     uncertain_sizes = []
     for i in range(5):
-        aug = helpers.random_instance(
+        aug = helpers.degree_attached_instance(
             i,
             num_nodes=200,
             avg_degree=3.2,
             peer_fraction=0.12,
             seed_base=8100,
-            attach_by_degree=True,
         )
-        g = shortest_path_transform(build_rgraph(aug, seed=0))
+        g = shortest_path_transform(build_rgraph(aug))
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
         uncertain_sizes.append(
@@ -320,15 +319,14 @@ def test_a09_greedy_plans_near_optimal_and_beat_random(acceptance_notes):
     max_gap = 0.0
     idx = 0
     while eligible < 20 and idx < 120:
-        aug = helpers.random_instance(
+        aug = helpers.degree_attached_instance(
             idx,
             num_nodes=9 + idx % 5,
             avg_degree=3.0,
             seed_base=6000,
-            attach_by_degree=True,
         )
         idx += 1
-        g = build_rgraph(aug, seed=0)
+        g = build_rgraph(aug)
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
         open_nodes = [
@@ -357,7 +355,7 @@ def test_a10_ten_thousand_node_build_under_five_seconds(acceptance_notes):
     """Forwarding-graph construction plus certain inference stays fast."""
     aug = helpers.random_instance(0, num_nodes=10_000, avg_degree=2.5, seed_base=101_000)
     started = time.perf_counter()
-    g = build_rgraph(aug, seed=0)
+    g = build_rgraph(aug)
     routes = certain_inference(g)
     elapsed = time.perf_counter() - started
     assert len(g.report_nodes) == 10_000

@@ -7,8 +7,17 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from catchmap import Relationship, parse_topology, serialize_topology
+from catchmap import (
+    Relationship,
+    parse_scenario_file,
+    parse_topology,
+    run_scenario,
+    serialize_topology,
+)
 from catchmap.cli import main
+from catchmap.errors import CapacityError
+from catchmap.oracles import exact_conditional_distribution
+from catchmap.rgraph import MAX_EXACT_NODES, MAX_EXACT_OUTCOMES
 
 import helpers
 
@@ -16,6 +25,25 @@ import helpers
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+# 14 nodes with the destination, but tens of millions of tie-break combinations
+DENSE = (
+    "topology generate n=13 avg_degree=11 seed=1567\n"
+    "attach 3 m0\nattach 2 m1\nmode probabilistic\noracles obs.csv\n"
+)
+# 18 nodes with the destination
+SPARSE_17 = (
+    "topology generate n=17 avg_degree=2.6 seed=3\n"
+    "attach 1 m0\nattach 5 m1\nattach 9 m2\n"
+)
+
+
+def write_generated(tmp_path, text: str) -> str:
+    (tmp_path / "obs.csv").write_text("1,m0\n")
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(text)
+    return str(scenario)
 
 
 def write_scenario(tmp_path, extra: str = "") -> str:
@@ -122,6 +150,20 @@ class TestRun:
         )
         assert result.exit_code != 0
 
+    def test_dense_graph_within_the_node_limit_is_sampled(self, runner, tmp_path):
+        scenario = write_generated(tmp_path, DENSE)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", scenario, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        assert report["stages"][-1] == "posterior-sampling"
+        assert set(report["prob_status"].values()) == {"posterior-sampled"}
+        # the node count alone would have allowed exact conditioning
+        _, g = run_scenario(parse_scenario_file(DENSE, base_dir=tmp_path))
+        assert len(g.nodes) == MAX_EXACT_NODES
+        with pytest.raises(CapacityError, match="tie-break combinations"):
+            exact_conditional_distribution(g, {1: "m0"})
+
 
 class TestPlan:
     def test_budget_flag_produces_plan_files(self, runner, tmp_path):
@@ -191,6 +233,26 @@ class TestPlan:
         assert summary["selected"] == [4]
         assert summary["random_baseline_mean"] == summary["expected_value"]
         assert summary["gap"] == 0.0
+
+    @pytest.mark.parametrize(
+        "text, guard, reason",
+        [
+            (DENSE, 14, f"over the exact limit of {MAX_EXACT_OUTCOMES}"),
+            (SPARSE_17, 20, f"18 nodes, over the exact limit of {MAX_EXACT_NODES}"),
+        ],
+        ids=["dense-14", "sparse-18"],
+    )
+    def test_exact_guard_records_why_no_optimum(self, runner, tmp_path, text, guard, reason):
+        scenario = write_generated(tmp_path, text + "plan budget 1\n")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["plan", scenario, "--out", str(out), "--exact-guard", str(guard)]
+        )
+        assert result.exit_code == 0, result.output
+        summary = json.loads((out / "plan.json").read_text())
+        assert reason in summary["exhaustive_skipped"]
+        assert "gap" not in summary and "exhaustive_value" not in summary
+        assert f"exhaustive optimum skipped: {summary['exhaustive_skipped']}" in result.output
 
     def test_no_budget_anywhere_fails(self, runner, tmp_path):
         scenario = write_scenario(tmp_path)

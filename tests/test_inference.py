@@ -45,7 +45,7 @@ def test_chain_all_certain():
 def test_attachments_always_certain():
     for idx in range(20):
         aug = helpers.random_instance(idx)
-        g = build_rgraph(aug, seed=0)
+        g = build_rgraph(aug)
         routes = certain_inference(g)
         for node, label in g.ingress_map.items():
             assert routes[node] == label
@@ -69,7 +69,7 @@ def test_certain_nodes_probability_one(example_graph, example_routes, example_pr
 def test_probabilities_normalized_on_random_instances():
     for idx in range(25):
         aug = helpers.random_instance(idx)
-        g = build_rgraph(aug, seed=0)
+        g = build_rgraph(aug)
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
         for node in g.report_nodes:
@@ -132,7 +132,7 @@ class TestConeUpdate:
         rng = random.Random(2024)
         updates = 0
         for aug in instances:
-            g = build_rgraph(aug, seed=0)
+            g = build_rgraph(aug)
             if with_ties:
                 g = g.with_tie_probs(helpers.random_tie_probs(g, rng))
             truth = simulated_catchment(run_bgp(aug, seed=rng.randrange(1000)), aug)
@@ -184,7 +184,7 @@ class TestShortestPathTransform:
     def test_certainty_never_lost(self):
         for idx in range(30):
             aug = helpers.random_instance(idx, num_nodes=6 + idx % 7)
-            g = build_rgraph(aug, seed=0)
+            g = build_rgraph(aug)
             before = certain_inference(g)
             after = certain_inference(shortest_path_transform(g))
             for node in g.report_nodes:

@@ -191,11 +191,24 @@ class TestPropagation:
         with pytest.raises(UnknownNodeError):
             apply_oracles(example_graph, example_routes, example_probs, {4: "m9"})
 
+    @pytest.mark.parametrize("bad", [{99: "m1"}, {4: "m9"}])
+    @pytest.mark.parametrize("on_contradiction", ["error", "skip"])
+    def test_every_observation_checked_before_any_is_applied(
+        self, example_graph, example_routes, example_probs, bad, on_contradiction
+    ):
+        # node 3 is certainly m1 and sorts first, so a pass that validated
+        # as it pinned would stop at (or skip) the contradiction instead
+        with pytest.raises(UnknownNodeError):
+            apply_oracles(
+                example_graph, example_routes, example_probs, {3: "m2", **bad},
+                on_contradiction=on_contradiction,
+            )
+
 
 def _simulation_backed_observations(idx: int, count: int, seed: int):
     """A jointly realizable observation set, its graph, and baseline state."""
     aug = helpers.random_instance(idx)
-    g = build_rgraph(aug, seed=0)
+    g = build_rgraph(aug)
     routes = certain_inference(g)
     probs = probabilistic_inference(g, routes)
     catch = simulated_catchment(run_bgp(aug, seed=seed), aug)
@@ -261,7 +274,7 @@ class TestExactConditioning:
 
     def test_size_guard(self):
         aug = helpers.random_instance(0, num_nodes=20)
-        g = build_rgraph(aug, seed=0)
+        g = build_rgraph(aug)
         with pytest.raises(CapacityError):
             exact_conditional_distribution(g)
 
@@ -282,7 +295,7 @@ class TestExactConditioning:
         rng = random.Random(11)
         for idx in range(25):
             aug = helpers.random_instance(idx)
-            g = build_rgraph(aug, seed=0)
+            g = build_rgraph(aug)
             routes = certain_inference(g)
             probs = probabilistic_inference(g, routes)
             uncertain = [n for n in g.report_nodes if routes[n] is None and probs[n]]
@@ -386,7 +399,7 @@ def overridden_graph(name):
     """A graph whose tie weights differ from uniform."""
     if name == "witness":
         return nonsupermodularity_witness()
-    g = build_rgraph(helpers.random_instance(4), seed=0)
+    g = build_rgraph(helpers.random_instance(4))
     return g.with_tie_probs(helpers.random_tie_probs(g, random.Random(4)))
 
 

@@ -102,7 +102,7 @@ class TestExpectedCount:
 
     def test_exact_mode_size_guard(self):
         aug = helpers.random_instance(0, num_nodes=20)
-        g = build_rgraph(aug, seed=0)
+        g = build_rgraph(aug)
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
         some = [n for n in g.report_nodes if routes[n] is None][:1]
@@ -167,7 +167,7 @@ class TestGreedyPlan:
     def test_plan_invariants_on_random_instances(self):
         for idx in range(20):
             aug = helpers.random_instance(idx)
-            g = build_rgraph(aug, seed=0)
+            g = build_rgraph(aug)
             routes = certain_inference(g)
             probs = probabilistic_inference(g, routes)
             candidates = [n for n in g.report_nodes if routes[n] is None and probs[n]]
@@ -234,7 +234,7 @@ class TestExhaustivePlan:
     def test_never_below_greedy(self):
         for idx in range(12):
             aug = helpers.random_instance(idx)
-            g = build_rgraph(aug, seed=0)
+            g = build_rgraph(aug)
             routes = certain_inference(g)
             probs = probabilistic_inference(g, routes)
             candidates = [n for n in g.report_nodes if routes[n] is None and probs[n]][
@@ -276,10 +276,10 @@ class TestBaselines:
         assert greedy_exact > statistics.mean(baseline)
 
     def test_approx_values_share_one_forward_pass(self, monkeypatch):
-        aug = helpers.random_instance(
-            7, num_nodes=12, avg_degree=3.0, seed_base=6000, attach_by_degree=True
+        aug = helpers.degree_attached_instance(
+            7, num_nodes=12, avg_degree=3.0, seed_base=6000
         )
-        g = build_rgraph(aug, seed=0)
+        g = build_rgraph(aug)
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
         pool = [n for n in g.report_nodes if routes[n] is None and probs[n]]

@@ -15,12 +15,20 @@ from catchmap import (
     build_rgraph,
     derive_vf_policies,
     enumerate_rpaths,
+    run_bgp,
     shortest_path_transform,
     topological_order,
 )
 from catchmap.cli import path_mismatches
 from catchmap.errors import CapacityError, CycleError
-from catchmap.rgraph import brute_force_eligible_paths, rgraph_dot, rgraph_edgelist
+from catchmap.oracles import enumerate_route_outcomes
+from catchmap.rgraph import (
+    MAX_EXACT_NODES,
+    brute_force_eligible_paths,
+    exact_limit,
+    rgraph_dot,
+    rgraph_edgelist,
+)
 
 import helpers
 
@@ -37,19 +45,35 @@ def test_chain_becomes_reversed_chain():
     topo.add_edge(2, 1, Relationship.C2P)
     vf = derive_vf_policies(topo)
     aug = attach_destination(vf, DestinationSpec(attachments={3: "m"}))
-    g = build_rgraph(aug, seed=0)
+    g = build_rgraph(aug)
     assert set(g.edges()) == {(aug.n_dst, 3), (3, 2), (2, 1)}
 
 
+def _max_preference_offers(aug, seed):
+    """Per node, the neighbors whose fixed-point offer is in its best class."""
+    topo = aug.topology
+    offers = {}
+    for node, rib in run_bgp(aug, seed).ribs.items():
+        best = max((topo.local_pref(node, k) for k in rib), default=None)
+        offers[node] = tuple(sorted(k for k in rib if topo.local_pref(node, k) == best))
+    return offers
+
+
 def test_seed_invariance():
+    # what lets build_rgraph propagate with one fixed seed
     for idx in range(30):
         aug = helpers.random_instance(idx, num_nodes=6 + idx % 7)
-        edges = {frozenset(build_rgraph(aug, seed=s).edges()) for s in (0, 1, 99)}
-        assert len(edges) == 1, f"instance {idx} edge set depends on the seed"
+        offers = _max_preference_offers(aug, 0)
+        for s in (1, 99):
+            assert _max_preference_offers(aug, s) == offers, (
+                f"instance {idx}: seed {s} changes a maximal-class offer set"
+            )
+        g = build_rgraph(aug)
+        assert {n: g.parents[n] for n in offers} == offers
 
 
 def test_parents_share_maximal_preference(example_aug):
-    g = build_rgraph(example_aug, seed=0)
+    g = build_rgraph(example_aug)
     topo = example_aug.topology
     for child in g.nodes:
         parents = g.parents[child]
@@ -134,6 +158,41 @@ class TestBruteForceEligiblePaths:
         aug = helpers.random_instance(0, num_nodes=20)
         with pytest.raises(CapacityError):
             brute_force_eligible_paths(aug)
+
+
+class TestExactLimit:
+    def test_counts_the_outcomes_enumeration_yields(self, monkeypatch):
+        # a root-attached node (2 here, also fed by 1) takes the direct edge
+        fixture = RGraph.from_edges(
+            0, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (2, 4)],
+            {1: "m1", 2: "m2"},
+        )
+        # nodes 3 and 4 each choose between two parents
+        assert sum(1 for _ in enumerate_route_outcomes(fixture)) == 4
+        graphs = [fixture] + [
+            build_rgraph(helpers.random_instance(idx)) for idx in range(12)
+        ]
+        counts = [sum(1 for _ in enumerate_route_outcomes(g)) for g in graphs]
+        for g, outcomes in zip(graphs, counts):
+            monkeypatch.setattr("catchmap.rgraph.MAX_EXACT_OUTCOMES", outcomes)
+            assert exact_limit(g) is None
+            monkeypatch.setattr("catchmap.rgraph.MAX_EXACT_OUTCOMES", outcomes - 1)
+            reason = exact_limit(g)
+            assert reason.startswith(f"{outcomes} tie-break combinations")
+            with pytest.raises(CapacityError, match=reason):
+                next(enumerate_route_outcomes(g))
+
+    def test_node_limit(self):
+        def chain(count):
+            return RGraph.from_edges(
+                0, [(i, i + 1) for i in range(count - 1)], {1: "m"}
+            )
+
+        assert exact_limit(chain(MAX_EXACT_NODES)) is None
+        reason = exact_limit(chain(MAX_EXACT_NODES + 1))
+        assert reason == f"{MAX_EXACT_NODES + 1} nodes, over the exact limit of {MAX_EXACT_NODES}"
+        with pytest.raises(CapacityError, match=reason):
+            next(enumerate_route_outcomes(chain(MAX_EXACT_NODES + 1)))
 
 
 class TestGraphValue:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -251,7 +252,47 @@ class TestRunScenario:
         assert json.loads((tmp_path / "report.json").read_text())["seed"] == 0
 
 
+def _mixed_relationship_config(seed: int) -> ScenarioConfig:
+    """Generated 12-node scenario: m1 at two nodes, m2 at one, each attached
+    with a different relationship, rotating with the seed."""
+    rels = (Relationship.P2C, Relationship.P2P, Relationship.C2P)
+    nodes = (1 + seed % 12, 1 + (seed + 5) % 12, 1 + (seed + 9) % 12)
+    return ScenarioConfig(
+        generate={"n": 12, "avg_degree": 2.8, "seed": seed},
+        attachments=dict(zip(nodes, ("m1", "m1", "m2"))),
+        attachment_rels={n: rels[(seed + i) % 3] for i, n in enumerate(nodes)},
+    )
+
+
+SWEEP_CONFIGS = [example_config()] + [_mixed_relationship_config(s) for s in (0, 12, 13, 34)]
+
+
 class TestPrependingSweep:
+    @pytest.mark.parametrize("mode", ["certain", "probabilistic"])
+    @pytest.mark.parametrize("sp", [False, True], ids=["sp-off", "sp-on"])
+    @pytest.mark.parametrize("case", range(len(SWEEP_CONFIGS)))
+    def test_spliced_chain_matches_a_prepended_topology(self, case, sp, mode):
+        # the sweep splices the chain into the built graph; run_scenario
+        # inserts it into the topology before propagation
+        cfg = dataclasses.replace(SWEEP_CONFIGS[case], sp=sp, mode=mode)
+        for ingress in sorted(set(cfg.attachments.values())):
+            entries = prepending_sweep(cfg, ingress, 3)
+            for k, entry in enumerate(entries):
+                report, _ = run_scenario(dataclasses.replace(cfg, prepends=((ingress, k),)))
+                assert entry["k"] == k
+                assert entry["routes"] == {str(n): r for n, r in report.routes.items()}
+                assert entry["certain_counts"] == report.certain_counts
+                assert entry["uncertain"] == report.uncertain_count
+                assert entry["bounds"] == {m: list(b) for m, b in report.bounds.items()}
+                if mode == "certain":
+                    assert "expected_sizes" not in entry
+                    continue
+                sizes, loads = entry["expected_sizes"], report.expected_loads
+                # the report leaves out an ingress no node can reach
+                assert loads.keys() <= sizes.keys()
+                for m in sizes:
+                    assert sizes[m] == pytest.approx(loads.get(m, 0.0), abs=1e-12)
+
     def test_zero_matches_baseline(self):
         cfg = example_config()
         report, _ = run_scenario(cfg)
@@ -286,7 +327,7 @@ class TestPrependingSweep:
 class TestSimulationComparison:
     def test_single_run_trace(self):
         aug = helpers.example_aug()
-        g = build_rgraph(aug, seed=0)
+        g = build_rgraph(aug)
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
         cmp = compare_with_simulation(aug, g, routes, probs, runs=1, seed=0)
@@ -295,7 +336,7 @@ class TestSimulationComparison:
 
     def test_mean_and_bounds_on_example(self):
         aug = helpers.example_aug()
-        g = build_rgraph(aug, seed=0)
+        g = build_rgraph(aug)
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
         cmp = compare_with_simulation(aug, g, routes, probs, runs=400, seed=9)
@@ -307,7 +348,7 @@ class TestSimulationComparison:
 
     def test_sp_mode_compares_against_pruned_graph(self):
         aug = helpers.example_aug()
-        g = shortest_path_transform(build_rgraph(aug, seed=0))
+        g = shortest_path_transform(build_rgraph(aug))
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
         cmp = compare_with_simulation(
@@ -318,7 +359,7 @@ class TestSimulationComparison:
 
     def test_same_seed_repeats(self):
         aug = helpers.example_aug()
-        g = build_rgraph(aug, seed=0)
+        g = build_rgraph(aug)
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
         first = compare_with_simulation(aug, g, routes, probs, runs=60, seed=2)
@@ -328,7 +369,7 @@ class TestSimulationComparison:
 
     def test_rejects_zero_runs(self):
         aug = helpers.example_aug()
-        g = build_rgraph(aug, seed=0)
+        g = build_rgraph(aug)
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
         with pytest.raises(InputError):

@@ -266,8 +266,8 @@ class TestPrepending:
             apply_prepending(example_aug, "nope", 1)
 
     def test_forwarding_edges_on_original_nodes_unchanged(self, example_aug):
-        base = build_rgraph(example_aug, seed=0)
-        prepped = build_rgraph(apply_prepending(example_aug, "m2", 3), seed=0)
+        base = build_rgraph(example_aug)
+        prepped = build_rgraph(apply_prepending(example_aug, "m2", 3))
         original = set(example_aug.real_nodes)
         base_edges = {
             (p, c) for p, c in base.edges() if p in original and c in original
