@@ -20,6 +20,7 @@ import itertools
 import logging
 import random
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -382,14 +383,31 @@ def exact_conditional_distribution(
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """Empirical conditional distribution from rejection sampling."""
+    """Empirical conditional distribution from rejection sampling.
+
+    ``ancestors`` counts the observed nodes and their ancestors, the only
+    part of the graph a trial evaluates before it is checked (0 without
+    observations); ``draws_per_trial`` is the number of uniforms each trial
+    consumes.
+    """
 
     probs: RouteProbabilities
     trials: int
     accepted: int
+    ancestors: int
+    draws_per_trial: int
 
     def __iter__(self) -> Iterator:
         return iter((self.probs, self.trials, self.accepted))
+
+
+# accepted outcomes are tallied this many at a time, so the rows held for
+# counting stay bounded whatever the trial count
+_TALLY_BATCH = 64
+
+# one level of choosers: slice bounds in the value list, draw positions,
+# cumulative tie weights, parent slots
+_Level = tuple[int, int, list[int], list[list[float]], list[tuple[int, ...]]]
 
 
 def monte_carlo_inference(
@@ -400,54 +418,138 @@ def monte_carlo_inference(
 ) -> MonteCarloEstimate:
     """Sample tie-break outcomes, reject those contradicting observations.
 
+    A chooser is a node with two or more parents that is not attached to the
+    root; each consumes one ``random()`` per trial, choosers in topological
+    order. Every other node's ingress is fixed (a root-attached node takes
+    the direct edge, a parentless one has no route) or follows one
+    chooser's through a chain of single parents. A trial draws its uniforms
+    up front, evaluates the choosers among the observed nodes' ancestors,
+    and the rest only when the observations hold: an observation depends on
+    nothing else (barren-node pruning). The draws are the ones a sampler
+    evaluating every node of every trial consumes, in the same order, so
+    for a seed the estimate is the same, down to each node's key order:
+    ingresses in the order they first appear among the accepted trials.
+
     Deterministic for a given seed. Raises InfeasibleOracleError when every
     trial is rejected.
     """
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
     observed = _check_observed(g, oracles)
-    base: dict[int, str | None] = {n: None for n in g.nodes if not g.parents[n]}
+    # ingress codes; 0 is no route
+    names: list[str | None] = [None, *sorted(set(g.ingress_map.values()))]
+    code = {m: c for c, m in enumerate(names)}
 
-    # per chooser: parent tuple and cumulative weights for inverse sampling;
-    # root-attached nodes always take the direct edge (ground truth, no draw)
-    schedule: list[tuple[int, tuple[int, ...], list[float]]] = []
+    fixed: dict[int, int] = {}  # node -> ingress code in every outcome
+    follows: dict[int, int] = {}  # node -> the chooser whose ingress it takes
+    level: dict[int, int] = {}  # chooser -> 1 + highest level of a chooser it depends on
     for n in topological_order(g):
         parents = g.parents[n]
         if not parents:
-            continue
-        if g.root in parents:
-            schedule.append((n, (g.root,), [1.0]))
-            continue
-        cum = list(itertools.accumulate(g.tie_weights(n)))
-        schedule.append((n, parents, cum))
+            fixed[n] = 0
+        elif g.root in parents:
+            fixed[n] = code[g.ingress_map[n]]
+        elif len(parents) == 1:
+            if parents[0] in fixed:
+                fixed[n] = fixed[parents[0]]
+            else:
+                follows[n] = follows[parents[0]]
+        else:
+            follows[n] = n
+            level[n] = 1 + max(
+                (level[follows[p]] for p in parents if p in follows), default=0
+            )
+    draw_index = {n: i for i, n in enumerate(level)}  # choosers in topological order
+    closure = _ancestor_closure(g, [x for x, _ in observed])
+
+    # ``values`` holds each code at its own index, then one slot per chooser:
+    # the observations' ancestors first, each part level by level, so a
+    # level is one slice whose sources all sit in earlier slots
+    layout = sorted(level, key=lambda n: (n not in closure, level[n], draw_index[n]))
+    base = len(names)
+    slot = {n: base + i for i, n in enumerate(layout)}
+
+    def slot_of(n: int) -> int:
+        return fixed[n] if n in fixed else slot[follows[n]]
+
+    near: list[_Level] = []
+    rest: list[_Level] = []
+    for (outside, _), run in itertools.groupby(
+        layout, key=lambda n: (n not in closure, level[n])
+    ):
+        run = list(run)
+        lo = slot[run[0]]
+        (rest if outside else near).append((
+            lo,
+            lo + len(run),
+            [draw_index[n] for n in run],
+            [list(itertools.accumulate(g.tie_weights(n))) for n in run],
+            # the last parent twice: a draw at or past a cumulative total
+            # that rounded below 1 takes the last parent
+            [(*map(slot_of, g.parents[n]), slot_of(g.parents[n][-1])) for n in run],
+        ))
+    observed_slots = [slot_of(x) for x, _ in observed]
+    observed_codes = [code[m] for _, m in observed]
+
+    values = list(range(base)) + [0] * len(layout)
+    value_at = values.__getitem__
+
+    def evaluate(levels: list[_Level], uniforms: list[float]) -> None:
+        for lo, hi, draws, cums, parent_slots in levels:
+            picks = map(bisect.bisect_right, cums, map(uniforms.__getitem__, draws))
+            values[lo:hi] = map(value_at, map(getitem, parent_slots, picks))
 
     rng = random.Random(seed)
-    counts: dict[int, dict[str, int]] = {n: {} for n in g.nodes}
+    tallies: list[dict[int, int]] = [{} for _ in layout]
+    rows: list[list[int]] = []
     accepted = 0
     for _ in range(trials):
-        ingress_of = dict(base)
-        for n, parents, cum in schedule:
-            if len(parents) > 1:
-                idx = bisect.bisect_right(cum, rng.random())
-                choice = parents[min(idx, len(parents) - 1)]
-            else:
-                choice = parents[0]
-            if choice == g.root:
-                ingress_of[n] = g.ingress_map[n]
-            else:
-                ingress_of[n] = ingress_of[choice]
-        if any(ingress_of[x] != m for x, m in observed):
+        uniforms = list(itertools.starmap(rng.random, itertools.repeat((), len(layout))))
+        evaluate(near, uniforms)
+        if list(map(value_at, observed_slots)) != observed_codes:
             continue
         accepted += 1
-        for n, ingress in ingress_of.items():
-            if ingress is not None:
-                counts[n][ingress] = counts[n].get(ingress, 0) + 1
+        evaluate(rest, uniforms)
+        rows.append(values[base:])
+        if len(rows) == _TALLY_BATCH:
+            _tally(rows, tallies)
+            rows.clear()
+    _tally(rows, tallies)
     if accepted == 0:
         raise InfeasibleOracleError(
             f"all {trials} sampled outcomes contradict the observations"
         )
-    probs = {
-        n: {ingress: c / accepted for ingress, c in dist.items()}
-        for n, dist in counts.items()
-    }
-    return MonteCarloEstimate(probs=probs, trials=trials, accepted=accepted)
+    probs: dict[int, dict[str, float]] = {}
+    for n in g.nodes:
+        if n in fixed:
+            probs[n] = {names[fixed[n]]: 1.0} if fixed[n] else {}
+        else:
+            tally = tallies[slot[follows[n]] - base]
+            probs[n] = {names[c]: k / accepted for c, k in tally.items() if c}
+    return MonteCarloEstimate(
+        probs=probs,
+        trials=trials,
+        accepted=accepted,
+        ancestors=len(closure),
+        draws_per_trial=len(layout),
+    )
+
+
+def _ancestor_closure(g: RGraph, nodes: list[int]) -> set[int]:
+    """``nodes`` and every node with a path to one of them."""
+    closure: set[int] = set()
+    stack = list(nodes)
+    while stack:
+        n = stack.pop()
+        if n not in closure:
+            closure.add(n)
+            stack.extend(g.parents[n])
+    return closure
+
+
+def _tally(rows: list[list[int]], tallies: list[dict[int, int]]) -> None:
+    """Add each column of ``rows`` to its tally; a code new to a tally goes
+    after the ones already there, so keys keep first-appearance order."""
+    for tally, column in zip(tallies, zip(*rows)):
+        for c in dict.fromkeys(column):
+            tally[c] = tally.get(c, 0) + column.count(c)

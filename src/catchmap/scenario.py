@@ -410,6 +410,13 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
                     g, cfg.posterior_trials, cfg.seed, oracles
                 )
                 probs = estimate.probs
+                logger.debug(
+                    "monte carlo posterior: %d trials, %d accepted, "
+                    "%d of %d nodes in the observations' ancestor closure, "
+                    "%d draws per trial",
+                    estimate.trials, estimate.accepted, estimate.ancestors,
+                    len(g.nodes), estimate.draws_per_trial,
+                )
                 stages.append("posterior-sampling")
                 status = "posterior-sampled"
             prob_status = {n: status for n in g.report_nodes}
@@ -426,7 +433,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
     loads = None
     deficit: dict[int, float] = {}
     if probs_view is not None:
-        loads = expected_load(probs_view, {n: 1.0 for n in universe})
+        # an ingress point no node can reach still gets its (zero) load
+        loads = dict.fromkeys(ingress_points, 0.0)
+        loads.update(expected_load(probs_view, {n: 1.0 for n in universe}))
         for n in universe:
             mass = sum(probs_view[n].values())
             if mass < 1.0 - 1e-9:

@@ -8,6 +8,11 @@ engine's output against these constants, never the other way around.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import random
+from typing import Mapping
+
 from catchmap import (
     AugmentedTopology,
     DestinationSpec,
@@ -18,6 +23,10 @@ from catchmap import (
     generate_random_topology,
 )
 from catchmap.cli import random_instance  # noqa: F401  (re-exported)
+from catchmap.errors import InfeasibleOracleError, InputError
+from catchmap.inference import RouteProbabilities
+from catchmap.oracles import OracleSet, _check_observed
+from catchmap.rgraph import RGraph, topological_order
 
 DST = 9
 
@@ -113,3 +122,69 @@ def random_tie_probs(g, rng) -> dict[int, dict[int, float]]:
             raw = [rng.uniform(0.1, 1.0) for _ in parents]
             ties[node] = {p: r / sum(raw) for p, r in zip(parents, raw)}
     return ties
+
+
+# The rejection sampler as it was written before it drew each trial's
+# numbers up front and rejected on the observations' ancestors first: one
+# dict per trial, every node sampled before the check. Kept verbatim, but
+# for its return value, as the oracle for ``monte_carlo_inference``, which
+# must give the same floats, in the same per-node key order, for every seed.
+def reference_monte_carlo(
+    g: RGraph,
+    trials: int = 10_000,
+    seed: int = 0,
+    oracles: OracleSet | Mapping[int, str] | None = None,
+) -> tuple[RouteProbabilities, int, int]:
+    """Sample tie-break outcomes, reject those contradicting observations.
+
+    Returns ``(probs, trials, accepted)``. Deterministic for a given seed.
+    Raises InfeasibleOracleError when every trial is rejected.
+    """
+    if trials < 1:
+        raise InputError(f"need at least one trial, got {trials}")
+    observed = _check_observed(g, oracles)
+    base: dict[int, str | None] = {n: None for n in g.nodes if not g.parents[n]}
+
+    # per chooser: parent tuple and cumulative weights for inverse sampling;
+    # root-attached nodes always take the direct edge (ground truth, no draw)
+    schedule: list[tuple[int, tuple[int, ...], list[float]]] = []
+    for n in topological_order(g):
+        parents = g.parents[n]
+        if not parents:
+            continue
+        if g.root in parents:
+            schedule.append((n, (g.root,), [1.0]))
+            continue
+        cum = list(itertools.accumulate(g.tie_weights(n)))
+        schedule.append((n, parents, cum))
+
+    rng = random.Random(seed)
+    counts: dict[int, dict[str, int]] = {n: {} for n in g.nodes}
+    accepted = 0
+    for _ in range(trials):
+        ingress_of = dict(base)
+        for n, parents, cum in schedule:
+            if len(parents) > 1:
+                idx = bisect.bisect_right(cum, rng.random())
+                choice = parents[min(idx, len(parents) - 1)]
+            else:
+                choice = parents[0]
+            if choice == g.root:
+                ingress_of[n] = g.ingress_map[n]
+            else:
+                ingress_of[n] = ingress_of[choice]
+        if any(ingress_of[x] != m for x, m in observed):
+            continue
+        accepted += 1
+        for n, ingress in ingress_of.items():
+            if ingress is not None:
+                counts[n][ingress] = counts[n].get(ingress, 0) + 1
+    if accepted == 0:
+        raise InfeasibleOracleError(
+            f"all {trials} sampled outcomes contradict the observations"
+        )
+    probs = {
+        n: {ingress: c / accepted for ingress, c in dist.items()}
+        for n, dist in counts.items()
+    }
+    return probs, trials, accepted

@@ -436,3 +436,129 @@ class TestTieOverrides:
         g = overridden_graph(name)
         with pytest.raises(InputError, match="cover exactly"):
             shortest_path_transform(g)
+
+
+def assert_same_as_reference(g, trials, seed, oracles=None):
+    """``monte_carlo_inference`` against the sampler that evaluates every node
+    in every trial: equal floats in the same per-node key order, equal
+    counts, or the same error. Returns the estimate, None if both raised."""
+    try:
+        ref_probs, ref_trials, ref_accepted = helpers.reference_monte_carlo(
+            g, trials, seed, oracles
+        )
+    except InfeasibleOracleError as err:
+        with pytest.raises(InfeasibleOracleError) as caught:
+            monte_carlo_inference(g, trials, seed, oracles)
+        assert str(caught.value) == str(err)
+        return None
+    est = monte_carlo_inference(g, trials, seed, oracles)
+    assert (est.trials, est.accepted) == (ref_trials, ref_accepted)
+    assert list(est.probs) == list(ref_probs)
+    for node, dist in ref_probs.items():
+        assert list(est.probs[node].items()) == list(dist.items()), node
+    return est
+
+
+def feasible_observations(g, k, seed):
+    """Up to ``k`` observations read off the first outcome sampled with
+    ``seed``, so they hold together (and in that seed's first trial)."""
+    outcome, _, _ = helpers.reference_monte_carlo(g, trials=1, seed=seed)
+    routed = sorted(n for n, dist in outcome.items() if dist)
+    picks = random.Random(seed).sample(routed, min(k, len(routed)))
+    return {n: next(iter(outcome[n])) for n in picks}
+
+
+def zero_tie_probs(g, rng):
+    """Random overrides on every node with two parents or more, each giving
+    some parents weight zero (never all)."""
+    ties = {}
+    for node, parents in g.parents.items():
+        if len(parents) > 1:
+            raw = [rng.choice((0.0, rng.uniform(0.1, 1.0))) for _ in parents]
+            if not any(raw):
+                raw[rng.randrange(len(raw))] = 1.0
+            ties[node] = {p: r / sum(raw) for p, r in zip(parents, raw)}
+    return ties
+
+
+# the root (0) feeds 1 (ingress a) and 2 (ingress b); 2 also hears 1
+ROOT_ATTACHED_WITH_PARENT = [
+    (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5), (1, 5),
+]
+# node 9 has no parent but feeds 3 and 4, so 4 never has a route
+PARENTLESS_FEEDER = [
+    (0, 1), (0, 2), (1, 3), (2, 3), (9, 3), (9, 4), (3, 5), (4, 5), (1, 5), (5, 6), (2, 6),
+]
+
+
+class TestSameStreamAsReference:
+    """The sampler gives, for a seed, exactly what evaluating every node of
+    every trial gives."""
+
+    @pytest.mark.parametrize("weights", ["uniform", "unequal", "zeros"])
+    @pytest.mark.parametrize("idx", range(10))
+    def test_random_instances(self, idx, weights):
+        g = build_rgraph(helpers.random_instance(
+            idx, num_nodes=10 + 4 * idx, avg_degree=2.4 + 0.2 * (idx % 5),
+        ))
+        rng = random.Random(idx)
+        if weights == "unequal":
+            g = g.with_tie_probs(helpers.random_tie_probs(g, rng))
+        elif weights == "zeros":
+            g = g.with_tie_probs(zero_tie_probs(g, rng))
+        for k in range(4):
+            oracles = feasible_observations(g, k, seed=idx + k)
+            assert len(oracles) == k
+            assert assert_same_as_reference(g, 300, idx + k, oracles) is not None
+
+    @pytest.mark.parametrize("oracles", [{}, {5: "a"}, {5: "b"}, {2: "b"}, {4: "b", 5: "a"}])
+    def test_root_attached_node_with_another_parent(self, oracles):
+        g = RGraph.from_edges(0, ROOT_ATTACHED_WITH_PARENT, {1: "a", 2: "b"})
+        assert g.parents[2] == (0, 1)
+        est = assert_same_as_reference(g, 400, 3, oracles)
+        assert est.probs[2] == {"b": 1.0}
+        assert est.draws_per_trial == 3
+
+    @pytest.mark.parametrize("oracles", [{}, {5: "a"}, {6: "b"}, {3: "b", 6: "a"}])
+    def test_parentless_node_with_children(self, oracles):
+        g = RGraph.from_edges(0, PARENTLESS_FEEDER, {1: "a", 2: "b"})
+        assert g.parents[9] == () and g.children[9] == (3, 4)
+        est = assert_same_as_reference(g, 400, 4, oracles)
+        assert est.probs[4] == {} and est.probs[9] == {}
+
+    @pytest.mark.parametrize("oracles", [{4: "a"}, {9: "a"}, {0: "a"}])
+    def test_node_without_a_route_cannot_be_observed(self, oracles):
+        g = RGraph.from_edges(0, PARENTLESS_FEEDER, {1: "a", 2: "b"})
+        assert assert_same_as_reference(g, 50, 0, oracles) is None
+
+    def test_more_ingress_points_than_a_byte_holds(self):
+        rng = random.Random(11)
+        edges = [(0, n) for n in range(1, 301)]
+        for n in range(301, 341):
+            edges += [(p, n) for p in rng.sample(range(1, 301), 4)]
+        for n in range(341, 361):
+            edges += [(p, n) for p in rng.sample(range(1, 341), 3)]
+        g = RGraph.from_edges(0, edges, {n: f"m{n:03d}" for n in range(1, 301)})
+        for seed in range(3):
+            outcome, _, _ = helpers.reference_monte_carlo(g, trials=1, seed=seed)
+            oracles = {n: next(iter(outcome[n])) for n in (341 + seed, 350 + seed)}
+            est = assert_same_as_reference(g, 1000, seed, oracles)
+            # past the 256th name in sorted order
+            assert any(m > "m256" for dist in est.probs.values() for m in dist)
+            assert 0 < est.accepted < est.trials
+
+    @pytest.mark.parametrize("idx", range(6))
+    def test_single_trial(self, idx):
+        g = build_rgraph(helpers.random_instance(idx, num_nodes=12 + idx))
+        est = assert_same_as_reference(g, 1, idx)
+        assert (est.trials, est.accepted) == (1, 1)
+        oracles = feasible_observations(g, 2, seed=idx)
+        est = assert_same_as_reference(g, 1, idx, oracles)
+        assert est.accepted == 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_infeasible_observation_raises_the_same_error(self, example_graph, seed):
+        # 7 can only reach m1; 8 reaches m1 a quarter of the time, so a
+        # single trial is rejected for some seeds
+        assert assert_same_as_reference(example_graph, 40, seed, {7: "m2"}) is None
+        assert_same_as_reference(example_graph, 1, seed, {8: "m1"})

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from catchmap import (
     certain_inference,
     compare_with_simulation,
     exact_conditional_distribution,
+    monte_carlo_inference,
     parse_scenario_file,
     prepending_sweep,
     probabilistic_inference,
@@ -190,6 +192,41 @@ class TestRunScenario:
         )
         assert "posterior-sampling" in report.stages
         assert report.probs[4]["m1"] == 1.0
+
+    def test_monte_carlo_facts_are_logged(self, caplog):
+        cfg = example_config(
+            mode="probabilistic",
+            oracle_text="8,m1\n",
+            posterior="monte-carlo",
+            posterior_trials=500,
+        )
+        with caplog.at_level(logging.DEBUG, logger="catchmap.scenario"):
+            report, g = run_scenario(cfg)
+        estimate = monte_carlo_inference(g, 500, cfg.seed, {8: "m1"})
+        assert 0 < estimate.accepted < 500
+        # 8 and its ancestors 1, 2, 4, 5, 6 and the root; choosers 4, 7, 8
+        assert (estimate.ancestors, estimate.draws_per_trial) == (7, 3)
+        lines = [r.getMessage() for r in caplog.records if "monte carlo" in r.getMessage()]
+        assert lines == [
+            f"monte carlo posterior: 500 trials, {estimate.accepted} accepted, "
+            "7 of 9 nodes in the observations' ancestor closure, 3 draws per trial"
+        ]
+        assert "accepted" not in report.to_json()
+
+    def test_expected_loads_list_every_ingress_point(self):
+        # m2 hangs off node 11 by a p2c link, so no node can route to it
+        cfg = ScenarioConfig(
+            generate={"n": 12, "avg_degree": 2.8, "seed": 1},
+            attachments={2: "m1", 7: "m1", 11: "m2"},
+            attachment_rels={
+                2: Relationship.P2P, 7: Relationship.C2P, 11: Relationship.P2C,
+            },
+            mode="probabilistic",
+        )
+        report, _ = run_scenario(cfg)
+        assert report.bounds["m2"] == (0, 0)
+        assert report.expected_loads == {"m1": 12.0, "m2": 0.0}
+        assert json.loads(report.to_json())["expected_loads"] == {"m1": 12.0, "m2": 0.0}
 
     def test_automatic_posterior_choice_follows_the_size_limit(self):
         def run_with_graph_nodes(count):
