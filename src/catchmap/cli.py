@@ -401,11 +401,10 @@ def certainty_violations(
         g = build_rgraph(aug)
         routes = certain_inference(g)
         view = {n: routes[n] for n in g.report_nodes}
-        ingress_points = tuple(sorted(set(g.ingress_map.values())))
-        bounds = catchment_bounds(view, ingress_points, len(g.report_nodes))
+        bounds = catchment_bounds(view, g.ingress_points, len(g.report_nodes))
         for s in seeds:
             catchment = simulated_catchment(run_bgp(aug, s), aug)
-            counts = {m: 0 for m in ingress_points}
+            counts = {m: 0 for m in g.ingress_points}
             for node in g.report_nodes:
                 got = catchment.get(node)
                 if got is not None:
@@ -414,7 +413,7 @@ def certainty_violations(
                     moved.append((idx, s, node))
             outside += [
                 (idx, s, m)
-                for m in ingress_points
+                for m in g.ingress_points
                 if not bounds[m][0] <= counts[m] <= bounds[m][1]
             ]
     return moved, outside

@@ -294,47 +294,31 @@ def apply_oracles(
 # -- conditional distributions -------------------------------------------------
 
 
-def enumerate_route_outcomes(g: RGraph) -> Iterator[tuple[float, dict[int, "str | None"]]]:
-    """Yield (probability, node-to-ingress map) for every tie-break choice.
+def enumerate_route_outcomes(g: RGraph) -> Iterator[tuple[float, tuple["str | None", ...]]]:
+    """Yield (probability, ingress per chooser) for every tie-break choice.
 
-    Each outcome fixes one parent per node; its probability is the product
-    of the graph's tie weights. A node directly attached to the root always
-    takes the direct edge — its ingress is the scenario's ground truth, not
-    a tie to roll — so it contributes no randomness. Zero-probability
-    outcomes are skipped. Unreachable nodes and the root map to None.
-    Raises CapacityError, before yielding anything, when ``exact_limit``
-    rejects the graph.
+    Each outcome fixes one parent per chooser of ``g.chooser_form``, in its
+    order; its probability is the product of their tie weights. Every other
+    node's ingress is fixed or copies a chooser's:
+    ``g.chooser_form.ingress(picks, node)`` reads it. Zero-probability
+    outcomes are skipped. Raises CapacityError, before yielding anything,
+    when ``exact_limit`` rejects the graph.
     """
     reason = exact_limit(g)
     if reason is not None:
         raise CapacityError(reason)
-    choosers: list[int] = []
-    domains: list[tuple[tuple[int, float], ...]] = []
-    for n in topological_order(g):
-        parents = g.parents[n]
-        if not parents:
-            continue
-        if g.root in parents:
-            domains.append(((g.root, 1.0),))
-        else:
-            domains.append(tuple(zip(parents, g.tie_weights(n))))
-        choosers.append(n)
-    base: dict[int, str | None] = {
-        n: None for n in g.nodes if not g.parents[n]
-    }
+    form = g.chooser_form
+    domains = [tuple(zip(g.parents[c], g.tie_weights(c))) for c in form.choosers]
     for combo in itertools.product(*domains):
         weight = 1.0
-        for _, p in combo:
-            weight *= p
+        for _, w in combo:
+            weight *= w
         if weight == 0.0:
             continue
-        ingress_of = dict(base)
-        for n, (choice, _) in zip(choosers, combo):
-            if choice == g.root:
-                ingress_of[n] = g.ingress_map[n]
-            else:
-                ingress_of[n] = ingress_of[choice]
-        yield weight, ingress_of
+        picks: list[str | None] = []
+        for parent, _ in combo:
+            picks.append(form.ingress(picks, parent))
+        yield weight, tuple(picks)
 
 
 def _check_observed(
@@ -344,12 +328,11 @@ def _check_observed(
     name a node of ``g`` and one of its ingress points."""
     if not isinstance(oracles, OracleSet):
         oracles = OracleSet(oracles or {})
-    known_ingresses = set(g.ingress_map.values())
     pairs = list(oracles.items())
     for node, ingress in pairs:
         if node not in g.parents:
             raise UnknownNodeError(f"observed node {node} not in forwarding graph")
-        if ingress not in known_ingresses:
+        if ingress not in g.ingress_points:
             raise UnknownNodeError(f"observation names unknown ingress {ingress!r}")
     return pairs
 
@@ -364,21 +347,28 @@ def exact_conditional_distribution(
     forward probabilistic pass. Guarded by ``exact_limit``.
     """
     observed = _check_observed(g, oracles)
-    mass: dict[int, dict[str, float]] = {n: {} for n in g.nodes}
+    form = g.chooser_form
+    mass: list[dict[str, float]] = [{} for _ in form.choosers]
     total = 0.0
-    for weight, ingress_of in enumerate_route_outcomes(g):
-        if any(ingress_of[x] != m for x, m in observed):
-            continue
+    for weight, picks in outcomes_keeping(g, observed):
         total += weight
-        for n, ingress in ingress_of.items():
+        for dist, ingress in zip(mass, picks):
             if ingress is not None:
-                mass[n][ingress] = mass[n].get(ingress, 0.0) + weight
+                dist[ingress] = dist.get(ingress, 0.0) + weight
     if total == 0.0:
         raise InfeasibleOracleError("observations rule out every tie-break outcome")
-    return {
-        n: {ingress: w / total for ingress, w in dist.items()}
-        for n, dist in mass.items()
-    }
+    return form.spread([{m: w / total for m, w in dist.items()} for dist in mass], g.nodes)
+
+
+def outcomes_keeping(g: RGraph, pins: list[tuple[int, str]]) -> Iterator[tuple[float, tuple]]:
+    """The outcomes of ``enumerate_route_outcomes`` in which every pinned
+    node has its ``(node, ingress)`` pin's ingress."""
+    form = g.chooser_form
+    broken = any(n in form.fixed and form.fixed[n] != m for n, m in pins)
+    checks = [(form.follows[n], m) for n, m in pins if n in form.follows]
+    for weight, picks in enumerate_route_outcomes(g):
+        if not broken and all(picks[i] == m for i, m in checks):
+            yield weight, picks
 
 
 @dataclass(frozen=True)
@@ -418,17 +408,14 @@ def monte_carlo_inference(
 ) -> MonteCarloEstimate:
     """Sample tie-break outcomes, reject those contradicting observations.
 
-    A chooser is a node with two or more parents that is not attached to the
-    root; each consumes one ``random()`` per trial, choosers in topological
-    order. Every other node's ingress is fixed (a root-attached node takes
-    the direct edge, a parentless one has no route) or follows one
-    chooser's through a chain of single parents. A trial draws its uniforms
-    up front, evaluates the choosers among the observed nodes' ancestors,
-    and the rest only when the observations hold: an observation depends on
-    nothing else (barren-node pruning). The draws are the ones a sampler
-    evaluating every node of every trial consumes, in the same order, so
-    for a seed the estimate is the same, down to each node's key order:
-    ingresses in the order they first appear among the accepted trials.
+    Each chooser of ``g.chooser_form`` consumes one ``random()`` per trial,
+    in the form's order. A trial draws its uniforms up front, evaluates the
+    choosers among the observed nodes' ancestors, and the rest only when the
+    observations hold: an observation depends on nothing else (barren-node
+    pruning). The draws are the ones a sampler evaluating every node of
+    every trial consumes, in the same order, so for a seed the estimate is
+    the same, down to each node's key order: ingresses in the order they
+    first appear among the accepted trials.
 
     Deterministic for a given seed. Raises InfeasibleOracleError when every
     trial is rejected.
@@ -437,56 +424,41 @@ def monte_carlo_inference(
         raise InputError(f"need at least one trial, got {trials}")
     observed = _check_observed(g, oracles)
     # ingress codes; 0 is no route
-    names: list[str | None] = [None, *sorted(set(g.ingress_map.values()))]
+    names: list[str | None] = [None, *g.ingress_points]
     code = {m: c for c, m in enumerate(names)}
+    form = g.chooser_form
 
-    fixed: dict[int, int] = {}  # node -> ingress code in every outcome
-    follows: dict[int, int] = {}  # node -> the chooser whose ingress it takes
-    level: dict[int, int] = {}  # chooser -> 1 + highest level of a chooser it depends on
-    for n in topological_order(g):
-        parents = g.parents[n]
-        if not parents:
-            fixed[n] = 0
-        elif g.root in parents:
-            fixed[n] = code[g.ingress_map[n]]
-        elif len(parents) == 1:
-            if parents[0] in fixed:
-                fixed[n] = fixed[parents[0]]
-            else:
-                follows[n] = follows[parents[0]]
-        else:
-            follows[n] = n
-            level[n] = 1 + max(
-                (level[follows[p]] for p in parents if p in follows), default=0
-            )
-    draw_index = {n: i for i, n in enumerate(level)}  # choosers in topological order
+    level: list[int] = []  # per chooser: 1 + highest level of a chooser it depends on
+    for c in form.choosers:
+        sources = [form.follows[p] for p in g.parents[c] if p in form.follows]
+        level.append(1 + max((level[i] for i in sources), default=0))
     closure = _ancestor_closure(g, [x for x, _ in observed])
+    outside = [c not in closure for c in form.choosers]
 
     # ``values`` holds each code at its own index, then one slot per chooser:
     # the observations' ancestors first, each part level by level, so a
     # level is one slice whose sources all sit in earlier slots
-    layout = sorted(level, key=lambda n: (n not in closure, level[n], draw_index[n]))
+    layout = sorted(range(len(level)), key=lambda i: (outside[i], level[i], i))
     base = len(names)
-    slot = {n: base + i for i, n in enumerate(layout)}
+    slot = {i: base + k for k, i in enumerate(layout)}
 
     def slot_of(n: int) -> int:
-        return fixed[n] if n in fixed else slot[follows[n]]
+        return code[form.fixed[n]] if n in form.fixed else slot[form.follows[n]]
 
     near: list[_Level] = []
     rest: list[_Level] = []
-    for (outside, _), run in itertools.groupby(
-        layout, key=lambda n: (n not in closure, level[n])
-    ):
+    for (beyond, _), run in itertools.groupby(layout, key=lambda i: (outside[i], level[i])):
         run = list(run)
         lo = slot[run[0]]
-        (rest if outside else near).append((
+        nodes = [form.choosers[i] for i in run]
+        (rest if beyond else near).append((
             lo,
             lo + len(run),
-            [draw_index[n] for n in run],
-            [list(itertools.accumulate(g.tie_weights(n))) for n in run],
+            run,
+            [list(itertools.accumulate(g.tie_weights(n))) for n in nodes],
             # the last parent twice: a draw at or past a cumulative total
             # that rounded below 1 takes the last parent
-            [(*map(slot_of, g.parents[n]), slot_of(g.parents[n][-1])) for n in run],
+            [(*map(slot_of, g.parents[n]), slot_of(g.parents[n][-1])) for n in nodes],
         ))
     observed_slots = [slot_of(x) for x, _ in observed]
     observed_codes = [code[m] for _, m in observed]
@@ -519,15 +491,12 @@ def monte_carlo_inference(
         raise InfeasibleOracleError(
             f"all {trials} sampled outcomes contradict the observations"
         )
-    probs: dict[int, dict[str, float]] = {}
-    for n in g.nodes:
-        if n in fixed:
-            probs[n] = {names[fixed[n]]: 1.0} if fixed[n] else {}
-        else:
-            tally = tallies[slot[follows[n]] - base]
-            probs[n] = {names[c]: k / accepted for c, k in tally.items() if c}
+    per_chooser = [
+        {names[c]: k / accepted for c, k in tallies[slot[i] - base].items() if c}
+        for i in range(len(layout))
+    ]
     return MonteCarloEstimate(
-        probs=probs,
+        probs=form.spread(per_chooser, g.nodes),
         trials=trials,
         accepted=accepted,
         ancestors=len(closure),
@@ -537,13 +506,10 @@ def monte_carlo_inference(
 
 def _ancestor_closure(g: RGraph, nodes: list[int]) -> set[int]:
     """``nodes`` and every node with a path to one of them."""
-    closure: set[int] = set()
-    stack = list(nodes)
-    while stack:
-        n = stack.pop()
-        if n not in closure:
-            closure.add(n)
-            stack.extend(g.parents[n])
+    closure = set(nodes)
+    for n in reversed(topological_order(g)):
+        if n in closure:
+            closure.update(g.parents[n])
     return closure
 
 

@@ -27,7 +27,7 @@ from .inference import (
     probabilistic_inference,
     update_probabilistic_inference,
 )
-from .oracles import OracleSet, apply_oracles, enumerate_route_outcomes
+from .oracles import OracleSet, apply_oracles, outcomes_keeping
 from .rgraph import RGraph
 
 logger = logging.getLogger(__name__)
@@ -196,40 +196,28 @@ def expected_nc(
             f"got {len(measured)}"
         )
     pinned = [(n, m) for n, m in sorted(routes.items()) if m is not None]
+    form = g.chooser_form
+    keys = list(dict.fromkeys(form.follows[n] for n in measured if n in form.follows))
 
-    # per joint outcome of the measured nodes: accumulated mass, and for every
-    # reporting node either its constant ingress or a conflict marker
-    signatures: dict[tuple, dict] = {}
+    # per joint outcome of the measured nodes' choosers: accumulated mass,
+    # and for every chooser its ingress if the same in every outcome, else None
+    signatures: dict[tuple, list] = {}
     total = 0.0
-    for mass, ingress_of in enumerate_route_outcomes(g):
-        if any(ingress_of[n] != m for n, m in pinned):
-            continue
+    for mass, picks in outcomes_keeping(g, pinned):
         total += mass
-        sig = tuple(ingress_of[n] for n in measured)
-        entry = signatures.setdefault(sig, {"mass": 0.0, "values": {}})
-        entry["mass"] += mass
-        values = entry["values"]
-        for n in g.report_nodes:
-            current = ingress_of[n]
-            if n not in values:
-                values[n] = current
-            elif values[n] != current:
-                values[n] = _CONFLICT
+        entry = signatures.setdefault(tuple(picks[i] for i in keys), [0.0, picks])
+        entry[0] += mass
+        entry[1] = [v if v == c else None for v, c in zip(entry[1], picks)]
     if total == 0.0:
         raise InputError("pinned routes are inconsistent with the forwarding graph")
 
     value = 0.0
-    for entry in signatures.values():
+    for entry_mass, values in signatures.values():
         nc = sum(
-            weights.weight(n)
-            for n, v in entry["values"].items()
-            if v is not None and v is not _CONFLICT
+            weights.weight(n) for n in g.report_nodes if form.ingress(values, n) is not None
         )
-        value += (entry["mass"] / total) * nc
+        value += (entry_mass / total) * nc
     return value
-
-
-_CONFLICT = object()
 
 
 # -- plans -----------------------------------------------------------------------

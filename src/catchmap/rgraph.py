@@ -12,6 +12,7 @@ enumeration yields the path sets of every node at once.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import logging
@@ -149,13 +150,66 @@ class RGraph:
         """Same graph with ``tie_probs`` as its overrides, replacing any old ones."""
         return replace(self, tie_probs=_validated_tie_probs(self.parents, tie_probs))
 
+    @functools.cached_property
+    def ingress_points(self) -> tuple[str, ...]:
+        return tuple(sorted(set(self.ingress_map.values())))
+
     def tie_weights(self, node: int) -> list[float]:
-        """Probability of picking each of ``node``'s parents: override, else uniform."""
+        """Probability of picking each parent: override, else uniform; a lone parent 1.0."""
         parents = self.parents[node]
         given = self.tie_probs.get(node)
-        if given is not None:
+        if given is not None and len(parents) > 1:
             return [given[p] for p in parents]
         return [1.0 / len(parents)] * len(parents) if parents else []
+
+    @functools.cached_property
+    def chooser_form(self) -> "ChooserForm":
+        """Each node's ingress as a fixed value or a copy of one chooser's,
+        derived on first use and then kept. A chooser, a node with two or more
+        parents and none of them the root, is the only kind of node whose
+        ingress depends on a tie-break."""
+        choosers: list[int] = []
+        fixed: dict[int, str | None] = {}
+        follows: dict[int, int] = {}
+        for n in self.order:
+            parents = self.parents[n]
+            if not parents:
+                fixed[n] = None
+            elif self.root in parents:
+                fixed[n] = self.ingress_map[n]
+            elif len(parents) > 1:
+                follows[n] = len(choosers)
+                choosers.append(n)
+            elif parents[0] in fixed:
+                fixed[n] = fixed[parents[0]]
+            else:
+                follows[n] = follows[parents[0]]
+        return ChooserForm(tuple(choosers), fixed, follows)
+
+
+@dataclass(frozen=True)
+class ChooserForm:
+    """The choosers in topological order. ``fixed`` holds the ingress (None:
+    no route) of the root, of parentless and root-attached nodes, and of
+    single-parent chains below them; ``follows`` maps every other node to the
+    position of the chooser it copies. An outcome is one ingress per chooser."""
+
+    choosers: tuple[int, ...]
+    fixed: Mapping[int, str | None]
+    follows: Mapping[int, int]
+
+    def ingress(self, picks: tuple[str | None, ...], node: int) -> str | None:
+        """``node``'s ingress in the outcome ``picks``."""
+        return self.fixed[node] if node in self.fixed else picks[self.follows[node]]
+
+    def spread(self, per_chooser: list[dict], nodes: Iterable[int]) -> dict[int, dict]:
+        """Each node's distribution: its own copy of its chooser's, else all
+        the mass on its fixed ingress (none without a route)."""
+        return {
+            n: dict(per_chooser[self.follows[n]]) if n in self.follows
+            else {} if self.fixed[n] is None else {self.fixed[n]: 1.0}
+            for n in nodes
+        }
 
 
 def _validated_tie_probs(
@@ -291,12 +345,11 @@ def exact_limit(g: RGraph) -> str | None:
 
     The size rule of every exact pass on a forwarding graph: at most
     ``MAX_EXACT_NODES`` nodes and ``MAX_EXACT_OUTCOMES`` tie-break
-    combinations, one parent per node, where a node attached to the root
-    always takes the direct edge and so adds no factor.
+    combinations, one parent per chooser.
     """
     if len(g.nodes) > MAX_EXACT_NODES:
         return f"{len(g.nodes)} nodes, over the exact limit of {MAX_EXACT_NODES}"
-    combos = math.prod(len(ps) for ps in g.parents.values() if ps and g.root not in ps)
+    combos = math.prod(len(g.parents[c]) for c in g.chooser_form.choosers)
     if combos > MAX_EXACT_OUTCOMES:
         return f"{combos} tie-break combinations, over the exact limit of {MAX_EXACT_OUTCOMES}"
     return None

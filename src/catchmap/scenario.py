@@ -424,9 +424,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
     universe = g.report_nodes
     routes_view = {n: routes[n] for n in universe}
     probs_view = {n: probs.get(n, {}) for n in universe} if probs is not None else None
-    ingress_points = tuple(sorted(set(g.ingress_map.values())))
 
-    bounds = catchment_bounds(routes_view, ingress_points, len(universe))
+    bounds = catchment_bounds(routes_view, g.ingress_points, len(universe))
     certain_counts = {m: lower for m, (lower, _) in bounds.items()}
     uncertain = len(universe) - sum(certain_counts.values())
 
@@ -434,7 +433,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
     deficit: dict[int, float] = {}
     if probs_view is not None:
         # an ingress point no node can reach still gets its (zero) load
-        loads = dict.fromkeys(ingress_points, 0.0)
+        loads = dict.fromkeys(g.ingress_points, 0.0)
         loads.update(expected_load(probs_view, {n: 1.0 for n in universe}))
         for n in universe:
             mass = sum(probs_view[n].values())
@@ -457,7 +456,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
     report = ScenarioReport(
         config=cfg.echo(),
         stages=tuple(stages),
-        ingress_points=ingress_points,
+        ingress_points=g.ingress_points,
         nodes=universe,
         routes=routes_view,
         probs=probs_view,
@@ -552,7 +551,7 @@ def prepending_sweep(
         raise InputError(f"k_max must be >= 0, got {k_max}")
     aug = build_augmented(cfg)
     base = build_rgraph(aug)
-    if ingress not in set(base.ingress_map.values()):
+    if ingress not in base.ingress_points:
         raise UnknownNodeError(f"unknown ingress {ingress!r}")
 
     entries = []
@@ -563,8 +562,7 @@ def prepending_sweep(
         routes = certain_inference(g)
         universe = g.report_nodes
         routes_view = {n: routes[n] for n in universe}
-        ingress_points = tuple(sorted(set(g.ingress_map.values())))
-        bounds = catchment_bounds(routes_view, ingress_points, len(universe))
+        bounds = catchment_bounds(routes_view, g.ingress_points, len(universe))
         counts = {m: lower for m, (lower, _) in bounds.items()}
         entry: dict = {
             "k": k,
@@ -576,7 +574,7 @@ def prepending_sweep(
             probs = probabilistic_inference(g, routes)
             entry["expected_sizes"] = {
                 m: sum(probs[n].get(m, 0.0) for n in universe)
-                for m in ingress_points
+                for m in g.ingress_points
             }
         entry["routes"] = {str(n): routes_view[n] for n in universe}
         entries.append(entry)
@@ -619,12 +617,11 @@ def compare_with_simulation(
     if runs < 1:
         raise InputError(f"need at least one run, got {runs}")
     universe = g.report_nodes
-    ingress_points = tuple(sorted(set(g.ingress_map.values())))
     routes_view = {n: routes[n] for n in universe}
-    bounds = catchment_bounds(routes_view, ingress_points, len(universe))
+    bounds = catchment_bounds(routes_view, g.ingress_points, len(universe))
     predicted = {
         m: sum(probs.get(n, {}).get(m, 0.0) for n in universe)
-        for m in ingress_points
+        for m in g.ingress_points
     }
 
     base_rng = random.Random(seed)
@@ -632,7 +629,7 @@ def compare_with_simulation(
     for _ in range(runs):
         result = run_bgp(aug, base_rng.randrange(2**63), sp_mode=sp_mode)
         catchment = simulated_catchment(result, aug)
-        counts = {m: 0 for m in ingress_points}
+        counts = {m: 0 for m in g.ingress_points}
         for node in universe:
             ingress = catchment.get(node)
             if ingress is not None:
@@ -642,7 +639,7 @@ def compare_with_simulation(
     violations = 0
     for counts in all_counts:
         if any(
-            not bounds[m][0] <= counts[m] <= bounds[m][1] for m in ingress_points
+            not bounds[m][0] <= counts[m] <= bounds[m][1] for m in g.ingress_points
         ):
             violations += 1
 
@@ -650,7 +647,7 @@ def compare_with_simulation(
     standard_error = {}
     within = {}
     cma: dict[str, list[float]] = {}
-    for m in ingress_points:
+    for m in g.ingress_points:
         series = [c[m] for c in all_counts]
         mean = sum(series) / runs
         simulated_mean[m] = mean

@@ -68,13 +68,11 @@ class Topology:
     PolicyError until policies are enabled (see ``derive_vf_policies``).
     """
 
-    __slots__ = ("_adj", "_vf_policies", "_pref_overrides", "_export_overrides")
+    __slots__ = ("_adj", "_vf_policies")
 
     def __init__(self) -> None:
         self._adj: dict[int, dict[int, Relationship | None]] = {}
         self._vf_policies = False
-        self._pref_overrides: dict[tuple[int, int], float] = {}
-        self._export_overrides: dict[tuple[int, int, int], bool] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -103,8 +101,6 @@ class Topology:
         out = Topology()
         out._adj = {n: dict(nbrs) for n, nbrs in self._adj.items()}
         out._vf_policies = self._vf_policies
-        out._pref_overrides = dict(self._pref_overrides)
-        out._export_overrides = dict(self._export_overrides)
         return out
 
     # -- structure queries -------------------------------------------------
@@ -143,9 +139,6 @@ class Topology:
 
     def local_pref(self, i: int, j: int) -> float:
         """Preference of node i for routes learned from neighbor j."""
-        override = self._pref_overrides.get((i, j))
-        if override is not None:
-            return override
         if not self._vf_policies:
             raise PolicyError("local preferences are not set; derive policies first")
         rel = self.relationship(i, j)
@@ -159,9 +152,6 @@ class Topology:
         Valley-free rule: export to customers always; export to peers and
         providers only routes learned from customers.
         """
-        override = self._export_overrides.get((i, learned_from, to))
-        if override is not None:
-            return override
         if not self._vf_policies:
             raise PolicyError("export policies are not set; derive policies first")
         rel_to = self.relationship(i, to)
@@ -172,21 +162,8 @@ class Topology:
             raise PolicyError(f"edge around node {i} has no relationship")
         return rel_from == Relationship.P2C
 
-    def override_pref(self, i: int, j: int, value: float) -> None:
-        if j not in self._adj.get(i, {}):
-            raise UnknownNodeError(f"edge {i}-{j} not in topology")
-        self._pref_overrides[(i, j)] = value
-
-    def override_export(self, i: int, learned_from: int, to: int, allowed: bool) -> None:
-        self._export_overrides[(i, learned_from, to)] = allowed
-
     def validate(self) -> None:
-        """Check structural invariants; raises on violation.
-
-        Relationship antisymmetry is checked for every edge. When policies
-        are set, equal local preferences toward two neighbors must imply
-        identical export treatment of routes learned from them.
-        """
+        """Check relationship antisymmetry on every edge; raises on violation."""
         for i, nbrs in self._adj.items():
             for j, rel in nbrs.items():
                 rel_back = self._adj[j][i]
@@ -196,22 +173,6 @@ class Topology:
                     continue
                 if rel.reversed() != rel_back:
                     raise PolicyError(f"edge {i}-{j} violates relationship antisymmetry")
-        if self._vf_policies or self._pref_overrides:
-            self._validate_equal_pref_consistency()
-
-    def _validate_equal_pref_consistency(self) -> None:
-        for i, nbrs in self._adj.items():
-            neighbor_list = list(nbrs)
-            for a_idx, j in enumerate(neighbor_list):
-                for l in neighbor_list[a_idx + 1 :]:
-                    if self.local_pref(i, j) != self.local_pref(i, l):
-                        continue
-                    for k in neighbor_list:
-                        if self.exports(i, j, k) != self.exports(i, l, k):
-                            raise PolicyError(
-                                f"node {i}: neighbors {j} and {l} have equal "
-                                f"preference but different export treatment to {k}"
-                            )
 
 
 _MISSING = object()
@@ -314,15 +275,44 @@ def derive_vf_policies(topology: Topology) -> Topology:
 
     Preferences follow VF_LOCAL_PREF per relationship class; the export
     rule allows a route to be exported iff it goes to a customer or was
-    learned from one. Raises PolicyError if any edge lacks a relationship.
+    learned from one. Raises PolicyError if any edge lacks a relationship,
+    or if providers form a cycle: each node of it a provider of the next.
     """
-    for i in topology.nodes():
-        for j in topology.neighbors(i):
-            if topology.relationship(i, j) is None:
-                raise PolicyError(f"edge {i}-{j} has no relationship")
+    _check_hierarchy(topology)
     out = topology.copy()
     out._vf_policies = True
     return out
+
+
+def _check_hierarchy(topology: Topology) -> None:
+    """Raise PolicyError at an edge without a relationship or at a cycle of
+    provider-to-customer edges, naming the cycle's edges. One iterative
+    depth-first search that reads each edge once per direction: O(N+E)."""
+    adj = topology._adj
+    p2c = Relationship.P2C
+    finished: dict[int, bool] = {}  # False while on the current path
+    for start in adj:
+        if start in finished:
+            continue
+        path, stack = [start], [iter(adj[start].items())]
+        finished[start] = False
+        while stack:
+            for j, rel in stack[-1]:
+                if rel is not p2c:
+                    if rel is None:
+                        raise PolicyError(f"edge {path[-1]}-{j} has no relationship")
+                elif j not in finished:
+                    finished[j] = False
+                    path.append(j)
+                    stack.append(iter(adj[j].items()))
+                    break
+                elif not finished[j]:
+                    cycle = path[path.index(j):] + [j]
+                    edges = ", ".join(f"{a}-{b}" for a, b in zip(cycle, cycle[1:]))
+                    raise PolicyError(f"provider-to-customer cycle through edges {edges}")
+            else:
+                stack.pop()
+                finished[path.pop()] = True
 
 
 @dataclass(frozen=True)

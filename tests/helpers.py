@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from catchmap import (
     AugmentedTopology,
@@ -23,10 +23,11 @@ from catchmap import (
     generate_random_topology,
 )
 from catchmap.cli import random_instance  # noqa: F401  (re-exported)
-from catchmap.errors import InfeasibleOracleError, InputError
-from catchmap.inference import RouteProbabilities
+from catchmap.errors import CapacityError, InfeasibleOracleError, InputError
+from catchmap.inference import RouteProbabilities, RoutingFunction
 from catchmap.oracles import OracleSet, _check_observed
-from catchmap.rgraph import RGraph, topological_order
+from catchmap.planner import ObjectiveWeights
+from catchmap.rgraph import RGraph, exact_limit, topological_order
 
 DST = 9
 
@@ -188,3 +189,126 @@ def reference_monte_carlo(
         for n, dist in counts.items()
     }
     return probs, trials, accepted
+
+
+# Exact enumeration as it was written before the chooser form: one dict of
+# every node per outcome. Kept verbatim, but for their names and the
+# enumeration they call, as the oracles for ``enumerate_route_outcomes``,
+# ``exact_conditional_distribution`` and ``expected_nc(mode="exact")``,
+# which must give the same floats, in the same per-node key order.
+def reference_route_outcomes(g: RGraph) -> Iterator[tuple[float, dict[int, "str | None"]]]:
+    """Yield (probability, node-to-ingress map) for every tie-break choice.
+
+    Each outcome fixes one parent per node; its probability is the product
+    of the graph's tie weights. A node directly attached to the root always
+    takes the direct edge — its ingress is the scenario's ground truth, not
+    a tie to roll — so it contributes no randomness. Zero-probability
+    outcomes are skipped. Unreachable nodes and the root map to None.
+    Raises CapacityError, before yielding anything, when ``exact_limit``
+    rejects the graph.
+    """
+    reason = exact_limit(g)
+    if reason is not None:
+        raise CapacityError(reason)
+    choosers: list[int] = []
+    domains: list[tuple[tuple[int, float], ...]] = []
+    for n in topological_order(g):
+        parents = g.parents[n]
+        if not parents:
+            continue
+        if g.root in parents:
+            domains.append(((g.root, 1.0),))
+        else:
+            domains.append(tuple(zip(parents, g.tie_weights(n))))
+        choosers.append(n)
+    base: dict[int, str | None] = {
+        n: None for n in g.nodes if not g.parents[n]
+    }
+    for combo in itertools.product(*domains):
+        weight = 1.0
+        for _, p in combo:
+            weight *= p
+        if weight == 0.0:
+            continue
+        ingress_of = dict(base)
+        for n, (choice, _) in zip(choosers, combo):
+            if choice == g.root:
+                ingress_of[n] = g.ingress_map[n]
+            else:
+                ingress_of[n] = ingress_of[choice]
+        yield weight, ingress_of
+
+
+def reference_exact_posterior(
+    g: RGraph, oracles: OracleSet | Mapping[int, str] | None = None
+) -> RouteProbabilities:
+    """Exact per-node posterior given the observations, by full enumeration.
+
+    Conditions the tie-break outcome space on agreement with every
+    observation and renormalizes. With no observations this equals the
+    forward probabilistic pass. Guarded by ``exact_limit``.
+    """
+    observed = _check_observed(g, oracles)
+    mass: dict[int, dict[str, float]] = {n: {} for n in g.nodes}
+    total = 0.0
+    for weight, ingress_of in reference_route_outcomes(g):
+        if any(ingress_of[x] != m for x, m in observed):
+            continue
+        total += weight
+        for n, ingress in ingress_of.items():
+            if ingress is not None:
+                mass[n][ingress] = mass[n].get(ingress, 0.0) + weight
+    if total == 0.0:
+        raise InfeasibleOracleError("observations rule out every tie-break outcome")
+    return {
+        n: {ingress: w / total for ingress, w in dist.items()}
+        for n, dist in mass.items()
+    }
+
+
+def reference_exact_nc(
+    g: RGraph,
+    routes: RoutingFunction,
+    measured: Iterable[int],
+    weights: ObjectiveWeights | None = None,
+) -> float:
+    """``expected_nc(g, routes, probs, measured, mode="exact", weights=weights)``
+    by the dict-per-outcome loop: the expected objective after measuring the
+    given nodes, conditioned on the already-pinned routes."""
+    weights = weights or ObjectiveWeights()
+    measured = sorted(set(measured))
+    pinned = [(n, m) for n, m in sorted(routes.items()) if m is not None]
+
+    # per joint outcome of the measured nodes: accumulated mass, and for every
+    # reporting node either its constant ingress or a conflict marker
+    signatures: dict[tuple, dict] = {}
+    total = 0.0
+    for mass, ingress_of in reference_route_outcomes(g):
+        if any(ingress_of[n] != m for n, m in pinned):
+            continue
+        total += mass
+        sig = tuple(ingress_of[n] for n in measured)
+        entry = signatures.setdefault(sig, {"mass": 0.0, "values": {}})
+        entry["mass"] += mass
+        values = entry["values"]
+        for n in g.report_nodes:
+            current = ingress_of[n]
+            if n not in values:
+                values[n] = current
+            elif values[n] != current:
+                values[n] = _CONFLICT
+    if total == 0.0:
+        raise InputError("pinned routes are inconsistent with the forwarding graph")
+
+    value = 0.0
+    for entry in signatures.values():
+        nc = sum(
+            weights.weight(n)
+            for n, v in entry["values"].items()
+            if v is not None and v is not _CONFLICT
+        )
+        value += (entry["mass"] / total) * nc
+    return value
+
+
+_CONFLICT = object()

@@ -124,7 +124,7 @@ def test_a04_route_probabilities_exact_and_monte_carlo():
         totals: dict[int, dict[str, float]] = {n: {} for n in g.report_nodes}
         for weight, outcome in enumerate_route_outcomes(g):
             for node in g.report_nodes:
-                ingress = outcome.get(node)
+                ingress = g.chooser_form.ingress(outcome, node)
                 if ingress is not None:
                     bucket = totals[node]
                     bucket[ingress] = bucket.get(ingress, 0.0) + weight

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import random
 
@@ -11,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catchmap import (
+    ObjectiveWeights,
     RGraph,
     apply_oracles,
     build_rgraph,
     certain_inference,
+    expected_nc,
     monte_carlo_inference,
     nonsupermodularity_witness,
     parse_oracle_file,
@@ -36,6 +39,7 @@ from catchmap.oracles import (
     enumerate_route_outcomes,
     exact_conditional_distribution,
 )
+from catchmap.rgraph import exact_limit
 
 import helpers
 
@@ -284,9 +288,10 @@ class TestExactConditioning:
 
     def test_outcome_weights_form_a_distribution(self, example_graph):
         total = 0.0
-        for weight, assign in enumerate_route_outcomes(example_graph):
+        form = example_graph.chooser_form
+        for weight, picks in enumerate_route_outcomes(example_graph):
             assert weight > 0
-            assert assign[helpers.DST] is None
+            assert form.ingress(picks, helpers.DST) is None
             total += weight
         assert math.isclose(total, 1.0, abs_tol=1e-12)
 
@@ -562,3 +567,112 @@ class TestSameStreamAsReference:
         # single trial is rejected for some seeds
         assert assert_same_as_reference(example_graph, 40, seed, {7: "m2"}) is None
         assert_same_as_reference(example_graph, 1, seed, {8: "m1"})
+
+
+def chooser_form_instance(idx):
+    """A random graph of 6–14 nodes, unequal tie weights on every other one,
+    0–2 observations read off one sampled outcome, 0–3 measured nodes, and
+    fractional objective weights on every third."""
+    g = build_rgraph(helpers.random_instance(
+        idx, num_nodes=5 + idx % 9, avg_degree=2.6 + 0.3 * (idx % 5), seed_base=11_000,
+    ))
+    rng = random.Random(idx)
+    if idx % 2:
+        g = g.with_tie_probs(helpers.random_tie_probs(g, rng))
+    oracles = feasible_observations(g, idx % 3, seed=idx)
+    measured = rng.sample(g.report_nodes, rng.randrange(4))
+    weights = None
+    if idx % 3 == 0:
+        weights = ObjectiveWeights(
+            weights={n: rng.choice((0.1, 0.3, 0.7, 1.9, 2.25)) for n in g.report_nodes}
+        )
+    return g, oracles, measured, weights
+
+
+class TestChooserFormSameAsReference:
+    """The exact passes, run on the chooser form, give what the one-dict-per-
+    outcome loops give: equal floats, in the same per-node key order."""
+
+    @staticmethod
+    def assert_same_as_reference(g, oracles, measured, weights=None):
+        form = g.chooser_form
+        for (weight, picks), (ref_weight, ingress_of) in itertools.zip_longest(
+            enumerate_route_outcomes(g), helpers.reference_route_outcomes(g)
+        ):
+            assert weight == ref_weight
+            assert {n: form.ingress(picks, n) for n in g.nodes} == ingress_of
+
+        post = exact_conditional_distribution(g, oracles)
+        ref = helpers.reference_exact_posterior(g, oracles)
+        assert [(n, list(d.items())) for n, d in post.items()] == [
+            (n, list(d.items())) for n, d in ref.items()
+        ]
+
+        routes = certain_inference(g)
+        probs = probabilistic_inference(g, routes)
+        routes = apply_oracles(g, routes, probs, oracles).routes
+        value = expected_nc(g, routes, probs, measured, mode="exact", weights=weights)
+        assert value == helpers.reference_exact_nc(g, routes, measured, weights)
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_random_instances(self, chunk):
+        for idx in range(55 * chunk, 55 * (chunk + 1)):
+            g, oracles, measured, weights = chooser_form_instance(idx)
+            assert 6 <= len(g.nodes) <= 14 and exact_limit(g) is None
+            self.assert_same_as_reference(g, oracles, measured, weights)
+
+    @pytest.mark.parametrize("edges", [ROOT_ATTACHED_WITH_PARENT, PARENTLESS_FEEDER])
+    def test_fixtures_with_zero_weights(self, edges):
+        g = RGraph.from_edges(0, edges, {1: "a", 2: "b"})
+        rng = random.Random(7)
+        for ties in ({}, helpers.random_tie_probs(g, rng), zero_tie_probs(g, rng)):
+            h = g.with_tie_probs(ties)
+            for k in range(3):
+                oracles = feasible_observations(h, k, seed=k)
+                self.assert_same_as_reference(h, oracles, [3, 4, 5][k:])
+
+    def test_infeasible_observations_raise_the_same_error(self):
+        g = RGraph.from_edges(0, ROOT_ATTACHED_WITH_PARENT, {1: "a", 2: "b"})
+        for oracles in ({2: "a"}, {1: "b"}, {3: "a", 4: "a", 5: "b"}):
+            with pytest.raises(InfeasibleOracleError) as caught:
+                helpers.reference_exact_posterior(g, oracles)
+            with pytest.raises(InfeasibleOracleError, match=str(caught.value)):
+                exact_conditional_distribution(g, oracles)
+
+    def test_inconsistent_pins_raise_the_same_error(self):
+        g = RGraph.from_edges(0, ROOT_ATTACHED_WITH_PARENT, {1: "a", 2: "b"})
+        routes = {n: None for n in g.nodes}
+        for pins in ({2: "a"}, {3: "a", 4: "a", 5: "b"}):
+            with pytest.raises(InputError) as caught:
+                helpers.reference_exact_nc(g, {**routes, **pins}, [3])
+            with pytest.raises(InputError, match=str(caught.value)):
+                expected_nc(g, {**routes, **pins}, {}, [3], mode="exact")
+
+
+def test_every_node_gets_its_own_posterior_dict():
+    # 3 is a chooser; 4 and 5 copy it, so their posteriors are equal but
+    # must not be one shared dict
+    g = RGraph.from_edges(0, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5)], {1: "a", 2: "b"})
+    for post in (exact_conditional_distribution(g), monte_carlo_inference(g, 50).probs):
+        assert post[3] == post[4] == post[5] and post[3]
+        assert len({id(dist) for dist in post.values()}) == len(post)
+
+
+class TestOneParentTieWeight:
+    """An override on a node with one parent is weight 1.0 in every pass."""
+
+    def test_forward_exact_and_sampled_passes_agree(self):
+        g = RGraph.from_edges(
+            0, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)], {1: "m1", 2: "m2"},
+            tie_probs={4: {3: 1 - 5e-10}},
+        )
+        assert g.tie_weights(4) == [1.0]
+        forward = probabilistic_inference(g, certain_inference(g))
+        assert forward[4] == forward[3] == {"m1": 0.5, "m2": 0.5}
+        exact = exact_conditional_distribution(g)
+        assert exact[4] == exact[3] == {"m1": 0.5, "m2": 0.5}
+        trials = 4000
+        est = monte_carlo_inference(g, trials=trials, seed=2)
+        assert est.probs[4] == est.probs[3]
+        sigma = math.sqrt(0.25 / trials)
+        assert abs(est.probs[4]["m1"] - 0.5) <= 4 * sigma

@@ -160,6 +160,36 @@ class TestBruteForceEligiblePaths:
             brute_force_eligible_paths(aug)
 
 
+class TestChooserForm:
+    def test_example_form(self, example_graph):
+        form = example_graph.chooser_form
+        # 4 hears 1 and 2, 7 hears 1 and 3, 8 hears 5 and 6; 6 copies 4
+        assert form.choosers == (4, 7, 8)
+        assert form.fixed == {helpers.DST: None, 1: "m1", 2: "m2", 3: "m1", 5: "m2"}
+        assert form.follows == {4: 0, 6: 0, 7: 1, 8: 2}
+        assert form.ingress(("m2", "m1", "m1"), 6) == "m2"
+        assert form.ingress(("m2", "m1", "m1"), 3) == "m1"
+
+    def test_root_attached_and_parentless_nodes_are_fixed(self):
+        # 2 is attached to the root and also hears 1; 9 has no parent
+        g = RGraph.from_edges(
+            0, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (9, 3), (9, 4), (4, 5), (3, 6)],
+            {1: "a", 2: "b"},
+        )
+        form = g.chooser_form
+        assert form.choosers == (3,)
+        assert form.fixed == {0: None, 1: "a", 2: "b", 9: None, 4: None, 5: None}
+        assert form.follows == {3: 0, 6: 0}
+
+    def test_derived_once_per_graph(self, example_graph):
+        assert example_graph.chooser_form is example_graph.chooser_form
+        assert "chooser_form" not in vars(build_rgraph(helpers.example_aug()))
+
+    def test_ingress_points_sorted_once(self):
+        g = RGraph.from_edges(0, [(0, 1), (0, 2), (0, 3)], {1: "z", 2: "a", 3: "z"})
+        assert g.ingress_points == ("a", "z")
+
+
 class TestExactLimit:
     def test_counts_the_outcomes_enumeration_yields(self, monkeypatch):
         # a root-attached node (2 here, also fed by 1) takes the direct edge

@@ -123,23 +123,39 @@ class TestPolicies:
         assert not vf.exports(1, 4, 3)
         assert not vf.exports(1, 3, 4)
 
-    def test_pref_override_wins(self):
+    def test_provider_cycle_is_named(self):
+        # 1 is a provider of 2, 2 of 3, 3 of 1; node 4 hangs off the cycle
+        topo = Topology()
+        for provider, customer in [(1, 2), (2, 3), (3, 1), (3, 4)]:
+            topo.add_edge(provider, customer, Relationship.P2C)
+        with pytest.raises(PolicyError, match=r"cycle through edges 1-2, 2-3, 3-1$"):
+            derive_vf_policies(topo)
+
+    def test_provider_cycle_behind_acyclic_part(self):
         topo = Topology()
         topo.add_edge(1, 2, Relationship.P2C)
-        vf = derive_vf_policies(topo)
-        vf.override_pref(1, 2, 0.5)
-        assert vf.local_pref(1, 2) == 0.5
+        topo.add_edge(2, 3, Relationship.P2P)
+        topo.add_edge(3, 4, Relationship.P2C)
+        topo.add_edge(4, 5, Relationship.P2C)
+        derive_vf_policies(topo)
+        topo.add_edge(5, 3, Relationship.P2C)
+        with pytest.raises(PolicyError, match=r"cycle through edges 3-4, 4-5, 5-3$"):
+            derive_vf_policies(topo)
 
-    def test_validate_flags_asymmetric_export_at_equal_pref(self):
+    def test_long_provider_cycle_needs_no_recursion(self):
+        n = 5000
         topo = Topology()
-        topo.add_edge(1, 2, Relationship.P2P)
-        topo.add_edge(1, 3, Relationship.P2P)
+        for i in range(n):
+            topo.add_edge(i, (i + 1) % n, Relationship.P2C)
+        with pytest.raises(PolicyError, match=f"{n - 1}-0$"):
+            derive_vf_policies(topo)
+
+    def test_peer_cycle_is_allowed(self):
+        topo = Topology()
+        for a, b in [(1, 2), (2, 3), (3, 1)]:
+            topo.add_edge(a, b, Relationship.P2P)
         topo.add_edge(1, 4, Relationship.P2C)
-        vf = derive_vf_policies(topo)
-        vf.validate()
-        vf.override_export(1, 2, 4, False)
-        with pytest.raises(PolicyError):
-            vf.validate()
+        assert derive_vf_policies(topo).has_policies
 
 
 class TestCaidaParser:
@@ -309,6 +325,6 @@ class TestGenerator:
             n, avg_degree=2.5, peer_fraction=peers, seed=seed
         )
         vf = derive_vf_policies(topo)
-        vf.validate()  # antisymmetry + export consistency
+        vf.validate()  # antisymmetry
         assert vf.num_nodes == n
         assert vf.num_edges >= n - 1  # spanning structure
