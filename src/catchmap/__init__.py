@@ -61,6 +61,7 @@ from .rgraph import (
     enumerate_rpaths,
     rgraph_dot,
     rgraph_edgelist,
+    simulated_parents,
     topological_order,
 )
 from .scenario import (
@@ -101,8 +102,8 @@ __all__ = [
     "SimResult", "run_bgp", "simulated_catchment", "export_sim_csv",
     # forwarding graph
     "RGraph", "PathEnumeration", "build_rgraph", "topological_order",
-    "enumerate_rpaths", "brute_force_eligible_paths", "rgraph_edgelist",
-    "rgraph_dot",
+    "enumerate_rpaths", "brute_force_eligible_paths", "simulated_parents",
+    "rgraph_edgelist", "rgraph_dot",
     # inference
     "RoutingFunction", "RouteProbabilities", "certain_inference",
     "probabilistic_inference", "shortest_path_transform", "expected_load",

@@ -36,7 +36,9 @@ from .planner import (
     nonsupermodularity_witness,
     random_plan_values,
 )
-from .rgraph import brute_force_eligible_paths, build_rgraph, enumerate_rpaths
+from .rgraph import (
+    brute_force_eligible_paths, build_rgraph, enumerate_rpaths, simulated_parents,
+)
 from .scenario import (
     compare_with_simulation,
     parse_scenario_file,
@@ -376,14 +378,16 @@ def random_instance(
 
 def path_mismatches(instances: list[AugmentedTopology]) -> list[tuple[int, int]]:
     """``(position, node)`` wherever the forwarding graph's path set differs
-    from the brute-forced eligible paths."""
+    from the brute-forced eligible paths, or its parents from the ones the
+    seeded simulator offers (``simulated_parents``)."""
     bad = []
     for idx, aug in enumerate(instances):
         g = build_rgraph(aug)
         brute = brute_force_eligible_paths(aug)
-        for node in g.report_nodes:
-            if enumerate_rpaths(g, node).paths != brute[node]:
-                bad.append((idx, node))
+        simulated = simulated_parents(aug)
+        wrong = {n for n in g.report_nodes if enumerate_rpaths(g, n).paths != brute[n]}
+        wrong.update(n for n, ps in simulated.items() if g.parents[n] != ps)
+        bad += [(idx, n) for n in sorted(wrong)]
     return bad
 
 

@@ -65,17 +65,14 @@ def _mixed_distribution(
     assigned = routes.get(node)
     if assigned is not None:
         return {assigned: 1.0}
-    mixed: dict[str, float] = {}
     parents = g.parents[node]
+    if g.root in parents:
+        # attached to the root: enters through its own attachment, as in
+        # every exact pass (``RGraph.chooser_form``)
+        return {g.ingress_map[node]: 1.0}
+    mixed: dict[str, float] = {}
     for parent, weight in zip(parents, g.tie_weights(node)):
         if weight == 0.0:
-            continue
-        if parent == g.root:
-            # an uncertain node directly attached to the root enters
-            # through its own attachment with that tie's probability
-            mixed[g.ingress_map[node]] = (
-                mixed.get(g.ingress_map[node], 0.0) + weight
-            )
             continue
         for ingress, p in out[parent].items():
             if p == 0.0:

@@ -1,9 +1,12 @@
 """Forwarding graphs: every next hop a node may end up using.
 
-One propagation run yields, per node, the set of neighbors offering a
-route in the node's maximal preference class. Those neighbors become the
-node's parents in a directed acyclic graph rooted at the destination; any
+A node's parents are the neighbors that offer it a route in its best
+preference class. Under valley-free policies that class (customer, peer or
+provider) follows from the relationships alone, and three breadth-first
+passes find it for every node at once. The parents make a directed acyclic graph rooted at the destination; any
 root-to-node path in it is a route the node could take under some tie-break.
+``simulated_parents`` reads the same parent sets off the seeded path-vector
+simulator, as an independent cross-check of the builder.
 
 ``brute_force_eligible_paths`` recomputes the same path sets by exhaustively
 enumerating tie-break choices and re-running propagation for each, sharing no
@@ -12,6 +15,7 @@ enumeration yields the path sets of every node at once.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import itertools
@@ -21,8 +25,10 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
 from .bgpsim import Path, run_bgp
-from .errors import CapacityError, ConvergenceError, CycleError, InputError, UnknownNodeError
-from .topology import AugmentedTopology
+from .errors import (
+    CapacityError, ConvergenceError, CycleError, InputError, PolicyError, UnknownNodeError,
+)
+from .topology import AugmentedTopology, Relationship, _check_hierarchy
 
 logger = logging.getLogger(__name__)
 
@@ -237,32 +243,102 @@ def _validated_tie_probs(
     return {node: dict(given) for node, given in tie_probs.items()}
 
 
-def build_rgraph(aug: AugmentedTopology) -> RGraph:
-    """Derive the forwarding graph from one propagation run.
+# route classes, best first; the destination originates the route
+_ORIGIN, _CUSTOMER, _PEER, _PROVIDER = range(4)
 
-    A node's parents are every neighbor whose fixed-point offer sits in the
-    node's maximal local-preference class. The run uses seed 0: tie-breaks
-    only pick among those offers, and tests check on random instances that
-    other seeds leave every node's maximal-class offer set unchanged.
+
+def build_rgraph(aug: AugmentedTopology) -> RGraph:
+    """Derive the forwarding graph from each node's route class.
+
+    Under valley-free policies a node's best routes all sit in one class,
+    and the relationships alone say which (Gao & Rexford, 2001). The
+    destination originates the route through its own relationship on each
+    attachment edge. A node is customer-class if a customer of it is the
+    destination or customer-class; otherwise peer-class if a peer of it is;
+    otherwise provider-class if a provider of it is routed at all. A node's
+    parents are the neighbors, the destination included, that offer it a
+    route in its class. Three passes that read each edge at most once per
+    direction: O(N+E). ``simulated_parents`` reads the same parent sets off
+    a full propagation run, as a cross-check.
+
+    Raises PolicyError if the destination's attachments close a provider
+    cycle; the base topology's hierarchy was checked when its policies were
+    derived.
     """
-    result = run_bgp(aug, 0)
+    topology = aug.topology
+    root = aug.n_dst
+    if not topology.has_policies:
+        raise PolicyError("local preferences are not set; derive policies first")
+    rels = topology.relationships
+    # only a customer of the destination or of its prepending chains can
+    # close a cycle the base topology's check did not see
+    root_side = aug.virtual_nodes | {root}
+    if any(
+        rel is Relationship.P2C and j not in root_side
+        for n in root_side for j, rel in rels(n).items()
+    ):
+        _check_hierarchy(topology)
+
+    cls = {root: _ORIGIN}
+    # the destination and the customer class: every neighbor hears them
+    offering = [root]
+    for n in offering:
+        for j, rel in rels(n).items():
+            if rel is Relationship.C2P and j not in cls:
+                cls[j] = _CUSTOMER
+                offering.append(j)
+    for n in offering:
+        for j, rel in rels(n).items():
+            if rel is Relationship.P2P and j not in cls:
+                cls[j] = _PEER
+    routed = list(cls)  # every routed node exports to its customers
+    for n in routed:
+        for j, rel in rels(n).items():
+            if rel is Relationship.P2C and j not in cls:
+                cls[j] = _PROVIDER
+                routed.append(j)
+
+    wanted = {_CUSTOMER: Relationship.P2C, _PEER: Relationship.P2P}
+    parents: dict[int, tuple[int, ...]] = {}
+    for n in topology.nodes():
+        if n == root:
+            continue
+        c = cls.get(n)
+        if c is None:
+            parents[n] = ()
+        elif c == _PROVIDER:
+            parents[n] = tuple(
+                j for j, rel in rels(n).items() if rel is Relationship.C2P and j in cls
+            )
+        else:
+            parents[n] = tuple(
+                j for j, rel in rels(n).items()
+                if rel is wanted[c] and cls.get(j, _PROVIDER) <= _CUSTOMER
+            )
+    g = RGraph.from_parent_map(
+        root, aug.ingress_map, parents, nodes=topology.nodes(), report_nodes=aug.real_nodes,
+    )
+    if logger.isEnabledFor(logging.DEBUG):
+        counts = collections.Counter(cls.values())
+        logger.debug(
+            "forwarding graph: %d nodes, %d edges; route classes: %d customer, "
+            "%d peer, %d provider, %d no route",
+            len(g.nodes), g.num_edges, counts[_CUSTOMER], counts[_PEER],
+            counts[_PROVIDER], topology.num_nodes - len(cls),
+        )
+    return g
+
+
+def simulated_parents(aug: AugmentedTopology, seed: int = 0) -> dict[int, tuple[int, ...]]:
+    """Each non-destination node's maximal-class offer set, sorted, read off
+    the RIBs of one ``run_bgp`` run: the parents ``build_rgraph`` must give."""
+    result = run_bgp(aug, seed)
     topology = aug.topology
     parents: dict[int, tuple[int, ...]] = {}
     for node, offers in result.ribs.items():
-        if not offers:
-            parents[node] = ()
-            continue
-        best_pref = max(topology.local_pref(node, k) for k in offers)
-        parents[node] = tuple(
-            sorted(k for k in offers if topology.local_pref(node, k) == best_pref)
-        )
-    return RGraph.from_parent_map(
-        aug.n_dst,
-        aug.ingress_map,
-        parents,
-        nodes=topology.nodes(),
-        report_nodes=aug.real_nodes,
-    )
+        best = max((topology.local_pref(node, k) for k in offers), default=None)
+        parents[node] = tuple(sorted(k for k in offers if topology.local_pref(node, k) == best))
+    return parents
 
 
 def _kahn_order(

@@ -125,6 +125,14 @@ class Topology:
         except KeyError:
             raise UnknownNodeError(f"node {node} not in topology") from None
 
+    def relationships(self, node: int) -> Mapping[int, Relationship | None]:
+        """Each neighbor of ``node`` with the relationship seen from ``node``.
+        A view of the topology itself: read it, do not modify it."""
+        try:
+            return self._adj[node]
+        except KeyError:
+            raise UnknownNodeError(f"node {node} not in topology") from None
+
     def relationship(self, i: int, j: int) -> Relationship | None:
         try:
             return self._adj[i][j]

@@ -22,6 +22,7 @@ from catchmap import (
 )
 from catchmap.errors import InputError
 from catchmap.inference import update_probabilistic_inference
+from catchmap.oracles import exact_conditional_distribution
 
 import helpers
 
@@ -58,6 +59,20 @@ def test_example_route_probabilities(example_graph, example_routes):
         assert set(got) == set(expected)
         for m, p in expected.items():
             assert close(got[m], p), (node, m, got)
+
+
+def test_unpinned_root_attached_node_enters_through_its_own_attachment():
+    # 2 is attached to the root and also hears 1; nothing pins it here
+    g = RGraph.from_edges(0, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], {1: "a", 2: "b"})
+    unpinned = {n: None for n in g.nodes}
+    probs = probabilistic_inference(g, unpinned)
+    exact = exact_conditional_distribution(g)
+    assert probs[2] == exact[2] == {"b": 1.0}
+    assert probs[3] == exact[3] == {"a": 0.5, "b": 0.5}
+    routes = {**unpinned, 1: "a"}
+    assert update_probabilistic_inference(g, probs, routes, [1]) == (
+        probabilistic_inference(g, routes)
+    )
 
 
 def test_certain_nodes_probability_one(example_graph, example_routes, example_probs):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import collections
+import random
+
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,16 +15,19 @@ from catchmap import (
     RGraph,
     Relationship,
     Topology,
+    apply_prepending,
     attach_destination,
     build_rgraph,
     derive_vf_policies,
     enumerate_rpaths,
-    run_bgp,
+    generate_random_topology,
+    parse_caida_asrel,
     shortest_path_transform,
+    simulated_parents,
     topological_order,
 )
-from catchmap.cli import path_mismatches
-from catchmap.errors import CapacityError, CycleError
+from catchmap.cli import main, path_mismatches
+from catchmap.errors import CapacityError, CycleError, PolicyError
 from catchmap.oracles import enumerate_route_outcomes
 from catchmap.rgraph import (
     MAX_EXACT_NODES,
@@ -49,27 +56,185 @@ def test_chain_becomes_reversed_chain():
     assert set(g.edges()) == {(aug.n_dst, 3), (3, 2), (2, 1)}
 
 
-def _max_preference_offers(aug, seed):
-    """Per node, the neighbors whose fixed-point offer is in its best class."""
-    topo = aug.topology
-    offers = {}
-    for node, rib in run_bgp(aug, seed).ribs.items():
-        best = max((topo.local_pref(node, k) for k in rib), default=None)
-        offers[node] = tuple(sorted(k for k in rib if topo.local_pref(node, k) == best))
-    return offers
-
-
 def test_seed_invariance():
-    # what lets build_rgraph propagate with one fixed seed
+    # what lets simulated_parents cross-check the builder with one fixed seed
     for idx in range(30):
         aug = helpers.random_instance(idx, num_nodes=6 + idx % 7)
-        offers = _max_preference_offers(aug, 0)
+        offers = simulated_parents(aug, 0)
         for s in (1, 99):
-            assert _max_preference_offers(aug, s) == offers, (
+            assert simulated_parents(aug, s) == offers, (
                 f"instance {idx}: seed {s} changes a maximal-class offer set"
             )
         g = build_rgraph(aug)
         assert {n: g.parents[n] for n in offers} == offers
+
+
+def _one_of_each_class():
+    # 1 provides 2, 2 peers with 3, 3 provides 4, 4 peers with 5; the
+    # destination (6) is a customer of 2
+    topo = parse_caida_asrel("1|2|-1\n2|3|0\n3|4|-1\n4|5|0\n")
+    return attach_destination(derive_vf_policies(topo), DestinationSpec(attachments={2: "m"}))
+
+
+def test_one_node_of_each_route_class():
+    aug = _one_of_each_class()
+    g = build_rgraph(aug)
+    # 2 and 1 customer class, 3 peer, 4 provider; 5 hears nothing, since 4
+    # exports a route from its provider to customers only
+    assert dict(g.parents) == {1: (2,), 2: (6,), 3: (2,), 4: (3,), 5: (), 6: ()}
+    assert list(g.parents)[:5] == list(aug.topology.nodes())[:5]
+
+
+def test_build_logs_graph_size_and_route_classes(caplog):
+    with caplog.at_level("DEBUG", logger="catchmap.rgraph"):
+        build_rgraph(_one_of_each_class())
+    assert (
+        "forwarding graph: 6 nodes, 4 edges; route classes: 2 customer, "
+        "1 peer, 1 provider, 1 no route"
+    ) in caplog.messages
+
+
+def test_build_needs_policies():
+    topo = Topology()
+    topo.add_edge(1, 2, Relationship.P2C)
+    with pytest.raises(PolicyError, match="derive policies first"):
+        build_rgraph(attach_destination(topo, DestinationSpec(attachments={2: "m"})))
+
+
+class TestDestinationCycle:
+    """A ``p2c`` attachment makes the destination a provider; with a ``c2p``
+    one above it, the attachments can close a provider cycle."""
+
+    # 1 provides 2, 2 provides 3
+    CHAIN = "1|2|-1\n2|3|-1\n"
+
+    def _aug(self, attachments, rels):
+        topo = derive_vf_policies(parse_caida_asrel(self.CHAIN))
+        return attach_destination(
+            topo, DestinationSpec(attachments=attachments, attachment_rels=rels)
+        )
+
+    def test_cycle_through_the_destination_named(self):
+        # the destination (4) provides 1 and is a customer of 3
+        aug = self._aug({1: "m1", 3: "m2"}, {1: Relationship.P2C})
+        with pytest.raises(PolicyError, match=r"cycle through edges 1-2, 2-3, 3-4, 4-1$"):
+            build_rgraph(aug)
+
+    def test_cycle_through_a_prepending_chain_named(self):
+        # both attachments share m; prepending moves the cycle from the
+        # destination to the chain's last node
+        aug = self._aug({1: "m", 3: "m"}, {1: Relationship.P2C})
+        prepended = apply_prepending(aug, "m", 2)
+        with pytest.raises(PolicyError, match="provider-to-customer cycle"):
+            build_rgraph(prepended)
+
+    def test_provider_attachment_below_a_customer_attachment_builds(self):
+        # the destination is a customer of 1 and a provider of 3: no cycle
+        aug = self._aug({1: "m1", 3: "m2"}, {3: Relationship.P2C})
+        g = build_rgraph(aug)
+        assert dict(g.parents) == {1: (4,), 2: (1,), 3: (2, 4), 4: ()}
+        assert simulated_parents(aug) == {1: (4,), 2: (1,), 3: (2, 4)}
+
+    def test_run_command_fails_with_the_cycle(self, tmp_path):
+        (tmp_path / "rel.txt").write_text(self.CHAIN)
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(
+            "topology file rel.txt\nattach 1 m1 p2c\nattach 3 m2\nmode probabilistic\n"
+        )
+        result = CliRunner().invoke(
+            main, ["run", str(scenario), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code != 0
+        assert "provider-to-customer cycle through edges" in result.output
+        assert not (tmp_path / "out").exists()
+
+
+def _provider_cycle(topology) -> bool:
+    """Whether provider-to-customer edges close a cycle: Kahn's algorithm on them."""
+    customers = {
+        n: [j for j in topology.neighbors(n) if topology.relationship(n, j) == Relationship.P2C]
+        for n in topology.nodes()
+    }
+    providers = dict.fromkeys(customers, 0)
+    for cs in customers.values():
+        for c in cs:
+            providers[c] += 1
+    ready = [n for n, count in providers.items() if count == 0]
+    done = 0
+    while ready:
+        done += 1
+        for c in customers[ready.pop()]:
+            providers[c] -= 1
+            if providers[c] == 0:
+                ready.append(c)
+    return done < len(customers)
+
+
+def _policy_instance(seed):
+    """Random scenario of 8-60 nodes with 2-4 attachments of any relationship.
+
+    A fifth are MOAS; the rest label the i-th attachment ``m<i>`` or, three
+    times in ten, ``m<j>`` for some j < i, which may share an ingress. Two
+    in five get 1-3 prepending chains.
+    Returns the augmented topology and the features drawn.
+    """
+    rng = random.Random(seed)
+    topo = derive_vf_policies(generate_random_topology(
+        rng.randint(8, 60), peer_fraction=rng.choice((0.1, 0.3)), seed=seed
+    ))
+    picks = rng.sample(sorted(topo.nodes()), rng.randint(2, 4))
+    rels = {n: rng.choice(list(Relationship)) for n in picks}
+    features = {rel.name for rel in rels.values()}
+    if rng.random() < 0.2:
+        spec = DestinationSpec(moas_origins=tuple(picks), attachment_rels=rels)
+        features.add("moas")
+    else:
+        labels = [f"m{rng.randrange(i)}" if i and rng.random() < 0.3 else f"m{i}"
+                  for i in range(len(picks))]
+        spec = DestinationSpec(attachments=dict(zip(picks, labels)), attachment_rels=rels)
+        if len(set(labels)) < len(labels):
+            features.add("shared")
+    aug = attach_destination(topo, spec)
+    if rng.random() < 0.4:
+        for _ in range(rng.randint(1, 3)):
+            aug = apply_prepending(aug, rng.choice(aug.ingress_points), rng.randint(1, 3))
+        features.add("prepended")
+    return aug, features
+
+
+POLICY_SEEDS = range(320)
+
+
+def test_policy_instances_cover_every_case():
+    seen = collections.Counter()
+    for seed in POLICY_SEEDS:
+        aug, features = _policy_instance(seed)
+        seen.update(features)
+        seen["cycle" if _provider_cycle(aug.topology) else "acyclic"] += 1
+    assert min(seen[k] for k in ("C2P", "P2P", "P2C", "moas", "shared", "prepended")) >= 30
+    assert seen["cycle"] >= 5 and seen["acyclic"] >= 250
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_builder_matches_the_simulator(chunk):
+    """Route classes and one propagation run give the same graph; the
+    simulator stands for the builder that read its RIBs."""
+    for seed in POLICY_SEEDS[chunk::4]:
+        aug, _ = _policy_instance(seed)
+        if _provider_cycle(aug.topology):
+            with pytest.raises(PolicyError, match="provider-to-customer cycle"):
+                build_rgraph(aug)
+            continue
+        g = build_rgraph(aug)
+        want = RGraph.from_parent_map(
+            aug.n_dst, aug.ingress_map, simulated_parents(aug),
+            nodes=aug.topology.nodes(), report_nodes=aug.real_nodes,
+        )
+        assert g.parents == want.parents, f"seed {seed}"
+        assert list(g.parents) == list(want.parents)
+        assert (g.order, g.nodes, g.report_nodes, g.ingress_map) == (
+            want.order, want.nodes, want.report_nodes, want.ingress_map
+        )
 
 
 def test_parents_share_maximal_preference(example_aug):
@@ -153,6 +318,15 @@ class TestBruteForceEligiblePaths:
 
     def test_matches_forwarding_graph_on_small_instances(self):
         assert not path_mismatches([helpers.random_instance(idx) for idx in range(25)])
+
+    def test_flags_parents_the_simulator_does_not_offer(self, monkeypatch):
+        aug = helpers.random_instance(3)
+        simulated = simulated_parents(aug)
+        node = next(n for n, ps in simulated.items() if ps)
+        monkeypatch.setattr(
+            "catchmap.cli.simulated_parents", lambda aug: {**simulated, node: ()}
+        )
+        assert path_mismatches([aug]) == [(0, node)]
 
     def test_size_guard(self):
         aug = helpers.random_instance(0, num_nodes=20)
