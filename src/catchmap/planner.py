@@ -17,6 +17,8 @@ import itertools
 import logging
 import math
 import random
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -24,10 +26,11 @@ from .errors import CapacityError, InputError, UnknownNodeError
 from .inference import (
     RouteProbabilities,
     RoutingFunction,
+    _cone_order,
     probabilistic_inference,
     update_probabilistic_inference,
 )
-from .oracles import OracleSet, apply_oracles, outcomes_keeping
+from .oracles import OracleApplication, OracleSet, apply_oracles, outcomes_keeping
 from .rgraph import RGraph
 
 logger = logging.getLogger(__name__)
@@ -47,12 +50,15 @@ class ObjectiveWeights:
     costs: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison
         for node, w in self.weights.items():
-            if w < 0:
-                raise InputError(f"negative weight for node {node}")
+            if not 0 <= w <= sys.float_info.max:
+                raise InputError(
+                    f"weight for node {node} must be finite and non-negative, got {w}"
+                )
         for node, c in self.costs.items():
-            if c <= 0:
-                raise InputError(f"non-positive measurement cost for node {node}")
+            if not c > 0:
+                raise InputError(f"measurement cost for node {node} must be positive, got {c}")
 
     def weight(self, node: int) -> float:
         return self.weights.get(node, 1.0)
@@ -61,15 +67,46 @@ class ObjectiveWeights:
         return self.costs.get(node, 1.0)
 
 
-def _scored_nodes(g: RGraph, weights: ObjectiveWeights) -> list[tuple[int, float]]:
-    """``(node, weight)`` for every reporting node, in ``report_nodes`` order."""
-    return [(n, weights.weight(n)) for n in g.report_nodes]
+def _check_budget(budget: float) -> None:
+    # written so that a NaN budget fails too
+    if not budget >= 0:
+        raise InputError(f"budget must be a non-negative number, got {budget}")
 
 
-def _certain_value(
-    scored: list[tuple[int, float]], routes: RoutingFunction
-) -> float:
-    return sum(w for n, w in scored if routes.get(n) is not None)
+class _Objective:
+    """The objective on one graph, and how a branch's value is priced.
+
+    ``scored`` maps every reporting node to its weight, in ``report_nodes``
+    order. When ``carried`` is set, a branch extended by one measurement is
+    worth its parent's value plus the weights of the reporting nodes the
+    outcome pinned. That is exact, and independent of the order of the
+    additions, when every weight is a whole number and all of them together
+    stay within 2**53: no partial sum then rounds. Any other weights price
+    each branch by the ordered scan of ``value``.
+    """
+
+    def __init__(self, g: RGraph, weights: ObjectiveWeights) -> None:
+        self.scored = {n: weights.weight(n) for n in g.report_nodes}
+        explicit = weights.weights.values()
+        # nodes without an explicit weight count 1 each; counting every
+        # reporting node once more only makes the bound stricter
+        self.carried = all(float(w).is_integer() for w in explicit) and (
+            sum(int(w) for w in explicit) + len(g.report_nodes) <= 2**53
+        )
+
+    def value(self, routes: RoutingFunction) -> float:
+        """Total weight of the reporting nodes that ``routes`` pins."""
+        return sum(w for n, w in self.scored.items() if routes.get(n) is not None)
+
+    def extended(self, value: float, applied: OracleApplication) -> float:
+        """Value of a branch after ``applied``, from its parent's ``value``."""
+        if not self.carried:
+            return self.value(applied.routes)
+        for n in applied.pinned:
+            w = self.scored.get(n)  # None for the root and virtual chain nodes
+            if w is not None:
+                value += w
+        return value
 
 
 def conditional_nc(
@@ -80,9 +117,8 @@ def conditional_nc(
     weights: ObjectiveWeights | None = None,
 ) -> float:
     """Objective value after folding in one concrete set of outcomes."""
-    weights = weights or ObjectiveWeights()
     applied = apply_oracles(g, routes, probs, observations)
-    return _certain_value(_scored_nodes(g, weights), applied.routes)
+    return _Objective(g, weights or ObjectiveWeights()).value(applied.routes)
 
 
 # -- branch bookkeeping ---------------------------------------------------------
@@ -92,27 +128,39 @@ def conditional_nc(
 class _Branch:
     """One combination of outcomes, with its probability and inference state.
 
-    ``probs`` weighs the outcomes of the next measurement and guides
-    observation propagation; ``forward`` is the forward pass of ``routes``.
-    They are the same object except in the initial branch, whose ``probs``
-    are the caller's (possibly conditioned on earlier observations).
-    Branches share dictionaries with each other and never mutate them.
+    ``value`` is the objective on ``routes``. ``probs`` weighs the outcomes
+    of the next measurement and guides observation propagation;
+    ``forward`` is the forward pass of ``routes``. They are the same object
+    except in the initial branch, whose ``probs`` are the caller's (possibly
+    conditioned on earlier observations). Branches share dictionaries with
+    each other and never mutate them.
     """
 
     prob: float
+    value: float
     routes: RoutingFunction
     probs: RouteProbabilities
     forward: RouteProbabilities
 
 
 def _initial_branches(
-    g: RGraph, routes: RoutingFunction, probs: RouteProbabilities
+    g: RGraph,
+    routes: RoutingFunction,
+    probs: RouteProbabilities,
+    objective: _Objective,
+    forward: RouteProbabilities | None = None,
 ) -> list[_Branch]:
-    return [_Branch(1.0, routes, probs, probabilistic_inference(g, routes))]
+    if forward is None:
+        forward = probabilistic_inference(g, routes)
+    return [_Branch(1.0, objective.value(routes), routes, probs, forward)]
 
 
 def _extend_branches(
-    g: RGraph, branches: list[_Branch], node: int
+    g: RGraph,
+    branches: list[_Branch],
+    node: int,
+    objective: _Objective,
+    counts: Counter[str] | None = None,
 ) -> list[_Branch]:
     """Split every branch on the possible outcomes of measuring ``node``.
 
@@ -120,7 +168,8 @@ def _extend_branches(
     are recomputed forward with the graph's tie weights (their parent sets
     are untouched by new certainty); only the nodes the outcome pinned and
     those below them can change. Zero-probability outcomes are dropped.
-    Measuring a node with no possible route changes nothing.
+    Measuring a node with no possible route changes nothing. ``counts``,
+    when given, accumulates the branches evaluated and the nodes recomputed.
     """
     out: list[_Branch] = []
     for branch in branches:
@@ -135,28 +184,30 @@ def _extend_branches(
             refreshed = update_probabilistic_inference(
                 g, branch.forward, applied.routes, applied.pinned
             )
-            out.append(
-                _Branch(branch.prob * p, applied.routes, refreshed, refreshed)
-            )
+            if counts is not None:
+                counts["branches"] += 1
+                counts["cone nodes"] += len(_cone_order(g, applied.pinned))
+            out.append(_Branch(
+                branch.prob * p, objective.extended(branch.value, applied),
+                applied.routes, refreshed, refreshed,
+            ))
     return out
 
 
-def _branch_value(
-    branches: list[_Branch], scored: list[tuple[int, float]]
-) -> float:
-    return sum(b.prob * _certain_value(scored, b.routes) for b in branches)
+def _branch_value(branches: list[_Branch]) -> float:
+    return sum(b.prob * b.value for b in branches)
 
 
 def _replay(
     g: RGraph,
     branches: list[_Branch],
     measured: list[int],
-    scored: list[tuple[int, float]],
+    objective: _Objective,
 ) -> float:
     """Value of measuring ``measured`` in order, starting from ``branches``."""
     for node in measured:
-        branches = _extend_branches(g, branches, node)
-    return _branch_value(branches, scored)
+        branches = _extend_branches(g, branches, node, objective)
+    return _branch_value(branches)
 
 
 # -- expected objective ----------------------------------------------------------
@@ -185,8 +236,9 @@ def expected_nc(
         if node not in g.parents:
             raise UnknownNodeError(f"measured node {node} not in forwarding graph")
     if mode == "approx":
-        initial = _initial_branches(g, routes, probs)
-        return _replay(g, initial, measured, _scored_nodes(g, weights))
+        objective = _Objective(g, weights)
+        initial = _initial_branches(g, routes, probs, objective)
+        return _replay(g, initial, measured, objective)
     if mode != "exact":
         raise InputError(f"mode must be 'approx' or 'exact', got {mode!r}")
 
@@ -274,23 +326,26 @@ def greedy_plan(
     budget: float,
     *,
     weights: ObjectiveWeights | None = None,
+    forward: RouteProbabilities | None = None,
 ) -> MeasurementPlan:
     """Pick measurements one at a time, each maximizing the expected objective.
 
     Ties go to the smallest node id. Selection stops when the budget cannot
     afford any remaining candidate. Nodes that cannot be usefully measured
     (the destination, unreachable nodes) are set aside with a note.
+    ``forward``, when given, must be ``probabilistic_inference(g, routes)``;
+    the plan then makes no forward pass of its own.
     """
-    if budget < 0:
-        raise InputError(f"budget must be non-negative, got {budget}")
+    _check_budget(budget)
     weights = weights or ObjectiveWeights()
     pool, notes = _prepare_candidates(g, routes, probs, candidates)
-    scored = _scored_nodes(g, weights)
-    baseline = _certain_value(scored, routes)
+    objective = _Objective(g, weights)
     if not pool and budget > 0:
         notes.append("no measurable candidates; empty plan")
 
-    branches = _initial_branches(g, routes, probs)
+    counts = Counter() if logger.isEnabledFor(logging.DEBUG) else None
+    branches = _initial_branches(g, routes, probs, objective, forward)
+    baseline = branches[0].value
     selected: list[int] = []
     step_values: list[float] = []
     remaining = float(budget)
@@ -300,14 +355,22 @@ def greedy_plan(
             break
         best_node, best_value, best_branches = None, -math.inf, None
         for node in affordable:
-            trial = _extend_branches(g, branches, node)
-            value = _branch_value(trial, scored)
+            trial = _extend_branches(g, branches, node, objective, counts)
+            value = _branch_value(trial)
             if value > best_value:
                 best_node, best_value, best_branches = node, value, trial
         selected.append(best_node)
         step_values.append(best_value)
         branches = best_branches
         remaining -= weights.cost(best_node)
+    if counts is not None:
+        logger.debug(
+            "greedy plan: %d candidates, %d steps, %d branches evaluated, "
+            "%d cone nodes recomputed, %s scoring, forward pass %s",
+            len(pool), len(selected), counts["branches"], counts["cone nodes"],
+            "carried" if objective.carried else "ordered scan",
+            "computed" if forward is None else "reused",
+        )
     return MeasurementPlan(
         selected=tuple(selected),
         step_values=tuple(step_values),
@@ -335,11 +398,10 @@ def exhaustive_plan(
     grow. Ties prefer fewer measurements, then the lexicographically
     smallest subset.
     """
-    if budget < 0:
-        raise InputError(f"budget must be non-negative, got {budget}")
+    _check_budget(budget)
     weights = weights or ObjectiveWeights()
     pool, notes = _prepare_candidates(g, routes, probs, candidates)
-    baseline = _certain_value(_scored_nodes(g, weights), routes)
+    baseline = _Objective(g, weights).value(routes)
 
     best_subset, best_value = (), baseline
     for size in range(0, len(pool) + 1):
@@ -397,18 +459,19 @@ def random_plan_values(
     when sizing the drawn subsets. In ``approx`` mode every plan is replayed
     from one shared initial branch, so the call makes one forward pass.
     """
+    _check_budget(budget)
     weights = weights or ObjectiveWeights()
     pool, _ = _prepare_candidates(g, routes, probs, candidates)
     rng = random.Random(seed)
-    size = min(int(budget), len(pool))
+    size = int(min(budget, len(pool)))
     if mode == "approx":
-        initial = _initial_branches(g, routes, probs)
-        scored = _scored_nodes(g, weights)
+        objective = _Objective(g, weights)
+        initial = _initial_branches(g, routes, probs, objective)
     values = []
     for _ in range(count):
         subset = rng.sample(pool, size) if size else []
         if mode == "approx":
-            values.append(_replay(g, initial, sorted(subset), scored))
+            values.append(_replay(g, initial, sorted(subset), objective))
         else:
             values.append(
                 expected_nc(g, routes, probs, subset, mode=mode, weights=weights)

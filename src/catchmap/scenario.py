@@ -449,7 +449,11 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
             candidates = tuple(
                 n for n in universe if routes.get(n) is None and probs.get(n)
             )
-        plan = greedy_plan(g, routes, probs, candidates, cfg.plan_budget)
+        # with no observation applied, probs is the forward pass of routes
+        plan = greedy_plan(
+            g, routes, probs, candidates, cfg.plan_budget,
+            forward=None if oracles else probs,
+        )
         plan_inputs = (routes, probs, candidates)
         stages.append("measurement-planning")
 

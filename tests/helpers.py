@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from catchmap import (
@@ -24,9 +26,14 @@ from catchmap import (
 )
 from catchmap.cli import random_instance  # noqa: F401  (re-exported)
 from catchmap.errors import CapacityError, InfeasibleOracleError, InputError
-from catchmap.inference import RouteProbabilities, RoutingFunction
-from catchmap.oracles import OracleSet, _check_observed
-from catchmap.planner import ObjectiveWeights
+from catchmap.inference import (
+    RouteProbabilities,
+    RoutingFunction,
+    probabilistic_inference,
+    update_probabilistic_inference,
+)
+from catchmap.oracles import OracleSet, _check_observed, apply_oracles
+from catchmap.planner import MeasurementPlan, ObjectiveWeights, _prepare_candidates
 from catchmap.rgraph import RGraph, exact_limit, topological_order
 
 DST = 9
@@ -312,3 +319,158 @@ def reference_exact_nc(
 
 
 _CONFLICT = object()
+
+
+# The greedy planner as it was written before each branch carried its value:
+# every branch priced by an ordered scan of all reporting nodes, and the
+# initial forward pass always computed. Kept verbatim, but for the name of
+# ``reference_greedy_plan``, as the oracle for ``greedy_plan``,
+# ``expected_nc(mode="approx")`` and ``random_plan_values(mode="approx")``,
+# which must give the same floats for every weighting. ``_replay`` with
+# ``_initial_branches`` is the approximate ``expected_nc``.
+def _scored_nodes(g: RGraph, weights: ObjectiveWeights) -> list[tuple[int, float]]:
+    """``(node, weight)`` for every reporting node, in ``report_nodes`` order."""
+    return [(n, weights.weight(n)) for n in g.report_nodes]
+
+
+def _certain_value(
+    scored: list[tuple[int, float]], routes: RoutingFunction
+) -> float:
+    return sum(w for n, w in scored if routes.get(n) is not None)
+
+
+@dataclass
+class _Branch:
+    """One combination of outcomes, with its probability and inference state.
+
+    ``probs`` weighs the outcomes of the next measurement and guides
+    observation propagation; ``forward`` is the forward pass of ``routes``.
+    They are the same object except in the initial branch, whose ``probs``
+    are the caller's (possibly conditioned on earlier observations).
+    Branches share dictionaries with each other and never mutate them.
+    """
+
+    prob: float
+    routes: RoutingFunction
+    probs: RouteProbabilities
+    forward: RouteProbabilities
+
+
+def _initial_branches(
+    g: RGraph, routes: RoutingFunction, probs: RouteProbabilities
+) -> list[_Branch]:
+    return [_Branch(1.0, routes, probs, probabilistic_inference(g, routes))]
+
+
+def _extend_branches(
+    g: RGraph, branches: list[_Branch], node: int
+) -> list[_Branch]:
+    """Split every branch on the possible outcomes of measuring ``node``.
+
+    Each outcome is folded in and the distributions of still-uncertain nodes
+    are recomputed forward with the graph's tie weights (their parent sets
+    are untouched by new certainty); only the nodes the outcome pinned and
+    those below them can change. Zero-probability outcomes are dropped.
+    Measuring a node with no possible route changes nothing.
+    """
+    out: list[_Branch] = []
+    for branch in branches:
+        dist = branch.probs.get(node) or {}
+        if not dist:
+            out.append(branch)
+            continue
+        for ingress, p in sorted(dist.items()):
+            if p == 0.0:
+                continue
+            applied = apply_oracles(g, branch.routes, branch.probs, {node: ingress})
+            refreshed = update_probabilistic_inference(
+                g, branch.forward, applied.routes, applied.pinned
+            )
+            out.append(
+                _Branch(branch.prob * p, applied.routes, refreshed, refreshed)
+            )
+    return out
+
+
+def _branch_value(
+    branches: list[_Branch], scored: list[tuple[int, float]]
+) -> float:
+    return sum(b.prob * _certain_value(scored, b.routes) for b in branches)
+
+
+def _replay(
+    g: RGraph,
+    branches: list[_Branch],
+    measured: list[int],
+    scored: list[tuple[int, float]],
+) -> float:
+    """Value of measuring ``measured`` in order, starting from ``branches``."""
+    for node in measured:
+        branches = _extend_branches(g, branches, node)
+    return _branch_value(branches, scored)
+
+
+def reference_greedy_plan(
+    g: RGraph,
+    routes: RoutingFunction,
+    probs: RouteProbabilities,
+    candidates: Iterable[int],
+    budget: float,
+    *,
+    weights: ObjectiveWeights | None = None,
+) -> MeasurementPlan:
+    """Pick measurements one at a time, each maximizing the expected objective.
+
+    Ties go to the smallest node id. Selection stops when the budget cannot
+    afford any remaining candidate. Nodes that cannot be usefully measured
+    (the destination, unreachable nodes) are set aside with a note.
+    """
+    if budget < 0:
+        raise InputError(f"budget must be non-negative, got {budget}")
+    weights = weights or ObjectiveWeights()
+    pool, notes = _prepare_candidates(g, routes, probs, candidates)
+    scored = _scored_nodes(g, weights)
+    baseline = _certain_value(scored, routes)
+    if not pool and budget > 0:
+        notes.append("no measurable candidates; empty plan")
+
+    branches = _initial_branches(g, routes, probs)
+    selected: list[int] = []
+    step_values: list[float] = []
+    remaining = float(budget)
+    while True:
+        affordable = [n for n in pool if n not in selected and weights.cost(n) <= remaining]
+        if not affordable:
+            break
+        best_node, best_value, best_branches = None, -math.inf, None
+        for node in affordable:
+            trial = _extend_branches(g, branches, node)
+            value = _branch_value(trial, scored)
+            if value > best_value:
+                best_node, best_value, best_branches = node, value, trial
+        selected.append(best_node)
+        step_values.append(best_value)
+        branches = best_branches
+        remaining -= weights.cost(best_node)
+    return MeasurementPlan(
+        selected=tuple(selected),
+        step_values=tuple(step_values),
+        baseline_value=baseline,
+        budget=budget,
+        method="greedy",
+        notes=tuple(notes),
+    )
+
+
+def reference_approx_nc(
+    g: RGraph,
+    routes: RoutingFunction,
+    probs: RouteProbabilities,
+    measured: Iterable[int],
+    weights: ObjectiveWeights | None = None,
+) -> float:
+    """``expected_nc(g, routes, probs, measured, mode="approx", weights=weights)``
+    by the scan-priced branches above."""
+    scored = _scored_nodes(g, weights or ObjectiveWeights())
+    initial = _initial_branches(g, routes, probs)
+    return _replay(g, initial, sorted(set(measured)), scored)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 import statistics
@@ -10,6 +11,7 @@ import pytest
 
 from catchmap import (
     ObjectiveWeights,
+    apply_prepending,
     build_rgraph,
     certain_inference,
     conditional_nc,
@@ -59,6 +61,28 @@ class TestConditionalCount:
     def test_nonpositive_cost_rejected(self):
         with pytest.raises(InputError):
             ObjectiveWeights(costs={1: 0.0})
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, w):
+        # a NaN weight once made the greedy plan select None at -inf
+        with pytest.raises(InputError):
+            ObjectiveWeights(weights={4: w})
+
+    def test_nan_cost_rejected(self):
+        with pytest.raises(InputError):
+            ObjectiveWeights(costs={4: math.nan})
+
+    @pytest.mark.parametrize("plan", [
+        lambda *args: greedy_plan(*args),
+        lambda *args: exhaustive_plan(*args),
+        lambda *args: random_plan_values(*args, count=3),
+    ], ids=["greedy", "exhaustive", "random"])
+    def test_nan_budget_rejected(
+        self, plan, example_graph, example_routes, example_probs
+    ):
+        # the exhaustive plan once took a NaN budget as no budget at all
+        with pytest.raises(InputError):
+            plan(example_graph, example_routes, example_probs, (4, 6, 8), math.nan)
 
 
 class TestExpectedCount:
@@ -204,12 +228,123 @@ class TestGreedyPlan:
         with pytest.raises(InputError):
             greedy_plan(example_graph, example_routes, example_probs, (4,), -1)
 
+    @pytest.mark.parametrize("fractional", [False, True])
+    def test_plan_facts_are_logged(
+        self, fractional, caplog, example_graph, example_routes, example_probs
+    ):
+        weights = ObjectiveWeights(weights={8: 0.5} if fractional else {})
+        forward = example_probs if fractional else None
+        with caplog.at_level(logging.DEBUG, logger="catchmap.planner"):
+            greedy_plan(
+                example_graph, example_routes, example_probs, (4, 6, 8), 2,
+                weights=weights, forward=forward,
+            )
+        # step 1: two outcomes for each of 4, 6, 8, whose cones are 3, 3, 3,
+        # 3, 3 and 1 nodes; step 2 after 4: one outcome of 6 per branch
+        # (cones empty), two of 8 after 4=m1 (cones 1, 1), one after 4=m2
+        assert [r.getMessage() for r in caplog.records] == [
+            "greedy plan: 3 candidates, 2 steps, 11 branches evaluated, "
+            "18 cone nodes recomputed, "
+            + ("ordered scan scoring, forward pass reused" if fractional
+               else "carried scoring, forward pass computed")
+        ]
+
+    def test_plan_facts_cost_nothing_without_debug_logging(
+        self, monkeypatch, caplog, example_graph, example_routes, example_probs
+    ):
+        caplog.set_level(logging.INFO, logger="catchmap.planner")
+        monkeypatch.setattr(planner, "_cone_order", None)
+        plan = greedy_plan(example_graph, example_routes, example_probs, (4, 6, 8), 2)
+        assert plan.selected == (4, 8)
+
     def test_costs_limit_selection(self, example_graph, example_routes, example_probs):
         weights = ObjectiveWeights(costs={4: 3.0, 6: 3.0, 8: 3.0})
         plan = greedy_plan(
             example_graph, example_routes, example_probs, (4, 6, 8), 4, weights=weights
         )
         assert len(plan.selected) == 1
+
+
+def _reference_instances():
+    """Small planning instances: a third with a prepending chain, half with
+    unequal tie weights, and half starting from routes with nothing pinned,
+    where observations pin virtual chain nodes too."""
+    for idx in range(40):
+        rng = random.Random(idx)
+        aug = helpers.random_instance(idx, seed_base=8100)
+        if idx % 3 == 0:
+            aug = apply_prepending(aug, rng.choice(aug.ingress_points), rng.randint(1, 3))
+        g = build_rgraph(aug)
+        if idx % 2:
+            g = g.with_tie_probs(helpers.random_tie_probs(g, rng))
+        routes = certain_inference(g) if idx % 4 < 2 else dict.fromkeys(g.nodes)
+        probs = probabilistic_inference(g, routes)
+        candidates = [n for n in g.nodes if n != g.root and routes[n] is None and probs[n]]
+        weightings = {
+            "default": ObjectiveWeights(),
+            "integer": ObjectiveWeights(weights={
+                n: rng.choice([2.0, 3.0]) for n in g.report_nodes if rng.random() < 0.5
+            }),
+            "fractional": ObjectiveWeights(weights={
+                n: rng.choice([0.1, 0.3, 0.7, 1.9]) for n in g.report_nodes
+            }),
+            # past 2**53 float sums round, so the value must be scanned in order
+            "huge": ObjectiveWeights(weights={rng.choice(g.report_nodes): 2.0**53}),
+        }
+        for kind, weights in weightings.items():
+            yield f"{idx}-{kind}", g, routes, probs, candidates, weights, rng
+
+
+class TestAgainstReferencePlanner:
+    """Carried branch values give the scan-priced planner's floats."""
+
+    def test_greedy_plan(self):
+        for label, g, routes, probs, candidates, weights, rng in _reference_instances():
+            budget = rng.choice([2, 3])
+            want = helpers.reference_greedy_plan(
+                g, routes, probs, candidates, budget, weights=weights
+            )
+            got = greedy_plan(g, routes, probs, candidates, budget, weights=weights)
+            assert repr(got) == repr(want), label
+
+    def test_approx_values(self):
+        for label, g, routes, probs, candidates, weights, rng in _reference_instances():
+            measured = rng.sample(candidates, min(3, len(candidates)))
+            assert repr(expected_nc(
+                g, routes, probs, measured, mode="approx", weights=weights
+            )) == repr(helpers.reference_approx_nc(g, routes, probs, measured, weights)), label
+
+            size = min(2, len(candidates))
+            draws = random.Random(9)
+            want = [
+                helpers.reference_approx_nc(
+                    g, routes, probs, draws.sample(sorted(candidates), size), weights
+                )
+                for _ in range(4)
+            ]
+            got = random_plan_values(
+                g, routes, probs, candidates, 2, 4, seed=9, mode="approx", weights=weights
+            )
+            assert repr(got) == repr(want), label
+
+    def test_given_forward_pass_changes_nothing(self, monkeypatch):
+        calls = []
+        forward = planner.probabilistic_inference
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "probabilistic_inference", counted)
+        for label, g, routes, probs, candidates, weights, _ in _reference_instances():
+            want = greedy_plan(g, routes, probs, candidates, 2, weights=weights)
+            del calls[:]
+            got = greedy_plan(
+                g, routes, probs, candidates, 2,
+                weights=weights, forward=forward(g, routes),
+            )
+            assert repr(got) == repr(want), label
+            assert not calls, label
 
 
 class TestExhaustivePlan:

@@ -16,6 +16,7 @@ from catchmap import (
     certain_inference,
     compare_with_simulation,
     exact_conditional_distribution,
+    greedy_plan,
     monte_carlo_inference,
     parse_scenario_file,
     prepending_sweep,
@@ -260,6 +261,27 @@ class TestRunScenario:
         assert report.plan is not None
         assert report.plan.selected == (4,)
         assert "measurement-planning" in report.stages
+
+    @pytest.mark.parametrize("oracle_text", [None, "5,m2\n"])
+    def test_plan_reuses_the_forward_pass_only_without_observations(
+        self, oracle_text, caplog
+    ):
+        # after an observation probs is a posterior, not the forward pass;
+        # planning from it as if it were changes the second step's value
+        cfg = ScenarioConfig(
+            generate={"n": 11, "avg_degree": 3.0, "seed": 2},
+            attachments={1: "m1", 2: "m2", 3: "m3"},
+            mode="probabilistic",
+            oracle_text=oracle_text,
+            posterior="exact",
+            plan_budget=2,
+        )
+        with caplog.at_level(logging.DEBUG, logger="catchmap.planner"):
+            report, g = run_scenario(cfg)
+        routes, probs, candidates = report.plan_inputs
+        assert report.plan == greedy_plan(g, routes, probs, candidates, 2)
+        (line,) = [r.getMessage() for r in caplog.records if "greedy plan" in r.getMessage()]
+        assert line.endswith("computed" if oracle_text else "reused")
 
     def test_json_report_deterministic(self):
         a, _ = run_scenario(example_config(mode="probabilistic"))
