@@ -254,7 +254,7 @@ def _quick_checks(seed: int) -> list[tuple[str, bool, str]]:
     checks.append(("example route probabilities", not problems, "; ".join(problems)))
 
     view = {n: routes[n] for n in g.report_nodes}
-    bounds = catchment_bounds(view, ("m1", "m2"), len(g.report_nodes))
+    bounds = catchment_bounds(view, ("m1", "m2"))
     loads = expected_load({n: probs[n] for n in g.report_nodes},
                           {n: 1.0 for n in g.report_nodes})
     ok = bounds == _EXPECTED_BOUNDS and all(
@@ -405,7 +405,7 @@ def certainty_violations(
         g = build_rgraph(aug)
         routes = certain_inference(g)
         view = {n: routes[n] for n in g.report_nodes}
-        bounds = catchment_bounds(view, g.ingress_points, len(g.report_nodes))
+        bounds = catchment_bounds(view, g.ingress_points)
         for s in seeds:
             catchment = simulated_catchment(run_bgp(aug, s), aug)
             counts = {m: 0 for m in g.ingress_points}

@@ -187,19 +187,14 @@ def expected_load(
 def catchment_bounds(
     routes: Mapping[int, "str | None"],
     ingress_points: tuple[str, ...] | list[str],
-    total: int,
 ) -> dict[str, tuple[int, int]]:
     """Per-ingress [lower, upper] bounds on catchment size.
 
     ``routes`` must cover exactly the nodes being counted (the reporting
-    universe) and ``total`` is its size. The lower bound counts nodes pinned
-    to the ingress; the upper bound concedes every node not pinned
-    elsewhere.
+    universe). The lower bound counts nodes pinned to the ingress; the
+    upper bound concedes every node not pinned elsewhere.
     """
-    if total != len(routes):
-        raise InputError(
-            f"total {total} does not match the {len(routes)} nodes covered"
-        )
+    total = len(routes)
     lower = {m: 0 for m in ingress_points}
     for node, ingress in routes.items():
         if ingress is None:

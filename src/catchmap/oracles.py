@@ -387,9 +387,6 @@ class MonteCarloEstimate:
     ancestors: int
     draws_per_trial: int
 
-    def __iter__(self) -> Iterator:
-        return iter((self.probs, self.trials, self.accepted))
-
 
 # accepted outcomes are tallied this many at a time, so the rows held for
 # counting stay bounded whatever the trial count

@@ -13,7 +13,7 @@ import json
 import logging
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .bgpsim import run_bgp, simulated_catchment
@@ -21,7 +21,6 @@ from .errors import (
     DestinationSpecError,
     InputError,
     TopologyParseError,
-    UnknownNodeError,
 )
 from .inference import (
     RouteProbabilities,
@@ -362,9 +361,14 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
     Returns the report plus the forwarding graph it was computed on (after
     any shortest-path pruning), so callers can chain further analyses.
     """
-    stages: list[str] = []
-    aug = build_augmented(cfg)
-    stages.append("attach-destination")
+    return _run_augmented(cfg, build_augmented(cfg))
+
+
+def _run_augmented(
+    cfg: ScenarioConfig, aug: AugmentedTopology
+) -> tuple[ScenarioReport, RGraph]:
+    """``run_scenario`` from the augmented topology on."""
+    stages = ["attach-destination"]
     g = build_rgraph(aug)
     stages.append("forwarding-graph")
     if cfg.sp:
@@ -425,7 +429,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
     routes_view = {n: routes[n] for n in universe}
     probs_view = {n: probs.get(n, {}) for n in universe} if probs is not None else None
 
-    bounds = catchment_bounds(routes_view, g.ingress_points, len(universe))
+    bounds = catchment_bounds(routes_view, g.ingress_points)
     certain_counts = {m: lower for m, (lower, _) in bounds.items()}
     uncertain = len(universe) - sum(certain_counts.values())
 
@@ -507,80 +511,35 @@ def write_report_files(
 # -- prepending sweeps -----------------------------------------------------------
 
 
-def _splice_chain(g: RGraph, ingress: str, k: int) -> RGraph:
-    """Insert a k-node virtual chain between the root and one ingress.
-
-    Pure graph surgery: everything away from that ingress keeps its edges,
-    so sweeping k needs no further propagation runs.
-    """
-    if k == 0:
-        return g
-    affected = sorted(n for n, m in g.ingress_map.items() if m == ingress)
-    if not affected:
-        raise UnknownNodeError(f"unknown ingress {ingress!r}")
-    first = max(g.nodes) + 1
-    chain = list(range(first, first + k))
-
-    parents = {n: list(ps) for n, ps in g.parents.items()}
-    parents[chain[0]] = [g.root]
-    for a, b in zip(chain, chain[1:]):
-        parents[b] = [a]
-    tail = chain[-1]
-    for n in affected:
-        if g.root in parents[n]:
-            parents[n] = [p for p in parents[n] if p != g.root] + [tail]
-
-    ingress_map = {n: m for n, m in g.ingress_map.items() if m != ingress}
-    ingress_map[chain[0]] = ingress
-    return RGraph.from_parent_map(
-        g.root,
-        ingress_map,
-        parents,
-        nodes=tuple(g.nodes) + tuple(chain),
-        report_nodes=g.report_nodes,
-    )
-
-
 def prepending_sweep(
     cfg: ScenarioConfig, ingress: str, k_max: int
 ) -> list[dict]:
     """Certain catchments for every prepend length 0..k_max at one ingress.
 
-    The forwarding graph is built once; each k only splices a chain and
-    re-runs the inference passes. Without shortest-path preference the
-    chain cannot change any original node's options, so all entries match
-    k=0 there (lengths do not matter to eligibility).
+    Entry k holds what ``run_scenario`` reports once ``prepend <ingress> <k>``
+    is added to the config, with its observations and plan left out. The
+    augmented topology is built once; each k pads it with
+    ``apply_prepending`` and runs the rest of the pipeline. Without
+    shortest-path preference the chain cannot change any original node's
+    options, so all entries match k=0 there (lengths do not matter to
+    eligibility).
     """
     if k_max < 0:
         raise InputError(f"k_max must be >= 0, got {k_max}")
     aug = build_augmented(cfg)
-    base = build_rgraph(aug)
-    if ingress not in base.ingress_points:
-        raise UnknownNodeError(f"unknown ingress {ingress!r}")
-
+    plain = replace(cfg, oracle_file=None, oracle_text=None, plan_budget=None)
     entries = []
     for k in range(k_max + 1):
-        g = _splice_chain(base, ingress, k)
-        if cfg.sp:
-            g = shortest_path_transform(g)
-        routes = certain_inference(g)
-        universe = g.report_nodes
-        routes_view = {n: routes[n] for n in universe}
-        bounds = catchment_bounds(routes_view, g.ingress_points, len(universe))
-        counts = {m: lower for m, (lower, _) in bounds.items()}
+        report, _ = _run_augmented(plain, apply_prepending(aug, ingress, k))
         entry: dict = {
             "k": k,
-            "certain_counts": counts,
-            "uncertain": len(universe) - sum(counts.values()),
-            "bounds": {m: list(b) for m, b in bounds.items()},
+            "certain_counts": report.certain_counts,
+            "uncertain": report.uncertain_count,
+            "bounds": {m: list(b) for m, b in report.bounds.items()},
         }
-        if cfg.mode == "probabilistic":
-            probs = probabilistic_inference(g, routes)
-            entry["expected_sizes"] = {
-                m: sum(probs[n].get(m, 0.0) for n in universe)
-                for m in g.ingress_points
-            }
-        entry["routes"] = {str(n): routes_view[n] for n in universe}
+        if report.expected_loads is not None:
+            entry["expected_sizes"] = report.expected_loads
+        entry["routes"] = {str(n): r for n, r in report.routes.items()}
         entries.append(entry)
     return entries
 
@@ -622,7 +581,7 @@ def compare_with_simulation(
         raise InputError(f"need at least one run, got {runs}")
     universe = g.report_nodes
     routes_view = {n: routes[n] for n in universe}
-    bounds = catchment_bounds(routes_view, g.ingress_points, len(universe))
+    bounds = catchment_bounds(routes_view, g.ingress_points)
     predicted = {
         m: sum(probs.get(n, {}).get(m, 0.0) for n in universe)
         for m in g.ingress_points

@@ -236,15 +236,10 @@ class TestLoadsAndBounds:
 
     def test_example_bounds(self, example_routes):
         routes = {n: example_routes[n] for n in helpers.EXPECTED_ROUTES}
-        bounds = catchment_bounds(routes, ("m1", "m2"), len(routes))
+        bounds = catchment_bounds(routes, ("m1", "m2"))
         assert bounds == helpers.EXPECTED_BOUNDS
 
     def test_all_certain_collapses_bounds(self):
         routes = {1: "a", 2: "a", 3: "b"}
-        bounds = catchment_bounds(routes, ("a", "b"), 3)
+        bounds = catchment_bounds(routes, ("a", "b"))
         assert bounds == {"a": (2, 2), "b": (1, 1)}
-
-    def test_total_must_match(self, example_routes):
-        routes = {n: example_routes[n] for n in helpers.EXPECTED_ROUTES}
-        with pytest.raises(InputError):
-            catchment_bounds(routes, ("m1", "m2"), 99)

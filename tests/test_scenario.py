@@ -331,8 +331,8 @@ class TestPrependingSweep:
     @pytest.mark.parametrize("sp", [False, True], ids=["sp-off", "sp-on"])
     @pytest.mark.parametrize("case", range(len(SWEEP_CONFIGS)))
     def test_spliced_chain_matches_a_prepended_topology(self, case, sp, mode):
-        # the sweep splices the chain into the built graph; run_scenario
-        # inserts it into the topology before propagation
+        # entry k must be the report of the same config with the chain
+        # inserted into the topology by a ``prepend`` directive
         cfg = dataclasses.replace(SWEEP_CONFIGS[case], sp=sp, mode=mode)
         for ingress in sorted(set(cfg.attachments.values())):
             entries = prepending_sweep(cfg, ingress, 3)
@@ -347,10 +347,21 @@ class TestPrependingSweep:
                     assert "expected_sizes" not in entry
                     continue
                 sizes, loads = entry["expected_sizes"], report.expected_loads
-                # the report leaves out an ingress no node can reach
+                # both list every ingress, with a zero load where no node
+                # can reach it
                 assert loads.keys() <= sizes.keys()
                 for m in sizes:
                     assert sizes[m] == pytest.approx(loads.get(m, 0.0), abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["certain", "probabilistic"])
+    @pytest.mark.parametrize("sp", [False, True], ids=["sp-off", "sp-on"])
+    def test_observations_and_plan_leave_the_sweep_alone(self, sp, mode):
+        cfg = example_config(sp=sp, mode=mode)
+        loaded = dataclasses.replace(cfg, oracle_text="4,m1\n", plan_budget=1)
+        # the config's own run does apply both
+        report, _ = run_scenario(loaded)
+        assert report.routes[4] == "m1" and report.plan is not None
+        assert prepending_sweep(loaded, "m2", 2) == prepending_sweep(cfg, "m2", 2)
 
     def test_zero_matches_baseline(self):
         cfg = example_config()
