@@ -155,13 +155,16 @@ def shortest_path_transform(g: RGraph) -> RGraph:
         level[node] = min(
             (level[p] + 1.0 for p in g.parents[node]), default=math.inf
         )
+    # a filtered sorted tuple stays sorted, so the graph needs no normalising
     pruned = {
         node: tuple(p for p in parents if not level[p] + 1.0 > level[node])
         for node, parents in g.parents.items()
     }
     kept = sum(len(p) for p in pruned.values())
     logger.debug("shortest-path pruning kept %d of %d edges", kept, g.num_edges)
-    return g.with_parents(pruned)
+    return RGraph._from_sorted(
+        g.root, g.ingress_map, pruned, g.nodes, g.report_nodes, g.tie_probs
+    )
 
 
 def expected_load(

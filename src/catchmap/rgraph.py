@@ -83,27 +83,44 @@ class RGraph:
             norm_parents[child] = ps
         for node in all_nodes:
             norm_parents.setdefault(node, ())
-        if norm_parents[root]:
-            raise CycleError(f"root {root} cannot have parents")
-        children: dict[int, list[int]] = {node: [] for node in all_nodes}
-        for child, ps in norm_parents.items():
-            for p in ps:
-                children[p].append(child)
-        norm_children = {n: tuple(sorted(c)) for n, c in children.items()}
         node_tuple = tuple(sorted(all_nodes))
         if report_nodes is None:
             report = tuple(n for n in node_tuple if n != root)
         else:
             report = tuple(sorted(report_nodes))
+        return cls._from_sorted(root, ingress_map, norm_parents, node_tuple, report, tie_probs)
+
+    @classmethod
+    def _from_sorted(
+        cls,
+        root: int,
+        ingress_map: Mapping[int, str],
+        parents: dict[int, tuple[int, ...]],
+        nodes: tuple[int, ...],
+        report_nodes: tuple[int, ...],
+        tie_probs: Mapping[int, Mapping[int, float]] | None,
+    ) -> "RGraph":
+        """The graph of input that is already normalised: ``parents`` maps
+        every node of ``nodes`` to a sorted tuple of distinct parents, and
+        ``nodes`` and ``report_nodes`` are sorted. Walking the nodes in
+        ascending order appends each child list in sorted order. Still
+        rejects a cycle and checks the overrides."""
+        if parents[root]:
+            raise CycleError(f"root {root} cannot have parents")
+        children: dict[int, list[int]] = {node: [] for node in nodes}
+        for child in nodes:
+            for p in parents[child]:
+                children[p].append(child)
+        frozen_children = {n: tuple(c) for n, c in children.items()}
         return cls(
             root=root,
             ingress_map=dict(ingress_map),
-            parents=norm_parents,
-            children=norm_children,
-            nodes=node_tuple,
-            report_nodes=report,
-            order=_kahn_order(norm_parents, norm_children),
-            tie_probs=_validated_tie_probs(norm_parents, tie_probs),
+            parents=parents,
+            children=frozen_children,
+            nodes=nodes,
+            report_nodes=report_nodes,
+            order=_kahn_order(parents, frozen_children),
+            tie_probs=_validated_tie_probs(parents, tie_probs),
         )
 
     @classmethod
@@ -299,6 +316,8 @@ def build_rgraph(aug: AugmentedTopology) -> RGraph:
                 routed.append(j)
 
     wanted = {_CUSTOMER: Relationship.P2C, _PEER: Relationship.P2P}
+    # neighbors are dict keys, so each sorted parent tuple is already distinct;
+    # the root's entry goes last, where a normalising build puts it
     parents: dict[int, tuple[int, ...]] = {}
     for n in topology.nodes():
         if n == root:
@@ -307,16 +326,17 @@ def build_rgraph(aug: AugmentedTopology) -> RGraph:
         if c is None:
             parents[n] = ()
         elif c == _PROVIDER:
-            parents[n] = tuple(
+            parents[n] = tuple(sorted(
                 j for j, rel in rels(n).items() if rel is Relationship.C2P and j in cls
-            )
+            ))
         else:
-            parents[n] = tuple(
+            parents[n] = tuple(sorted(
                 j for j, rel in rels(n).items()
                 if rel is wanted[c] and cls.get(j, _PROVIDER) <= _CUSTOMER
-            )
-    g = RGraph.from_parent_map(
-        root, aug.ingress_map, parents, nodes=topology.nodes(), report_nodes=aug.real_nodes,
+            ))
+    parents[root] = ()
+    g = RGraph._from_sorted(
+        root, aug.ingress_map, parents, tuple(sorted(parents)), aug.real_nodes, None,
     )
     if logger.isEnabledFor(logging.DEBUG):
         counts = collections.Counter(cls.values())
@@ -557,8 +577,9 @@ def _propagate_with_favorites(
 
 
 def rgraph_edgelist(g: RGraph) -> str:
-    """One ``parent child`` pair per line, sorted."""
-    return "".join(f"{p} {c}\n" for p, c in sorted(g.edges()))
+    """One ``parent child`` pair per line, sorted: each parent in ascending
+    order, then its children, which are kept sorted."""
+    return "".join(f"{p} {c}\n" for p in g.nodes for c in g.children[p])
 
 
 def rgraph_dot(g: RGraph) -> str:
@@ -569,12 +590,15 @@ def rgraph_dot(g: RGraph) -> str:
         if node == g.root:
             lines.append(f'  "{node}" [label="dst {node}" shape=doublecircle];')
         elif node in g.ingress_map:
-            lines.append(f'  "{node}" [label="{node}\\n{g.ingress_map[node]}" shape=box];')
+            # a DOT quoted string escapes backslashes and quotes
+            label = g.ingress_map[node].replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  "{node}" [label="{node}\\n{label}" shape=box];')
         elif node not in report:
             lines.append(f'  "{node}" [label="{node}" style=dashed];')
         else:
             lines.append(f'  "{node}" [label="{node}"];')
-    for parent, child in sorted(g.edges()):
-        lines.append(f'  "{parent}" -> "{child}";')
+    for parent in g.nodes:
+        for child in g.children[parent]:
+            lines.append(f'  "{parent}" -> "{child}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

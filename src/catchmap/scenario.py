@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 import statistics
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .bgpsim import run_bgp, simulated_catchment
@@ -292,32 +294,43 @@ class ScenarioReport:
     plan_inputs: tuple | None = field(default=None, repr=False)
 
     def to_json(self) -> str:
+        """The report as ``json.dumps(doc, sort_keys=True, indent=2)`` lays it
+        out. The four per-node maps are written row by row, because the
+        standard encoder falls back to pure Python once it indents."""
+        keyed = [
+            (encode_basestring_ascii(k), n)
+            for k, n in sorted({str(n): n for n in self.nodes}.items())
+        ]
+        encoded: dict[str, str] = {}
+
+        def value(v) -> str:
+            if isinstance(v, str):
+                text = encoded.get(v)
+                if text is None:
+                    text = encoded[v] = encode_basestring_ascii(v)
+                return text
+            if v is None:
+                return "null"
+            if isinstance(v, float) and math.isfinite(v):
+                return float.__repr__(v)
+            if type(v) is int:
+                return int.__repr__(v)
+            return json.dumps(v)
+
+        def dist(d: dict[str, float]) -> str:
+            if not d:
+                return "{}"
+            return _json_rows([f"{value(m)}: {value(p)}" for m, p in sorted(d.items())], 2)
+
         doc = {
             "config": self.config,
             "stages": list(self.stages),
             "ingress_points": list(self.ingress_points),
             "node_count": len(self.nodes),
-            "routes": {str(n): self.routes[n] for n in self.nodes},
-            "probs": (
-                {
-                    str(n): {m: p for m, p in sorted(self.probs[n].items())}
-                    for n in self.nodes
-                }
-                if self.probs is not None
-                else None
-            ),
-            "prob_status": (
-                {str(n): self.prob_status[n] for n in self.nodes}
-                if self.prob_status is not None
-                else None
-            ),
             "certain_counts": self.certain_counts,
             "uncertain_count": self.uncertain_count,
             "bounds": {m: list(b) for m, b in self.bounds.items()},
             "expected_loads": self.expected_loads,
-            "probability_mass_deficit": {
-                str(n): v for n, v in sorted(self.probability_mass_deficit.items())
-            },
             "set_route_calls": self.set_route_calls,
             "skipped_observations": [list(s) for s in self.skipped_observations],
             "plan": (
@@ -335,16 +348,38 @@ class ScenarioReport:
             "rgraph": {"nodes": self.rgraph_nodes, "edges": self.rgraph_edges},
             "seed": self.seed,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        texts = {
+            key: json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ")
+            for key, v in doc.items()
+        }
+        routes, probs, status = self.routes, self.probs, self.prob_status
+        texts["routes"] = _json_rows([f"{k}: {value(routes[n])}" for k, n in keyed], 1)
+        texts["probs"] = (
+            _json_rows([f"{k}: {dist(probs[n])}" for k, n in keyed], 1)
+            if probs is not None else "null"
+        )
+        texts["prob_status"] = (
+            _json_rows([f"{k}: {value(status[n])}" for k, n in keyed], 1)
+            if status is not None else "null"
+        )
+        texts["probability_mass_deficit"] = _json_rows([
+            f"{encode_basestring_ascii(k)}: {value(v)}"
+            for k, v in sorted((str(n), v) for n, v in self.probability_mass_deficit.items())
+        ], 1)
+        return _json_rows([f"{value(k)}: {texts[k]}" for k in sorted(texts)], 0) + "\n"
 
     def to_node_csv(self) -> str:
-        """Rows ``node,route,pi_<ingress>...,status`` over the report universe."""
+        """Rows ``node,route,pi_<ingress>...,status`` over the report universe.
+
+        A header or route cell holding a comma, a quote or a line break is
+        quoted as RFC 4180 does."""
         cols = ["node", "route"]
-        cols += [f"pi_{m}" for m in self.ingress_points]
+        cols += [_csv_cell(f"pi_{m}") for m in self.ingress_points]
         cols += ["status"]
         lines = [",".join(cols)]
+        route_cells = {r: _csv_cell(r) for r in set(self.routes.values()) if r}
         for n in self.nodes:
-            row = [str(n), self.routes[n] or ""]
+            row = [str(n), route_cells.get(self.routes[n], "")]
             for m in self.ingress_points:
                 if self.probs is None:
                     row.append("")
@@ -353,6 +388,23 @@ class ScenarioReport:
             row.append(self.prob_status[n] if self.prob_status else "")
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
+
+
+def _json_rows(rows: list[str], depth: int) -> str:
+    """An object of encoded ``key: value`` rows, laid out as
+    ``json.dumps(indent=2)`` lays out one nested ``depth`` levels deep."""
+    if not rows:
+        return "{}"
+    pad = "\n" + "  " * (depth + 1)
+    return "{" + pad + ("," + pad).join(rows) + "\n" + "  " * depth + "}"
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as an RFC 4180 field: quoted, with quotes doubled, only if
+    it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
@@ -488,22 +540,23 @@ def _run_augmented(
 def write_report_files(
     report: ScenarioReport, g: RGraph, out_dir: str | Path
 ) -> list[Path]:
-    """Write report.json, nodes.csv, the graph exports, and any plan CSV."""
+    """Write report.json, nodes.csv, the graph exports, and any plan CSV;
+    log each file's size at debug level."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, content in [
+    files = [
         ("report.json", report.to_json()),
         ("nodes.csv", report.to_node_csv()),
         ("rgraph.edges", rgraph_edgelist(g)),
         ("rgraph.dot", rgraph_dot(g)),
-    ]:
+    ]
+    if report.plan is not None:
+        files.append(("plan.csv", export_plan_csv(report.plan)))
+    written = []
+    for name, content in files:
         path = out / name
         path.write_text(content)
-        written.append(path)
-    if report.plan is not None:
-        path = out / "plan.csv"
-        path.write_text(export_plan_csv(report.plan))
+        logger.debug("wrote %s: %d bytes", name, path.stat().st_size)
         written.append(path)
     return written
 

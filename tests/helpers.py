@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from catchmap.inference import (
 from catchmap.oracles import OracleSet, _check_observed, apply_oracles
 from catchmap.planner import MeasurementPlan, ObjectiveWeights, _prepare_candidates
 from catchmap.rgraph import RGraph, exact_limit, topological_order
+from catchmap.scenario import ScenarioReport
 
 DST = 9
 
@@ -474,3 +476,107 @@ def reference_approx_nc(
     scored = _scored_nodes(g, weights or ObjectiveWeights())
     initial = _initial_branches(g, routes, probs)
     return _replay(g, initial, sorted(set(measured)), scored)
+
+
+# ``ScenarioReport.to_json`` as it was written before it wrote the per-node
+# maps row by row: one ``json.dumps`` of the whole document. Kept verbatim,
+# but for its name, as the oracle for ``to_json``, which must give the same
+# bytes for every report.
+def reference_report_json(self: ScenarioReport) -> str:
+    doc = {
+        "config": self.config,
+        "stages": list(self.stages),
+        "ingress_points": list(self.ingress_points),
+        "node_count": len(self.nodes),
+        "routes": {str(n): self.routes[n] for n in self.nodes},
+        "probs": (
+            {
+                str(n): {m: p for m, p in sorted(self.probs[n].items())}
+                for n in self.nodes
+            }
+            if self.probs is not None
+            else None
+        ),
+        "prob_status": (
+            {str(n): self.prob_status[n] for n in self.nodes}
+            if self.prob_status is not None
+            else None
+        ),
+        "certain_counts": self.certain_counts,
+        "uncertain_count": self.uncertain_count,
+        "bounds": {m: list(b) for m, b in self.bounds.items()},
+        "expected_loads": self.expected_loads,
+        "probability_mass_deficit": {
+            str(n): v for n, v in sorted(self.probability_mass_deficit.items())
+        },
+        "set_route_calls": self.set_route_calls,
+        "skipped_observations": [list(s) for s in self.skipped_observations],
+        "plan": (
+            {
+                "selected": list(self.plan.selected),
+                "step_values": list(self.plan.step_values),
+                "baseline_value": self.plan.baseline_value,
+                "budget": self.plan.budget,
+                "method": self.plan.method,
+                "notes": list(self.plan.notes),
+            }
+            if self.plan is not None
+            else None
+        ),
+        "rgraph": {"nodes": self.rgraph_nodes, "edges": self.rgraph_edges},
+        "seed": self.seed,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# The graph derivations as they were written before ``RGraph`` had a
+# constructor for input that is already normalised: the pruned graph made by
+# ``with_parents``, and each export sorting the edges again. The oracles for
+# ``shortest_path_transform``, ``rgraph_edgelist`` and ``rgraph_dot``, which
+# must give the same graphs and bytes (labels with plain ingress names).
+def reference_shortest_path_transform(g: RGraph) -> RGraph:
+    level: dict[int, float] = {}
+    for node in topological_order(g):
+        if node == g.root:
+            level[node] = 0.0
+            continue
+        level[node] = min(
+            (level[p] + 1.0 for p in g.parents[node]), default=math.inf
+        )
+    pruned = {
+        node: tuple(p for p in parents if not level[p] + 1.0 > level[node])
+        for node, parents in g.parents.items()
+    }
+    return g.with_parents(pruned)
+
+
+def reference_rgraph_edgelist(g: RGraph) -> str:
+    return "".join(f"{p} {c}\n" for p, c in sorted(g.edges()))
+
+
+def reference_rgraph_dot(g: RGraph) -> str:
+    lines = ["digraph forwarding {", "  rankdir=TB;"]
+    report = set(g.report_nodes)
+    for node in g.nodes:
+        if node == g.root:
+            lines.append(f'  "{node}" [label="dst {node}" shape=doublecircle];')
+        elif node in g.ingress_map:
+            lines.append(f'  "{node}" [label="{node}\\n{g.ingress_map[node]}" shape=box];')
+        elif node not in report:
+            lines.append(f'  "{node}" [label="{node}" style=dashed];')
+        else:
+            lines.append(f'  "{node}" [label="{node}"];')
+    for parent, child in sorted(g.edges()):
+        lines.append(f'  "{parent}" -> "{child}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_graph(got: RGraph, want: RGraph) -> None:
+    """Field for field, with the parents' key order."""
+    assert list(got.parents.items()) == list(want.parents.items())
+    assert got.children == want.children
+    assert (got.root, got.ingress_map, got.nodes, got.report_nodes, got.order) == (
+        want.root, want.ingress_map, want.nodes, want.report_nodes, want.order
+    )
+    assert got.tie_probs == want.tie_probs

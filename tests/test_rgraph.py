@@ -27,7 +27,7 @@ from catchmap import (
     topological_order,
 )
 from catchmap.cli import main, path_mismatches
-from catchmap.errors import CapacityError, CycleError, PolicyError
+from catchmap.errors import CapacityError, CycleError, InputError, PolicyError
 from catchmap.oracles import enumerate_route_outcomes
 from catchmap.rgraph import (
     MAX_EXACT_NODES,
@@ -235,6 +235,55 @@ def test_builder_matches_the_simulator(chunk):
         assert (g.order, g.nodes, g.report_nodes, g.ingress_map) == (
             want.order, want.nodes, want.report_nodes, want.ingress_map
         )
+
+
+def test_graph_derivations_match_the_normalising_path():
+    """The builder and the pruning hand already-normalised parents to the
+    graph, and the exports walk the kept child order. They must give what
+    the normalising constructor, ``with_parents`` and sorting gave: the same
+    fields, the same parent key order, the same bytes and the same errors."""
+    seen = collections.Counter()
+    for seed in POLICY_SEEDS:
+        aug, features = _policy_instance(seed)
+        if _provider_cycle(aug.topology):
+            continue
+        seen["graphs"] += 1
+        seen["chains"] += "prepended" in features
+        g = build_rgraph(aug)
+        # reversed parent tuples, so the normalising path has to sort them
+        helpers.assert_same_graph(g, RGraph.from_parent_map(
+            aug.n_dst, aug.ingress_map,
+            {n: ps[::-1] for n, ps in g.parents.items() if n != aug.n_dst},
+            nodes=aug.topology.nodes(), report_nodes=aug.real_nodes,
+        ))
+        want = helpers.reference_shortest_path_transform(g)
+        if seed % 2:
+            # overrides on every chooser the pruning leaves whole
+            ties = {
+                n: t for n, t in helpers.random_tie_probs(g, random.Random(seed)).items()
+                if want.parents[n] == g.parents[n]
+            }
+            seen["ties"] += bool(ties)
+            g = g.with_tie_probs(ties)
+            want = helpers.reference_shortest_path_transform(g)
+        pruned = shortest_path_transform(g)
+        helpers.assert_same_graph(pruned, want)
+        for graph in (g, pruned):
+            assert rgraph_edgelist(graph) == helpers.reference_rgraph_edgelist(graph)
+            assert rgraph_dot(graph) == helpers.reference_rgraph_dot(graph)
+        cut = [n for n in g.nodes if pruned.parents[n] != g.parents[n]]
+        if cut:
+            seen["cut"] += 1
+            # an override that still names a parent the pruning drops
+            parents = g.parents[cut[0]]
+            stale = g.with_tie_probs(
+                {**g.tie_probs, cut[0]: dict.fromkeys(parents, 1 / len(parents))}
+            )
+            for transform in (shortest_path_transform, helpers.reference_shortest_path_transform):
+                with pytest.raises(InputError, match="must cover exactly its parents"):
+                    transform(stale)
+    assert seen["graphs"] >= 200, seen
+    assert min(seen["chains"], seen["ties"], seen["cut"]) >= 30, seen
 
 
 def test_parents_share_maximal_preference(example_aug):

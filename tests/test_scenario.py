@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import logging
 import math
+import random
 
 import pytest
 
@@ -16,6 +18,7 @@ from catchmap import (
     certain_inference,
     compare_with_simulation,
     exact_conditional_distribution,
+    generate_random_topology,
     greedy_plan,
     monte_carlo_inference,
     parse_scenario_file,
@@ -26,8 +29,9 @@ from catchmap import (
     shortest_path_transform,
     write_report_files,
 )
+from catchmap.planner import MeasurementPlan
 from catchmap.rgraph import MAX_EXACT_NODES
-from catchmap.scenario import build_augmented
+from catchmap.scenario import ScenarioReport, build_augmented
 from catchmap.errors import (
     CapacityError,
     InputError,
@@ -472,3 +476,174 @@ def test_mass_deficit_flagged_for_unreachable_corners():
     assert report.routes[3] is None
     assert report.probs[3] == {}
     assert report.probability_mass_deficit.get(3) == 0.0
+
+
+# -- report files: the row writer's byte oracle, escaping, logging ---------------
+
+_ODD_NAMES = ('m"x', "a\\b", "é", "t\tab")
+
+
+def _hand_report(**overrides) -> ScenarioReport:
+    """A report built by hand: node ids of one to five digits, ingress names
+    that need escaping, empty distributions, tiny and inexact floats, a plan
+    and skipped observations."""
+    nodes = (1, 2, 9, 10, 99, 100, 12345, 54321)
+    routes = {n: _ODD_NAMES[i % 4] if i % 3 else None for i, n in enumerate(nodes)}
+    probs = {
+        n: {} if i % 4 == 3 else {_ODD_NAMES[i % 4]: 0.1 + 0.2, _ODD_NAMES[(i + 1) % 4]: 1e-17}
+        for i, n in enumerate(nodes)
+    }
+    fields = dict(
+        config=ScenarioConfig(attachments={1: _ODD_NAMES[0], 10: _ODD_NAMES[2]}).echo(),
+        stages=("attach-destination", "forwarding-graph"),
+        ingress_points=tuple(sorted(_ODD_NAMES)),
+        nodes=nodes,
+        routes=routes,
+        probs=probs,
+        prob_status={n: "exact" if n % 2 else "pre-observation" for n in nodes},
+        certain_counts={m: 1 for m in _ODD_NAMES},
+        uncertain_count=3,
+        bounds={m: (1, 4) for m in _ODD_NAMES},
+        expected_loads={m: 0.1 * (i + 1) for i, m in enumerate(_ODD_NAMES)},
+        probability_mass_deficit={
+            10: 0.5, 9: 0, 100: 1e-17, 12345: 0.1 + 0.2, 54321: math.nan,
+        },
+        set_route_calls=7,
+        skipped_observations=((99, _ODD_NAMES[1]), (5, "gone")),
+        plan=MeasurementPlan(
+            selected=(10, 9), step_values=(2.5, 0.1 + 0.2), baseline_value=1.0,
+            budget=2, method="greedy", notes=("node 5 has no route",),
+        ),
+        rgraph_nodes=9,
+        rgraph_edges=12,
+        seed=3,
+    )
+    fields.update(overrides)
+    return ScenarioReport(**fields)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"probs": None, "prob_status": None, "expected_loads": None},
+    {"plan": None, "skipped_observations": (), "set_route_calls": None},
+    {"probability_mass_deficit": {}},
+    {"nodes": (), "routes": {}, "probs": {}, "prob_status": {}},
+    {"nodes": (7,), "routes": {7: None}, "probs": {7: {}}, "prob_status": {7: "exact"}},
+], ids=["full", "no-probs", "no-plan", "no-deficit", "no-nodes", "one-node"])
+def test_report_json_matches_the_reference_on_hand_built_reports(overrides):
+    report = _hand_report(**overrides)
+    assert report.to_json() == helpers.reference_report_json(report)
+
+
+def _generated_report_configs() -> list[ScenarioConfig]:
+    """48 generated 6-13-node scenarios: sp on in half, prepending in a
+    third, probabilistic in three quarters, a plan in a fifth."""
+    configs = []
+    for i in range(48):
+        n = 6 + i % 8
+        topo = generate_random_topology(n, avg_degree=2.6, seed=300 + i)
+        picks = random.Random(i).sample(sorted(topo.nodes()), 2 + i % 2)
+        names = ("m1", "é2", "m1" if i % 5 == 1 else "m3")
+        cfg = ScenarioConfig(
+            generate={"n": n, "avg_degree": 2.6, "seed": 300 + i},
+            attachments=dict(zip(picks, names)),
+            mode="certain" if i % 4 == 3 else "probabilistic",
+            sp=bool(i % 2),
+            posterior_trials=300,
+            plan_budget=1 if i % 5 == 0 else None,
+            seed=i,
+        )
+        if i % 3 == 0:
+            cfg.prepends = (("m1", 1 + i % 2),)
+        configs.append(cfg)
+    return configs
+
+
+def test_report_json_matches_the_reference_on_generated_scenarios():
+    observed = 0
+    for cfg in _generated_report_configs():
+        report, _ = run_scenario(cfg)
+        assert report.to_json() == helpers.reference_report_json(report)
+        if cfg.mode != "probabilistic":
+            continue
+        # observe the likeliest ingress of an uncertain node, then the exact
+        # or the sampled posterior
+        uncertain = [n for n in report.nodes if report.routes[n] is None and report.probs[n]]
+        if not uncertain:
+            continue
+        node = uncertain[len(uncertain) // 2]
+        ingress = max(sorted(report.probs[node]), key=report.probs[node].get)
+        report, _ = run_scenario(dataclasses.replace(
+            cfg, oracle_text=f"{node},{ingress}\n",
+            posterior=("exact", "monte-carlo")[observed % 2],
+        ))
+        assert report.to_json() == helpers.reference_report_json(report)
+        observed += 1
+    assert observed >= 10
+
+
+def _dot_strings(line: str) -> list[str]:
+    """The quoted strings of a DOT line, with ``\\"`` and ``\\\\`` undone;
+    fails if a quote is left open."""
+    strings, current, escaped = [], None, False
+    for ch in line:
+        if current is None:
+            if ch == '"':
+                current = ""
+        elif escaped:
+            current += ch if ch in '"\\' else "\\" + ch
+            escaped = False
+        elif ch == "\\":
+            escaped = True
+        elif ch == '"':
+            strings.append(current)
+            current = None
+        else:
+            current += ch
+    assert current is None, f"unbalanced quotes in {line!r}"
+    return strings
+
+
+def _odd_name_run(tmp_path, names: dict[int, str]):
+    (tmp_path / "topo.txt").write_text(example_topology_text())
+    text = "topology file topo.txt\n" + "".join(
+        f"attach {n} {m}\n" for n, m in names.items()
+    ) + "dst_id 9\nmode probabilistic\n"
+    report, g = run_scenario(parse_scenario_file(text, base_dir=tmp_path))
+    write_report_files(report, g, tmp_path / "out")
+    return report, tmp_path / "out"
+
+
+def test_dot_labels_escape_quotes_and_backslashes(tmp_path):
+    _, out = _odd_name_run(tmp_path, {1: 'm"x', 2: "m\\y"})
+    lines = (out / "rgraph.dot").read_text().splitlines()
+    assert '  "1" [label="1\\nm\\"x" shape=box];' in lines
+    assert '  "2" [label="2\\nm\\\\y" shape=box];' in lines
+    labels = {}
+    for line in lines:
+        strings = _dot_strings(line)
+        if "label=" in line:
+            labels[strings[0]] = strings[1]
+    assert labels["1"] == '1\\nm"x'
+    assert labels["2"] == "2\\nm\\y"
+
+
+def test_node_csv_quotes_cells_with_commas_and_quotes(tmp_path):
+    report, out = _odd_name_run(tmp_path, {1: "m,x", 2: 'm"y'})
+    with open(out / "nodes.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["node", "route", 'pi_m"y', "pi_m,x", "status"]
+    assert {len(row) for row in rows} == {5}
+    assert {int(row[0]): row[1] for row in rows[1:]} == {
+        n: r or "" for n, r in report.routes.items()
+    }
+    assert report.routes[1] == "m,x" and report.routes[2] == 'm"y'
+
+
+def test_report_files_log_their_sizes(caplog, tmp_path):
+    report, g = run_scenario(example_config(mode="probabilistic", plan_budget=1))
+    with caplog.at_level(logging.DEBUG, logger="catchmap.scenario"):
+        written = write_report_files(report, g, tmp_path)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("wrote ")]
+    assert lines == [f"wrote {p.name}: {p.stat().st_size} bytes" for p in written]
+    assert len(lines) == 5
