@@ -53,13 +53,14 @@ def certain_inference(g: RGraph) -> RoutingFunction:
     return routes
 
 
-def _mixed_distribution(
+def mixed_distribution(
     g: RGraph,
     routes: RoutingFunction,
     out: RouteProbabilities,
     node: int,
 ) -> dict[str, float]:
-    """One node's distribution, from its parents' entries already in ``out``."""
+    """One node's distribution, from its parents' entries already in ``out``:
+    the mixing rule of every forward pass."""
     if node == g.root:
         return {}
     assigned = routes.get(node)
@@ -91,7 +92,7 @@ def probabilistic_inference(g: RGraph, routes: RoutingFunction) -> RouteProbabil
     """
     out: RouteProbabilities = {}
     for node in topological_order(g):
-        out[node] = _mixed_distribution(g, routes, out, node)
+        out[node] = mixed_distribution(g, routes, out, node)
     return out
 
 
@@ -112,7 +113,7 @@ def update_probabilistic_inference(
     """
     out = dict(probs)
     for node in _cone_order(g, pinned):
-        out[node] = _mixed_distribution(g, routes, out, node)
+        out[node] = mixed_distribution(g, routes, out, node)
     return out
 
 

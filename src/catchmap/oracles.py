@@ -8,7 +8,11 @@ each node at most once per application.
 
 For posterior distributions conditioned on a set of observations there are
 two routes: exact enumeration of every tie-break combination (small graphs
-only) and Monte Carlo rejection sampling.
+only) and Monte Carlo. Monte Carlo samples only the observed nodes and
+their ancestors and mixes every other node exactly; without observations it
+is the forward pass. For a seed its estimates differ from those of the
+earlier sampler, which drew every chooser in every trial; the tests pin
+them to that sampler run on the sub-graph the ancestors induce.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from .errors import (
     TopologyParseError,
     UnknownNodeError,
 )
-from .inference import RouteProbabilities, RoutingFunction
+from .inference import RouteProbabilities, RoutingFunction, certain_inference, mixed_distribution
 from .rgraph import RGraph, exact_limit, topological_order
 
 logger = logging.getLogger(__name__)
@@ -373,12 +377,12 @@ def outcomes_keeping(g: RGraph, pins: list[tuple[int, str]]) -> Iterator[tuple[f
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """Empirical conditional distribution from rejection sampling.
+    """Conditional distributions, sampled on the observations' ancestors and
+    mixed exactly everywhere else.
 
     ``ancestors`` counts the observed nodes and their ancestors, the only
-    part of the graph a trial evaluates before it is checked (0 without
-    observations); ``draws_per_trial`` is the number of uniforms each trial
-    consumes.
+    part of the graph a trial evaluates (0 without observations);
+    ``draws_per_trial`` is the number of choosers among them.
     """
 
     probs: RouteProbabilities
@@ -392,10 +396,6 @@ class MonteCarloEstimate:
 # counting stay bounded whatever the trial count
 _TALLY_BATCH = 64
 
-# one level of choosers: slice bounds in the value list, draw positions,
-# cumulative tie weights, parent slots
-_Level = tuple[int, int, list[int], list[list[float]], list[tuple[int, ...]]]
-
 
 def monte_carlo_inference(
     g: RGraph,
@@ -403,19 +403,21 @@ def monte_carlo_inference(
     seed: int = 0,
     oracles: OracleSet | Mapping[int, str] | None = None,
 ) -> MonteCarloEstimate:
-    """Sample tie-break outcomes, reject those contradicting observations.
+    """Sample the observations' ancestors, reject, and mix the rest exactly.
 
-    Each chooser of ``g.chooser_form`` consumes one ``random()`` per trial,
-    in the form's order. A trial draws its uniforms up front, evaluates the
-    choosers among the observed nodes' ancestors, and the rest only when the
-    observations hold: an observation depends on nothing else (barren-node
-    pruning). The draws are the ones a sampler evaluating every node of
-    every trial consumes, in the same order, so for a seed the estimate is
-    the same, down to each node's key order: ingresses in the order they
-    first appear among the accepted trials.
-
-    Deterministic for a given seed. Raises InfeasibleOracleError when every
-    trial is rejected.
+    An observation depends only on the choices in A, the observed nodes and
+    their ancestors. Each trial draws one ``random()`` per chooser of
+    ``g.chooser_form`` in A, in the form's order, and is dropped if it
+    contradicts an observation; A's choosers get the accepted trials'
+    shares, keys in first-appearance order. One forward pass
+    (``mixed_distribution`` over ``certain_inference``) then mixes every
+    other node from its parents. That is exact, as its choice is
+    independent of the observations (Rao-Blackwellisation). Without
+    observations the result is the forward pass. For a seed the estimates
+    differ from those of the earlier sampler, which drew every chooser; run
+    on the sub-graph induced by A with the same seed, it gives A the same
+    floats, and the tests pin that. Deterministic per seed. Raises
+    InfeasibleOracleError when every trial is rejected.
     """
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
@@ -424,34 +426,34 @@ def monte_carlo_inference(
     names: list[str | None] = [None, *g.ingress_points]
     code = {m: c for c, m in enumerate(names)}
     form = g.chooser_form
-
-    level: list[int] = []  # per chooser: 1 + highest level of a chooser it depends on
-    for c in form.choosers:
-        sources = [form.follows[p] for p in g.parents[c] if p in form.follows]
-        level.append(1 + max((level[i] for i in sources), default=0))
     closure = _ancestor_closure(g, [x for x, _ in observed])
-    outside = [c not in closure for c in form.choosers]
+    # a node of A that copies a chooser copies one in A, its ancestor
+    sampled = sorted({form.follows[n] for n in closure if n in form.follows})
 
-    # ``values`` holds each code at its own index, then one slot per chooser:
-    # the observations' ancestors first, each part level by level, so a
-    # level is one slice whose sources all sit in earlier slots
-    layout = sorted(range(len(level)), key=lambda i: (outside[i], level[i], i))
+    level: dict[int, int] = {}  # 1 + highest level of a chooser it depends on
+    for i in sampled:
+        sources = [form.follows[p] for p in g.parents[form.choosers[i]] if p in form.follows]
+        level[i] = 1 + max((level[j] for j in sources), default=0)
+    # ``values`` holds each code at its own index, then one slot per sampled
+    # chooser, level by level, so a level is one slice whose sources all
+    # sit in earlier slots
+    layout = sorted(sampled, key=lambda i: (level[i], i))
     base = len(names)
     slot = {i: base + k for k, i in enumerate(layout)}
+    draw = {i: k for k, i in enumerate(sampled)}
 
     def slot_of(n: int) -> int:
         return code[form.fixed[n]] if n in form.fixed else slot[form.follows[n]]
 
-    near: list[_Level] = []
-    rest: list[_Level] = []
-    for (beyond, _), run in itertools.groupby(layout, key=lambda i: (outside[i], level[i])):
+    levels = []
+    for _, run in itertools.groupby(layout, key=level.__getitem__):
         run = list(run)
         lo = slot[run[0]]
         nodes = [form.choosers[i] for i in run]
-        (rest if beyond else near).append((
+        levels.append((
             lo,
             lo + len(run),
-            run,
+            [draw[i] for i in run],
             [list(itertools.accumulate(g.tie_weights(n))) for n in nodes],
             # the last parent twice: a draw at or past a cumulative total
             # that rounded below 1 takes the last parent
@@ -462,23 +464,18 @@ def monte_carlo_inference(
 
     values = list(range(base)) + [0] * len(layout)
     value_at = values.__getitem__
-
-    def evaluate(levels: list[_Level], uniforms: list[float]) -> None:
-        for lo, hi, draws, cums, parent_slots in levels:
-            picks = map(bisect.bisect_right, cums, map(uniforms.__getitem__, draws))
-            values[lo:hi] = map(value_at, map(getitem, parent_slots, picks))
-
     rng = random.Random(seed)
     tallies: list[dict[int, int]] = [{} for _ in layout]
     rows: list[list[int]] = []
     accepted = 0
     for _ in range(trials):
         uniforms = list(itertools.starmap(rng.random, itertools.repeat((), len(layout))))
-        evaluate(near, uniforms)
+        for lo, hi, draws, cums, parent_slots in levels:
+            picks = map(bisect.bisect_right, cums, map(uniforms.__getitem__, draws))
+            values[lo:hi] = map(value_at, map(getitem, parent_slots, picks))
         if list(map(value_at, observed_slots)) != observed_codes:
             continue
         accepted += 1
-        evaluate(rest, uniforms)
         rows.append(values[base:])
         if len(rows) == _TALLY_BATCH:
             _tally(rows, tallies)
@@ -488,25 +485,33 @@ def monte_carlo_inference(
         raise InfeasibleOracleError(
             f"all {trials} sampled outcomes contradict the observations"
         )
-    per_chooser = [
-        {names[c]: k / accepted for c, k in tallies[slot[i] - base].items() if c}
-        for i in range(len(layout))
-    ]
+
+    estimated = {
+        form.choosers[i]: {names[c]: k / accepted for c, k in tally.items() if c}
+        for i, tally in zip(layout, tallies)
+    }
+    routes = certain_inference(g)
+    probs: RouteProbabilities = {}
+    for n in topological_order(g):
+        probs[n] = estimated[n] if n in estimated else mixed_distribution(g, routes, probs, n)
     return MonteCarloEstimate(
-        probs=form.spread(per_chooser, g.nodes),
+        probs=probs,
         trials=trials,
         accepted=accepted,
         ancestors=len(closure),
-        draws_per_trial=len(layout),
+        draws_per_trial=len(sampled),
     )
 
 
 def _ancestor_closure(g: RGraph, nodes: list[int]) -> set[int]:
     """``nodes`` and every node with a path to one of them."""
-    closure = set(nodes)
-    for n in reversed(topological_order(g)):
-        if n in closure:
-            closure.update(g.parents[n])
+    closure: set[int] = set()
+    stack = list(nodes)
+    while stack:
+        n = stack.pop()
+        if n not in closure:
+            closure.add(n)
+            stack.extend(g.parents[n])
     return closure
 
 

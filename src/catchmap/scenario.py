@@ -469,9 +469,10 @@ def _run_augmented(
                 logger.debug(
                     "monte carlo posterior: %d trials, %d accepted, "
                     "%d of %d nodes in the observations' ancestor closure, "
-                    "%d draws per trial",
+                    "%d choosers sampled, %d nodes mixed exactly",
                     estimate.trials, estimate.accepted, estimate.ancestors,
                     len(g.nodes), estimate.draws_per_trial,
+                    len(g.nodes) - estimate.ancestors,
                 )
                 stages.append("posterior-sampling")
                 status = "posterior-sampled"

@@ -30,6 +30,7 @@ from catchmap.errors import CapacityError, InfeasibleOracleError, InputError
 from catchmap.inference import (
     RouteProbabilities,
     RoutingFunction,
+    certain_inference,
     probabilistic_inference,
     update_probabilistic_inference,
 )
@@ -137,8 +138,10 @@ def random_tie_probs(g, rng) -> dict[int, dict[int, float]]:
 # The rejection sampler as it was written before it drew each trial's
 # numbers up front and rejected on the observations' ancestors first: one
 # dict per trial, every node sampled before the check. Kept verbatim, but
-# for its return value, as the oracle for ``monte_carlo_inference``, which
-# must give the same floats, in the same per-node key order, for every seed.
+# for its return value, as the oracle for ``monte_carlo_inference``: run on
+# ``ancestor_subgraph(g, observed)`` with the same seed, it must give the
+# observed nodes and their ancestors the same floats, in the same per-node
+# key order, and every other node must get ``forward_mix`` of those values.
 def reference_monte_carlo(
     g: RGraph,
     trials: int = 10_000,
@@ -198,6 +201,43 @@ def reference_monte_carlo(
         for n, dist in counts.items()
     }
     return probs, trials, accepted
+
+
+def ancestor_subgraph(g: RGraph, nodes: Iterable[int]) -> RGraph:
+    """The sub-graph of ``g`` induced by ``nodes``, their ancestors and the
+    root, found by one reverse pass over the topological order. Those nodes
+    keep their parents and tie overrides, and every ingress label is kept,
+    so the sub-graph has the same ingress points."""
+    keep = set(nodes) | {g.root}
+    for n in reversed(topological_order(g)):
+        if n in keep:
+            keep.update(g.parents[n])
+    return RGraph.from_parent_map(
+        g.root, g.ingress_map, {n: g.parents[n] for n in keep}, nodes=keep,
+        tie_probs={n: ties for n, ties in g.tie_probs.items() if n in keep},
+    )
+
+
+def forward_mix(g: RGraph, given: RouteProbabilities) -> RouteProbabilities:
+    """The forward pass with each entry of ``given`` taken as it is. Every
+    other node the certainty pass pins gets all its mass on that ingress;
+    the rest add up their parents' entries times the tie weights, parent by
+    parent, skipping zero weights and zero entries."""
+    routes = certain_inference(g)
+    out: RouteProbabilities = {}
+    for n in topological_order(g):
+        if n in given:
+            out[n] = given[n]
+        elif routes[n] is not None:
+            out[n] = {routes[n]: 1.0}
+        else:
+            mixed: dict[str, float] = {}
+            for parent, weight in zip(g.parents[n], g.tie_weights(n)):
+                for ingress, p in out[parent].items():
+                    if weight and p:
+                        mixed[ingress] = mixed.get(ingress, 0.0) + weight * p
+            out[n] = mixed
+    return out
 
 
 # Exact enumeration as it was written before the chooser form: one dict of

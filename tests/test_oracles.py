@@ -445,11 +445,16 @@ class TestTieOverrides:
 
 def assert_same_as_reference(g, trials, seed, oracles=None):
     """``monte_carlo_inference`` against the sampler that evaluates every node
-    in every trial: equal floats in the same per-node key order, equal
-    counts, or the same error. Returns the estimate, None if both raised."""
+    in every trial, run on the sub-graph induced by the observed nodes and
+    their ancestors: equal floats in the same per-node key order on those
+    nodes, equal counts, or the same error. Every other node must equal the
+    forward mix seeded with those values, float for float and in the same
+    key order. Returns the estimate, None if both raised."""
+    observed = dict(oracles or {})
+    sub = helpers.ancestor_subgraph(g, observed)
     try:
         ref_probs, ref_trials, ref_accepted = helpers.reference_monte_carlo(
-            g, trials, seed, oracles
+            sub, trials, seed, oracles
         )
     except InfeasibleOracleError as err:
         with pytest.raises(InfeasibleOracleError) as caught:
@@ -458,17 +463,28 @@ def assert_same_as_reference(g, trials, seed, oracles=None):
         return None
     est = monte_carlo_inference(g, trials, seed, oracles)
     assert (est.trials, est.accepted) == (ref_trials, ref_accepted)
-    assert list(est.probs) == list(ref_probs)
-    for node, dist in ref_probs.items():
-        assert list(est.probs[node].items()) == list(dist.items()), node
+    # the sub-graph always holds the root, an ancestor only of routed nodes
+    closure = set(sub.nodes)
+    if g.root not in observed and not sub.children[g.root]:
+        closure.discard(g.root)
+    expected = helpers.forward_mix(g, {n: ref_probs[n] for n in closure})
+    assert set(est.probs) == set(g.nodes)
+    for node in g.nodes:
+        assert list(est.probs[node].items()) == list(expected[node].items()), node
+    assert est.ancestors == len(closure)
+    assert est.draws_per_trial == len(sub.chooser_form.choosers)
     return est
 
 
-def feasible_observations(g, k, seed):
+def feasible_observations(g, k, seed, uncertain=False):
     """Up to ``k`` observations read off the first outcome sampled with
-    ``seed``, so they hold together (and in that seed's first trial)."""
+    ``seed``, so they hold together (and in that seed's first trial); with
+    ``uncertain``, only of nodes that copy a chooser."""
     outcome, _, _ = helpers.reference_monte_carlo(g, trials=1, seed=seed)
-    routed = sorted(n for n, dist in outcome.items() if dist)
+    routed = sorted(
+        n for n, dist in outcome.items()
+        if dist and (not uncertain or n in g.chooser_form.follows)
+    )
     picks = random.Random(seed).sample(routed, min(k, len(routed)))
     return {n: next(iter(outcome[n])) for n in picks}
 
@@ -486,6 +502,15 @@ def zero_tie_probs(g, rng):
     return ties
 
 
+def weighted(g, weights, rng):
+    """``g`` with uniform, unequal or partly zero tie weights."""
+    if weights == "unequal":
+        return g.with_tie_probs(helpers.random_tie_probs(g, rng))
+    if weights == "zeros":
+        return g.with_tie_probs(zero_tie_probs(g, rng))
+    return g
+
+
 # the root (0) feeds 1 (ingress a) and 2 (ingress b); 2 also hears 1
 ROOT_ATTACHED_WITH_PARENT = [
     (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5), (1, 5),
@@ -495,10 +520,17 @@ PARENTLESS_FEEDER = [
     (0, 1), (0, 2), (1, 3), (2, 3), (9, 3), (9, 4), (3, 5), (4, 5), (1, 5), (5, 6), (2, 6),
 ]
 
+# choosers 4, 5, 6 and 7 in topological order; 5 hears 4, so the sampler
+# evaluates 4 and 6 before 5, while it draws in the order 4, 5, 6, 7
+LEVELS_OUT_OF_ORDER = [
+    (0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (1, 5), (4, 5), (2, 6), (3, 6), (5, 7), (6, 7),
+]
+
 
 class TestSameStreamAsReference:
-    """The sampler gives, for a seed, exactly what evaluating every node of
-    every trial gives."""
+    """For a seed, the observed nodes and their ancestors get exactly what
+    evaluating every node of every trial gives on the sub-graph they induce,
+    and every other node the exact forward mix of those values."""
 
     @pytest.mark.parametrize("weights", ["uniform", "unequal", "zeros"])
     @pytest.mark.parametrize("idx", range(10))
@@ -506,11 +538,7 @@ class TestSameStreamAsReference:
         g = build_rgraph(helpers.random_instance(
             idx, num_nodes=10 + 4 * idx, avg_degree=2.4 + 0.2 * (idx % 5),
         ))
-        rng = random.Random(idx)
-        if weights == "unequal":
-            g = g.with_tie_probs(helpers.random_tie_probs(g, rng))
-        elif weights == "zeros":
-            g = g.with_tie_probs(zero_tie_probs(g, rng))
+        g = weighted(g, weights, random.Random(idx))
         for k in range(4):
             oracles = feasible_observations(g, k, seed=idx + k)
             assert len(oracles) == k
@@ -522,7 +550,16 @@ class TestSameStreamAsReference:
         assert g.parents[2] == (0, 1)
         est = assert_same_as_reference(g, 400, 3, oracles)
         assert est.probs[2] == {"b": 1.0}
-        assert est.draws_per_trial == 3
+        # choosers 3, 4 and 5 are all ancestors of 5; 2 and its ancestors
+        # 0 and 1 are fixed, so nothing is drawn without an observed 5
+        assert est.draws_per_trial == (3 if 5 in oracles else 0)
+
+    @pytest.mark.parametrize("oracles", [{7: "a"}, {7: "c"}, {5: "b", 6: "c"}])
+    def test_levels_out_of_draw_order(self, oracles):
+        g = RGraph.from_edges(0, LEVELS_OUT_OF_ORDER, {1: "a", 2: "b", 3: "c"})
+        assert g.chooser_form.choosers == (4, 5, 6, 7)
+        est = assert_same_as_reference(g, 300, 5, oracles)
+        assert 0 < est.accepted < est.trials
 
     @pytest.mark.parametrize("oracles", [{}, {5: "a"}, {6: "b"}, {3: "b", 6: "a"}])
     def test_parentless_node_with_children(self, oracles):
@@ -567,6 +604,61 @@ class TestSameStreamAsReference:
         # single trial is rejected for some seeds
         assert assert_same_as_reference(example_graph, 40, seed, {7: "m2"}) is None
         assert_same_as_reference(example_graph, 1, seed, {8: "m1"})
+
+
+class TestWithoutObservations:
+    """With nothing observed nothing is sampled: the estimate is the forward
+    pass, float for float."""
+
+    @staticmethod
+    def assert_is_forward_pass(g, trials, seed):
+        est = monte_carlo_inference(g, trials, seed)
+        forward = probabilistic_inference(g, certain_inference(g))
+        assert [(n, list(d.items())) for n, d in sorted(est.probs.items())] == [
+            (n, list(d.items())) for n, d in sorted(forward.items())
+        ]
+        assert (est.trials, est.accepted) == (trials, trials)
+        assert (est.ancestors, est.draws_per_trial) == (0, 0)
+
+    def test_example_graph(self, example_graph):
+        self.assert_is_forward_pass(example_graph, 300, 4)
+
+    @pytest.mark.parametrize("weights", ["uniform", "unequal", "zeros"])
+    def test_random_instances(self, weights):
+        for idx in range(12):
+            g = build_rgraph(helpers.random_instance(
+                idx, num_nodes=10 + 6 * idx, avg_degree=2.4 + 0.2 * (idx % 5),
+            ))
+            self.assert_is_forward_pass(weighted(g, weights, random.Random(idx)), 50, idx)
+
+
+class TestAgainstExactConditioning:
+    """Every (node, ingress) cell lies within four standard errors of the
+    exact posterior, the error taken from the accepted trials."""
+
+    @pytest.mark.parametrize("weights", ["uniform", "unequal", "zeros"])
+    def test_random_instances(self, weights):
+        for idx in range(20):
+            g = build_rgraph(helpers.random_instance(
+                idx, num_nodes=7 + idx % 7, avg_degree=3.0 + 0.3 * (idx % 4),
+                seed_base=12_000,
+            ))
+            assert 8 <= len(g.nodes) <= 14 and exact_limit(g) is None
+            g = weighted(g, weights, random.Random(idx))
+            oracles = feasible_observations(g, 1 + idx % 3, seed=idx, uncertain=True)
+            assert oracles
+            est = monte_carlo_inference(g, 3000, idx, oracles)
+            post = exact_conditional_distribution(g, oracles)
+            for node in g.nodes:
+                assert abs(sum(est.probs[node].values()) - sum(post[node].values())) <= 1e-9
+                for m in set(post[node]) | set(est.probs[node]):
+                    p = post[node].get(m, 0.0)
+                    sigma = math.sqrt(p * (1 - p) / est.accepted)
+                    assert abs(est.probs[node].get(m, 0.0) - p) <= 4 * sigma + 1e-9, (
+                        idx, node, m
+                    )
+            for node, m in oracles.items():
+                assert est.probs[node] == {m: 1.0}
 
 
 def chooser_form_instance(idx):

@@ -209,12 +209,14 @@ class TestRunScenario:
             report, g = run_scenario(cfg)
         estimate = monte_carlo_inference(g, 500, cfg.seed, {8: "m1"})
         assert 0 < estimate.accepted < 500
-        # 8 and its ancestors 1, 2, 4, 5, 6 and the root; choosers 4, 7, 8
-        assert (estimate.ancestors, estimate.draws_per_trial) == (7, 3)
+        # 8 and its ancestors 1, 2, 4, 5, 6 and the root; of the choosers
+        # 4, 7 and 8, only 4 and 8 are among them; 3 and 7 are mixed
+        assert (estimate.ancestors, estimate.draws_per_trial) == (7, 2)
         lines = [r.getMessage() for r in caplog.records if "monte carlo" in r.getMessage()]
         assert lines == [
             f"monte carlo posterior: 500 trials, {estimate.accepted} accepted, "
-            "7 of 9 nodes in the observations' ancestor closure, 3 draws per trial"
+            "7 of 9 nodes in the observations' ancestor closure, "
+            "2 choosers sampled, 2 nodes mixed exactly"
         ]
         assert "accepted" not in report.to_json()
 
