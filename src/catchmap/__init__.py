@@ -5,7 +5,7 @@ at multiple points, the engine derives which networks certainly route to
 which ingress, quantifies the rest probabilistically, folds in measured
 observations, and plans which measurements buy the most certainty.
 """
-from .bgpsim import Path, SimResult, export_sim_csv, run_bgp, simulated_catchment
+from .bgpsim import Path, SimResult, run_bgp, simulated_catchment
 from .errors import (
     CapacityError,
     CatchmapError,
@@ -39,12 +39,10 @@ from .oracles import (
     exact_conditional_distribution,
     monte_carlo_inference,
     parse_oracle_file,
-    serialize_oracles,
 )
 from .planner import (
     MeasurementPlan,
     ObjectiveWeights,
-    conditional_nc,
     exhaustive_plan,
     expected_nc,
     export_plan_csv,
@@ -99,7 +97,7 @@ __all__ = [
     "serialize_topology", "derive_vf_policies", "attach_destination",
     "apply_prepending", "generate_random_topology",
     # propagation
-    "SimResult", "run_bgp", "simulated_catchment", "export_sim_csv",
+    "SimResult", "run_bgp", "simulated_catchment",
     # forwarding graph
     "RGraph", "PathEnumeration", "build_rgraph", "topological_order",
     "enumerate_rpaths", "brute_force_eligible_paths", "simulated_parents",
@@ -110,11 +108,11 @@ __all__ = [
     "catchment_bounds",
     # observations
     "OracleSet", "OracleApplication", "MonteCarloEstimate", "apply_oracles",
-    "parse_oracle_file", "serialize_oracles", "exact_conditional_distribution",
-    "monte_carlo_inference", "enumerate_route_outcomes",
+    "parse_oracle_file", "exact_conditional_distribution", "monte_carlo_inference",
+    "enumerate_route_outcomes",
     # planning
-    "ObjectiveWeights", "MeasurementPlan", "conditional_nc", "expected_nc",
-    "greedy_plan", "exhaustive_plan", "random_plan_values", "export_plan_csv",
+    "ObjectiveWeights", "MeasurementPlan", "expected_nc", "greedy_plan",
+    "exhaustive_plan", "random_plan_values", "export_plan_csv",
     "nonsupermodularity_witness", "nonsubmodularity_witness",
     # scenarios
     "ScenarioConfig", "ScenarioReport", "SimulationComparison",

@@ -10,8 +10,6 @@ the scenario, not a tie to be re-rolled.
 """
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import random
 from dataclasses import dataclass
@@ -39,9 +37,6 @@ class SimResult:
     seed: int
     sp_mode: bool = False
     rounds: int = 0
-
-    def rib_paths(self, node: int) -> tuple[Path, ...]:
-        return tuple(sorted(self.ribs.get(node, {}).values()))
 
 
 def _tie_ranks(
@@ -164,20 +159,3 @@ def simulated_catchment(result: SimResult, aug: AugmentedTopology) -> dict[int, 
             ) from None
     return catchment
 
-
-def export_sim_csv(result: SimResult, aug: AugmentedTopology) -> str:
-    """CSV rows ``node,best_path,ingress`` (path space-separated, empty if none)."""
-    catchment = simulated_catchment(result, aug)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["node", "best_path", "ingress"])
-    for node in sorted(result.best_paths):
-        path = result.best_paths[node]
-        writer.writerow(
-            [
-                node,
-                " ".join(str(h) for h in path) if path else "",
-                catchment.get(node, ""),
-            ]
-        )
-    return buf.getvalue()

@@ -83,7 +83,6 @@ def cmd_ingest(path: str | Path, out: str | Path | None = None) -> str:
     """
     source = _resolve_data_path(path)
     topology = parse_topology_text(source.read_text())
-    topology.validate()
     canonical = serialize_topology(topology)
     if out is not None:
         Path(out).write_text(canonical)

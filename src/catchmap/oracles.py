@@ -17,9 +17,7 @@ them to that sampler run on the sub-graph the ancestors induce.
 from __future__ import annotations
 
 import bisect
-import csv
 import functools
-import io
 import itertools
 import logging
 import random
@@ -37,6 +35,7 @@ from .errors import (
 )
 from .inference import RouteProbabilities, RoutingFunction, certain_inference, mixed_distribution
 from .rgraph import RGraph, exact_limit, topological_order
+from .topology import _strip_comment
 
 logger = logging.getLogger(__name__)
 
@@ -74,20 +73,6 @@ class OracleSet:
     def items(self) -> Iterator[tuple[int, str]]:
         return iter(sorted(self.assignments.items()))
 
-    def merged_with(self, other: "OracleSet") -> "OracleSet":
-        """Union of two observation sets; conflicting duplicates are an error."""
-        assignments = dict(self.assignments)
-        provenance = dict(self.provenance)
-        for node, ingress in other.assignments.items():
-            if node in assignments and assignments[node] != ingress:
-                raise ContradictionError(
-                    f"node {node} observed at both {assignments[node]!r} "
-                    f"and {ingress!r}"
-                )
-            assignments[node] = ingress
-            provenance[node] = other.provenance[node]
-        return OracleSet(assignments, provenance)
-
 
 def parse_oracle_file(text: str) -> OracleSet:
     """Parse observation lines.
@@ -95,8 +80,8 @@ def parse_oracle_file(text: str) -> OracleSet:
     Plain form: ``node,ingress[,provenance]``. Path form:
     ``path:<space-separated nodes>,ingress[,provenance]`` which pins every
     node on the path, since each of them forwards along the same suffix.
-    ``#`` starts a comment. Repeating a node with a different ingress is a
-    parse error.
+    A ``#`` at the start of a line or after whitespace starts a comment.
+    Repeating a node with a different ingress is a parse error.
 
     >>> o = parse_oracle_file("7,m1,ping\\npath:8 5 2,m2\\n")
     >>> assert o.assignments == {7: "m1", 8: "m2", 5: "m2", 2: "m2"}
@@ -122,7 +107,7 @@ def parse_oracle_file(text: str) -> OracleSet:
         provenance[node] = tag
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         parts = [p.strip() for p in line.split(",")]
@@ -153,15 +138,6 @@ def parse_oracle_file(text: str) -> OracleSet:
                 ) from None
             record(node, ingress, tag, line_no)
     return OracleSet(assignments, provenance)
-
-
-def serialize_oracles(oracles: OracleSet) -> str:
-    """CSV rows ``node,ingress,provenance``; round-trips single-node lines."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for node, ingress in oracles.items():
-        writer.writerow([node, ingress, oracles.provenance[node]])
-    return buf.getvalue()
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .inference import (
     probabilistic_inference,
     update_probabilistic_inference,
 )
-from .oracles import OracleApplication, OracleSet, apply_oracles, outcomes_keeping
+from .oracles import OracleApplication, apply_oracles, outcomes_keeping
 from .rgraph import RGraph
 
 logger = logging.getLogger(__name__)
@@ -107,18 +107,6 @@ class _Objective:
             if w is not None:
                 value += w
         return value
-
-
-def conditional_nc(
-    g: RGraph,
-    routes: RoutingFunction,
-    probs: RouteProbabilities,
-    observations: OracleSet | Mapping[int, str],
-    weights: ObjectiveWeights | None = None,
-) -> float:
-    """Objective value after folding in one concrete set of outcomes."""
-    applied = apply_oracles(g, routes, probs, observations)
-    return _Objective(g, weights or ObjectiveWeights()).value(applied.routes)
 
 
 # -- branch bookkeeping ---------------------------------------------------------

@@ -28,7 +28,7 @@ from .bgpsim import Path, run_bgp
 from .errors import (
     CapacityError, ConvergenceError, CycleError, InputError, PolicyError, UnknownNodeError,
 )
-from .topology import AugmentedTopology, Relationship, _check_hierarchy
+from .topology import AugmentedTopology, Relationship, _check_hierarchy, _check_ingress_name
 
 logger = logging.getLogger(__name__)
 
@@ -41,7 +41,8 @@ class RGraph:
 
     An edge parent -> child means the child may forward through the parent.
     ``ingress_map`` names the ingress point of each node directly attached to
-    the root; ``report_nodes`` is the accounting universe (real nodes only,
+    the root, each name obeying the rule ``DestinationSpec`` checks;
+    ``report_nodes`` is the accounting universe (real nodes only,
     no root, no virtual chain nodes). ``order`` lists every node parents
     first; it is computed once at construction, which rejects any directed
     cycle, so every ``RGraph`` is acyclic.
@@ -104,9 +105,11 @@ class RGraph:
         every node of ``nodes`` to a sorted tuple of distinct parents, and
         ``nodes`` and ``report_nodes`` are sorted. Walking the nodes in
         ascending order appends each child list in sorted order. Still
-        rejects a cycle and checks the overrides."""
+        rejects a cycle and checks the ingress names and the overrides."""
         if parents[root]:
             raise CycleError(f"root {root} cannot have parents")
+        for name in dict.fromkeys(ingress_map.values()):
+            _check_ingress_name(name)
         children: dict[int, list[int]] = {node: [] for node in nodes}
         for child in nodes:
             for p in parents[child]:
@@ -153,21 +156,6 @@ class RGraph:
     @property
     def num_edges(self) -> int:
         return sum(len(ps) for ps in self.parents.values())
-
-    def with_parents(self, parents: Mapping[int, Iterable[int]]) -> "RGraph":
-        """Same nodes, labels and tie overrides, different edge set.
-
-        Raises InputError if an override no longer covers exactly its
-        node's new parents.
-        """
-        return RGraph.from_parent_map(
-            self.root,
-            self.ingress_map,
-            parents,
-            nodes=self.nodes,
-            report_nodes=self.report_nodes,
-            tie_probs=self.tie_probs,
-        )
 
     def with_tie_probs(self, tie_probs: Mapping[int, Mapping[int, float]]) -> "RGraph":
         """Same graph with ``tie_probs`` as its overrides, replacing any old ones."""
@@ -590,9 +578,7 @@ def rgraph_dot(g: RGraph) -> str:
         if node == g.root:
             lines.append(f'  "{node}" [label="dst {node}" shape=doublecircle];')
         elif node in g.ingress_map:
-            # a DOT quoted string escapes backslashes and quotes
-            label = g.ingress_map[node].replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  "{node}" [label="{node}\\n{label}" shape=box];')
+            lines.append(f'  "{node}" [label="{node}\\n{g.ingress_map[node]}" shape=box];')
         elif node not in report:
             lines.append(f'  "{node}" [label="{node}" style=dashed];')
         else:

@@ -19,11 +19,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .bgpsim import run_bgp, simulated_catchment
-from .errors import (
-    DestinationSpecError,
-    InputError,
-    TopologyParseError,
-)
+from .errors import InputError, TopologyParseError
 from .inference import (
     RouteProbabilities,
     RoutingFunction,
@@ -47,6 +43,7 @@ from .topology import (
     DestinationSpec,
     Relationship,
     Topology,
+    _strip_comment,
     apply_prepending,
     attach_destination,
     derive_vf_policies,
@@ -121,7 +118,8 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
     ``prepend <ingress> <k>``, ``mode certain|probabilistic``, ``sp on|off``,
     ``oracles <path>``, ``posterior exact|monte-carlo [trials]``,
     ``plan budget <B>``, ``plan candidates <node>...|uncertain``,
-    ``seed <n>``. ``#`` comments. Paths are resolved against ``base_dir``.
+    ``seed <n>``. A ``#`` at the start of a line or after whitespace starts
+    a comment. Paths are resolved against ``base_dir``.
     """
     cfg = ScenarioConfig()
     base = Path(base_dir) if base_dir is not None else None
@@ -133,7 +131,7 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
         return str(path)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         parts = line.split()
@@ -199,10 +197,10 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
                 cfg.posterior = parts[1]
                 if len(parts) == 3:
                     cfg.posterior_trials = int(parts[2])
-            elif key == "plan" and len(parts) >= 3 and parts[1] == "budget":
+            elif key == "plan" and len(parts) == 3 and parts[1] == "budget":
                 cfg.plan_budget = int(parts[2])
             elif key == "plan" and len(parts) >= 3 and parts[1] == "candidates":
-                if parts[2] == "uncertain":
+                if parts[2:] == ["uncertain"]:
                     cfg.plan_candidates = None
                 else:
                     cfg.plan_candidates = tuple(int(p) for p in parts[2:])
@@ -243,16 +241,12 @@ def parse_topology_text(text: str) -> Topology:
 def build_augmented(cfg: ScenarioConfig) -> AugmentedTopology:
     """Topology + destination + transforms, policies enabled."""
     topology = derive_vf_policies(_load_topology(cfg))
-    if cfg.moas_origins:
-        spec = DestinationSpec(moas_origins=cfg.moas_origins, dst_id=cfg.dst_id)
-    elif cfg.attachments:
-        spec = DestinationSpec(
-            attachments=cfg.attachments,
-            attachment_rels=cfg.attachment_rels,
-            dst_id=cfg.dst_id,
-        )
-    else:
-        raise DestinationSpecError("scenario attaches the destination nowhere")
+    spec = DestinationSpec(
+        attachments=cfg.attachments,
+        moas_origins=cfg.moas_origins,
+        attachment_rels=cfg.attachment_rels,
+        dst_id=cfg.dst_id,
+    )
     aug = attach_destination(topology, spec)
     for ingress, k in cfg.prepends:
         aug = apply_prepending(aug, ingress, k)
@@ -370,16 +364,14 @@ class ScenarioReport:
 
     def to_node_csv(self) -> str:
         """Rows ``node,route,pi_<ingress>...,status`` over the report universe.
-
-        A header or route cell holding a comma, a quote or a line break is
-        quoted as RFC 4180 does."""
+        No ingress name holds a comma, a quote or a line break, so no cell
+        needs quoting."""
         cols = ["node", "route"]
-        cols += [_csv_cell(f"pi_{m}") for m in self.ingress_points]
+        cols += [f"pi_{m}" for m in self.ingress_points]
         cols += ["status"]
         lines = [",".join(cols)]
-        route_cells = {r: _csv_cell(r) for r in set(self.routes.values()) if r}
         for n in self.nodes:
-            row = [str(n), route_cells.get(self.routes[n], "")]
+            row = [str(n), self.routes[n] or ""]
             for m in self.ingress_points:
                 if self.probs is None:
                     row.append("")
@@ -397,14 +389,6 @@ def _json_rows(rows: list[str], depth: int) -> str:
         return "{}"
     pad = "\n" + "  " * (depth + 1)
     return "{" + pad + ("," + pad).join(rows) + "\n" + "  " * depth + "}"
-
-
-def _csv_cell(text: str) -> str:
-    """``text`` as an RFC 4180 field: quoted, with quotes doubled, only if
-    it holds a comma, a quote or a line break."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:

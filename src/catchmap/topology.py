@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import logging
 import random
+import re
+import unicodedata
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator, Mapping
@@ -178,18 +180,6 @@ class Topology:
             raise PolicyError(f"edge around node {i} has no relationship")
         return rel_from == Relationship.P2C
 
-    def validate(self) -> None:
-        """Check relationship antisymmetry on every edge; raises on violation."""
-        for i, nbrs in self._adj.items():
-            for j, rel in nbrs.items():
-                rel_back = self._adj[j][i]
-                if rel is None or rel_back is None:
-                    if rel is not rel_back:
-                        raise PolicyError(f"edge {i}-{j} half-labelled")
-                    continue
-                if rel.reversed() != rel_back:
-                    raise PolicyError(f"edge {i}-{j} violates relationship antisymmetry")
-
 
 _MISSING = object()
 
@@ -341,7 +331,7 @@ class DestinationSpec:
     originate the destination; each origin becomes its own ingress point.
     ``attachment_rels`` optionally overrides, per neighbor, the relationship
     of the destination toward that neighbor (default: destination is the
-    neighbor's customer).
+    neighbor's customer). Ingress names follow ``_check_ingress_name``.
     """
 
     attachments: Mapping[int, str] = field(default_factory=dict)
@@ -356,6 +346,32 @@ class DestinationSpec:
             )
         if len(set(self.moas_origins)) != len(self.moas_origins):
             raise DestinationSpecError("duplicate MOAS origin")
+        for name in dict.fromkeys(self.attachments.values()):
+            _check_ingress_name(name)
+
+
+# besides these, whitespace and control characters are refused
+_NAME_FORBIDDEN = frozenset('#,"\\')
+
+
+def _check_ingress_name(name: str) -> None:
+    """Raise DestinationSpecError unless ``name`` is a non-empty run of
+    characters other than whitespace, control characters, ``#``, ``,``,
+    ``"`` and ``\\``. Every report file can then hold it as it is."""
+    if not name:
+        raise DestinationSpecError("empty ingress name")
+    for ch in name:
+        if ch in _NAME_FORBIDDEN or ch.isspace() or unicodedata.category(ch) == "Cc":
+            raise DestinationSpecError(f"ingress name {name!r} holds {ch!r}")
+
+
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def _strip_comment(line: str) -> str:
+    """``line`` without its comment, which starts at a ``#`` that begins the
+    line or follows whitespace; any other ``#`` is part of a token."""
+    return _COMMENT.split(line, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -372,10 +388,6 @@ class AugmentedTopology:
     n_dst: int
     ingress_map: Mapping[int, str]
     virtual_nodes: frozenset[int] = frozenset()
-
-    @property
-    def ingress_points(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.ingress_map.values())))
 
     @property
     def real_nodes(self) -> tuple[int, ...]:
@@ -395,8 +407,6 @@ def attach_destination(topology: Topology, spec: DestinationSpec) -> AugmentedTo
         neighbor_to_ingress = {origin: str(origin) for origin in spec.moas_origins}
     else:
         neighbor_to_ingress = dict(spec.attachments)
-    if not neighbor_to_ingress:
-        raise DestinationSpecError("empty ingress set")
     for neighbor in neighbor_to_ingress:
         if neighbor not in topology:
             raise UnknownNodeError(f"attachment neighbor {neighbor} not in topology")

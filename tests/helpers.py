@@ -109,6 +109,33 @@ def example_aug() -> AugmentedTopology:
     return attach_destination(example_base_topology(), spec)
 
 
+def ingress_points(aug: AugmentedTopology) -> tuple[str, ...]:
+    """The distinct ingress names of ``aug``, sorted."""
+    return tuple(sorted(set(aug.ingress_map.values())))
+
+
+def assert_antisymmetric(topology: Topology) -> None:
+    """Each edge's relationship seen from one end is the reverse of the one
+    seen from the other, and an edge without one has none either way."""
+    for i in topology.nodes():
+        for j, rel in topology.relationships(i).items():
+            back = topology.relationship(j, i)
+            assert back == (rel.reversed() if rel is not None else None), (i, j)
+
+
+def conditional_nc(
+    g: RGraph,
+    routes: RoutingFunction,
+    probs: RouteProbabilities,
+    observations: Mapping[int, str],
+    weights: ObjectiveWeights | None = None,
+) -> float:
+    """The objective after folding in one concrete set of outcomes: the total
+    weight of the reporting nodes the observations leave pinned."""
+    applied = apply_oracles(g, routes, probs, observations)
+    return _certain_value(_scored_nodes(g, weights or ObjectiveWeights()), applied.routes)
+
+
 def degree_attached_instance(
     idx: int, *, num_nodes: int, avg_degree: float, seed_base: int,
     peer_fraction: float = 0.15,
@@ -571,9 +598,9 @@ def reference_report_json(self: ScenarioReport) -> str:
 
 # The graph derivations as they were written before ``RGraph`` had a
 # constructor for input that is already normalised: the pruned graph made by
-# ``with_parents``, and each export sorting the edges again. The oracles for
-# ``shortest_path_transform``, ``rgraph_edgelist`` and ``rgraph_dot``, which
-# must give the same graphs and bytes (labels with plain ingress names).
+# the normalising constructor, and each export sorting the edges again. The
+# oracles for ``shortest_path_transform``, ``rgraph_edgelist`` and
+# ``rgraph_dot``, which must give the same graphs and bytes.
 def reference_shortest_path_transform(g: RGraph) -> RGraph:
     level: dict[int, float] = {}
     for node in topological_order(g):
@@ -587,7 +614,10 @@ def reference_shortest_path_transform(g: RGraph) -> RGraph:
         node: tuple(p for p in parents if not level[p] + 1.0 > level[node])
         for node, parents in g.parents.items()
     }
-    return g.with_parents(pruned)
+    return RGraph.from_parent_map(
+        g.root, g.ingress_map, pruned,
+        nodes=g.nodes, report_nodes=g.report_nodes, tie_probs=g.tie_probs,
+    )
 
 
 def reference_rgraph_edgelist(g: RGraph) -> str:

@@ -8,7 +8,6 @@ from catchmap import (
     Topology,
     attach_destination,
     derive_vf_policies,
-    export_sim_csv,
     run_bgp,
     simulated_catchment,
 )
@@ -59,7 +58,7 @@ def test_best_paths_are_loop_free_rib_members(example_aug):
     result = run_bgp(example_aug, seed=5)
     for node, best in result.best_paths.items():
         assert len(set(best)) == len(best)
-        assert best in result.rib_paths(node)
+        assert best in result.ribs[node].values()
 
 
 def test_best_paths_within_eligible_sets():
@@ -118,12 +117,3 @@ def test_shortest_path_mode_prefers_short_routes():
     for seed in range(10):
         result = run_bgp(aug, seed=seed, sp_mode=True)
         assert result.best_paths[4] == (4, 1, aug.n_dst)
-
-
-def test_csv_export_lists_every_routed_node(example_aug):
-    result = run_bgp(example_aug, seed=0)
-    text = export_sim_csv(result, example_aug)
-    lines = text.strip().splitlines()
-    assert lines[0] == "node,best_path,ingress"
-    listed = {int(line.split(",")[0]) for line in lines[1:]}
-    assert listed == set(example_aug.real_nodes)

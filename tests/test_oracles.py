@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catchmap import (
+    DestinationSpec,
     ObjectiveWeights,
     RGraph,
     apply_oracles,
@@ -23,13 +24,13 @@ from catchmap import (
     parse_oracle_file,
     probabilistic_inference,
     run_bgp,
-    serialize_oracles,
     shortest_path_transform,
     simulated_catchment,
 )
 from catchmap.errors import (
     CapacityError,
     ContradictionError,
+    DestinationSpecError,
     InfeasibleOracleError,
     InputError,
     TopologyParseError,
@@ -70,17 +71,16 @@ class TestOracleFiles:
             parse_oracle_file("4,m1,hearsay\n")
         assert "line 1" in str(err.value)
 
-    def test_round_trip(self):
-        oracles = parse_oracle_file("4,m1\npath:8 6,m2\n")
-        again = parse_oracle_file(serialize_oracles(oracles))
-        assert dict(again.items()) == dict(oracles.items())
-        assert again.provenance == oracles.provenance
+    def test_comma_ends_the_ingress_cell(self):
+        # no ingress name holds a comma, so the third cell is the provenance
+        with pytest.raises(DestinationSpecError, match="'m,x' holds ','"):
+            DestinationSpec(attachments={5: "m,x"})
+        with pytest.raises(TopologyParseError, match="line 1: unknown provenance 'x'"):
+            parse_oracle_file("5,m,x\n")
 
-    def test_merge_rejects_conflicts(self):
-        a = parse_oracle_file("4,m1\n")
-        b = parse_oracle_file("4,m2\n")
-        with pytest.raises(ContradictionError):
-            a.merged_with(b)
+    def test_hash_inside_a_cell_is_kept(self):
+        oracles = parse_oracle_file("5,m#x # m, x\n#5,m\n")
+        assert dict(oracles.items()) == {5: "m#x"}
 
 
 class TestPropagation:

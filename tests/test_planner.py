@@ -14,7 +14,6 @@ from catchmap import (
     apply_prepending,
     build_rgraph,
     certain_inference,
-    conditional_nc,
     exhaustive_plan,
     expected_nc,
     greedy_plan,
@@ -36,20 +35,20 @@ TOL = 1e-9
 
 class TestConditionalCount:
     def test_baseline_count(self, example_graph, example_routes, example_probs):
-        got = conditional_nc(example_graph, example_routes, example_probs, {})
+        got = helpers.conditional_nc(example_graph, example_routes, example_probs, {})
         assert got == helpers.CERTAIN_COUNT
 
     def test_best_single_observation_resolves_everything(
         self, example_graph, example_routes, example_probs
     ):
-        got = conditional_nc(
+        got = helpers.conditional_nc(
             example_graph, example_routes, example_probs, {8: "m1"}
         )
         assert got == 8
 
     def test_weighted_count(self, example_graph, example_routes, example_probs):
         weights = ObjectiveWeights(weights={n: 2.0 for n in range(1, 9)})
-        got = conditional_nc(
+        got = helpers.conditional_nc(
             example_graph, example_routes, example_probs, {}, weights=weights
         )
         assert got == 2.0 * helpers.CERTAIN_COUNT
@@ -273,7 +272,7 @@ def _reference_instances():
         rng = random.Random(idx)
         aug = helpers.random_instance(idx, seed_base=8100)
         if idx % 3 == 0:
-            aug = apply_prepending(aug, rng.choice(aug.ingress_points), rng.randint(1, 3))
+            aug = apply_prepending(aug, rng.choice(helpers.ingress_points(aug)), rng.randint(1, 3))
         g = build_rgraph(aug)
         if idx % 2:
             g = g.with_tie_probs(helpers.random_tie_probs(g, rng))

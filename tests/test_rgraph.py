@@ -197,7 +197,7 @@ def _policy_instance(seed):
     aug = attach_destination(topo, spec)
     if rng.random() < 0.4:
         for _ in range(rng.randint(1, 3)):
-            aug = apply_prepending(aug, rng.choice(aug.ingress_points), rng.randint(1, 3))
+            aug = apply_prepending(aug, rng.choice(helpers.ingress_points(aug)), rng.randint(1, 3))
         features.add("prepended")
     return aug, features
 
@@ -240,7 +240,7 @@ def test_builder_matches_the_simulator(chunk):
 def test_graph_derivations_match_the_normalising_path():
     """The builder and the pruning hand already-normalised parents to the
     graph, and the exports walk the kept child order. They must give what
-    the normalising constructor, ``with_parents`` and sorting gave: the same
+    the normalising constructor and sorting gave: the same
     fields, the same parent key order, the same bytes and the same errors."""
     seen = collections.Counter()
     for seed in POLICY_SEEDS:
@@ -459,15 +459,7 @@ class TestGraphValue:
         with pytest.raises(CycleError):
             RGraph.from_edges(0, [(1, 0)], {1: "m"})
 
-    def test_with_parents_rewires(self):
-        g = RGraph.from_edges(0, [(0, 1), (0, 2), (1, 3), (2, 3)], {1: "a", 2: "b"})
-        trimmed = g.with_parents({3: (1,)})
-        assert trimmed.parents[3] == (1,)
-        assert trimmed.children[2] == ()
-        # original untouched
-        assert g.parents[3] == (1, 2)
-
-    def test_with_parents_carries_tie_overrides(self, example_graph):
+    def test_pruning_carries_tie_overrides(self, example_graph):
         g = example_graph.with_tie_probs({4: {1: 0.25, 2: 0.75}})
         pruned = shortest_path_transform(g)
         assert pruned.tie_probs == g.tie_probs

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import logging
 import math
 import random
+import re
 
 import pytest
 
 from catchmap import (
+    DestinationSpec,
+    RGraph,
     Relationship,
     ScenarioConfig,
     build_rgraph,
@@ -34,6 +36,7 @@ from catchmap.rgraph import MAX_EXACT_NODES
 from catchmap.scenario import ScenarioReport, build_augmented
 from catchmap.errors import (
     CapacityError,
+    DestinationSpecError,
     InputError,
     TopologyParseError,
     UnknownNodeError,
@@ -92,9 +95,11 @@ class TestScenarioParsing:
         assert cfg.generate == {"n": 50, "avg_degree": 2.5, "seed": 3}
 
     def test_unknown_directive_reports_line(self):
-        with pytest.raises(TopologyParseError) as err:
-            parse_scenario_file("mode certain\nfrobnicate 5\n")
-        assert "line 2" in str(err.value)
+        # a plan line takes exactly its own tokens
+        for line in ("frobnicate 5", "plan budget 2 3", "plan candidates uncertain 7"):
+            with pytest.raises(TopologyParseError) as err:
+                parse_scenario_file(f"mode certain\n{line}\n")
+            assert "line 2" in str(err.value)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(TopologyParseError):
@@ -584,28 +589,6 @@ def test_report_json_matches_the_reference_on_generated_scenarios():
     assert observed >= 10
 
 
-def _dot_strings(line: str) -> list[str]:
-    """The quoted strings of a DOT line, with ``\\"`` and ``\\\\`` undone;
-    fails if a quote is left open."""
-    strings, current, escaped = [], None, False
-    for ch in line:
-        if current is None:
-            if ch == '"':
-                current = ""
-        elif escaped:
-            current += ch if ch in '"\\' else "\\" + ch
-            escaped = False
-        elif ch == "\\":
-            escaped = True
-        elif ch == '"':
-            strings.append(current)
-            current = None
-        else:
-            current += ch
-    assert current is None, f"unbalanced quotes in {line!r}"
-    return strings
-
-
 def _odd_name_run(tmp_path, names: dict[int, str]):
     (tmp_path / "topo.txt").write_text(example_topology_text())
     text = "topology file topo.txt\n" + "".join(
@@ -617,29 +600,53 @@ def _odd_name_run(tmp_path, names: dict[int, str]):
 
 
 def test_dot_labels_escape_quotes_and_backslashes(tmp_path):
-    _, out = _odd_name_run(tmp_path, {1: 'm"x', 2: "m\\y"})
-    lines = (out / "rgraph.dot").read_text().splitlines()
-    assert '  "1" [label="1\\nm\\"x" shape=box];' in lines
-    assert '  "2" [label="2\\nm\\\\y" shape=box];' in lines
-    labels = {}
-    for line in lines:
-        strings = _dot_strings(line)
-        if "label=" in line:
-            labels[strings[0]] = strings[1]
-    assert labels["1"] == '1\\nm"x'
-    assert labels["2"] == "2\\nm\\y"
+    # names that a DOT label would have to escape do not exist
+    with pytest.raises(DestinationSpecError, match="""ingress name 'm"x' holds '"'"""):
+        _odd_name_run(tmp_path, {1: 'm"x', 2: "m2"})
+    with pytest.raises(DestinationSpecError, match=re.escape("'m\\\\y' holds '\\\\'")):
+        _odd_name_run(tmp_path, {1: "m1", 2: "m\\y"})
+    # nor in a graph built by hand
+    with pytest.raises(DestinationSpecError, match="holds '\"'"):
+        RGraph.from_edges(0, [(0, 1)], {1: 'm"x'})
+    assert not (tmp_path / "out").exists()
 
 
 def test_node_csv_quotes_cells_with_commas_and_quotes(tmp_path):
-    report, out = _odd_name_run(tmp_path, {1: "m,x", 2: 'm"y'})
-    with open(out / "nodes.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["node", "route", 'pi_m"y', "pi_m,x", "status"]
-    assert {len(row) for row in rows} == {5}
-    assert {int(row[0]): row[1] for row in rows[1:]} == {
-        n: r or "" for n, r in report.routes.items()
-    }
-    assert report.routes[1] == "m,x" and report.routes[2] == 'm"y'
+    # names that a CSV cell would have to quote do not exist
+    with pytest.raises(DestinationSpecError, match="'m,x' holds ','"):
+        _odd_name_run(tmp_path, {1: "m,x", 2: "m2"})
+    with pytest.raises(DestinationSpecError, match="holds ','"):
+        RGraph.from_edges(0, [(0, 1)], {1: "m,x"})
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("m#x", "holds '#'"), ("m\tx", "holds '\\t'"), ("m\x7fx", "holds '\\x7f'"),
+    ("m\u2003x", "holds '\\u2003'"), ("", "empty ingress name"),
+])
+def test_ingress_name_rule_names_the_character(name, message):
+    with pytest.raises(DestinationSpecError, match=re.escape(message)):
+        DestinationSpec(attachments={1: name})
+    with pytest.raises(DestinationSpecError, match=re.escape(message)):
+        RGraph.from_edges(0, [(0, 1)], {1: name})
+
+
+def test_hash_in_an_ingress_name_is_not_a_comment(tmp_path):
+    # a "#" inside a token is part of it, so two ingress points never merge
+    cfg = parse_scenario_file("attach 1 m#x\nattach 2 m # the second\n")
+    assert cfg.attachments == {1: "m#x", 2: "m"}
+    with pytest.raises(DestinationSpecError, match="'m#x' holds '#'"):
+        _odd_name_run(tmp_path, {1: "m#x", 2: "m"})
+    report, _ = _odd_name_run(tmp_path, {1: "m1", 2: "é2"})
+    assert report.ingress_points == ("m1", "é2")
+
+
+def test_attach_and_moas_lines_together_rejected():
+    cfg = parse_scenario_file(
+        "topology generate n=20 avg_degree=2.5 seed=6\nattach 5 m1\nmoas 1 2\n"
+    )
+    with pytest.raises(DestinationSpecError, match="exactly one"):
+        run_scenario(cfg)
 
 
 def test_report_files_log_their_sizes(caplog, tmp_path):

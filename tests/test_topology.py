@@ -223,7 +223,7 @@ class TestAttachDestination:
         aug = helpers.example_aug()
         assert aug.n_dst == helpers.DST
         assert aug.ingress_map == {1: "m1", 2: "m2"}
-        assert set(aug.ingress_points) == {"m1", "m2"}
+        assert helpers.ingress_points(aug) == ("m1", "m2")
         # destination attaches as a customer of each neighbor by default
         assert aug.topology.relationship(aug.n_dst, 1) == Relationship.C2P
         assert aug.topology.relationship(aug.n_dst, 2) == Relationship.C2P
@@ -325,6 +325,6 @@ class TestGenerator:
             n, avg_degree=2.5, peer_fraction=peers, seed=seed
         )
         vf = derive_vf_policies(topo)
-        vf.validate()  # antisymmetry
+        helpers.assert_antisymmetric(vf)
         assert vf.num_nodes == n
         assert vf.num_edges >= n - 1  # spanning structure
