@@ -10,9 +10,7 @@ For posterior distributions conditioned on a set of observations there are
 two routes: exact enumeration of every tie-break combination (small graphs
 only) and Monte Carlo. Monte Carlo samples only the observed nodes and
 their ancestors and mixes every other node exactly; without observations it
-is the forward pass. For a seed its estimates differ from those of the
-earlier sampler, which drew every chooser in every trial; the tests pin
-them to that sampler run on the sub-graph the ancestors induce.
+is the forward pass.
 """
 from __future__ import annotations
 
@@ -22,7 +20,6 @@ import itertools
 import logging
 import random
 from dataclasses import dataclass, field
-from operator import getitem
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -368,14 +365,9 @@ class MonteCarloEstimate:
     draws_per_trial: int
 
 
-# accepted outcomes are tallied this many at a time, so the rows held for
-# counting stay bounded whatever the trial count
-_TALLY_BATCH = 64
-
-
 def monte_carlo_inference(
     g: RGraph,
-    trials: int = 10_000,
+    trials: int,
     seed: int = 0,
     oracles: OracleSet | Mapping[int, str] | None = None,
 ) -> MonteCarloEstimate:
@@ -389,82 +381,47 @@ def monte_carlo_inference(
     (``mixed_distribution`` over ``certain_inference``) then mixes every
     other node from its parents. That is exact, as its choice is
     independent of the observations (Rao-Blackwellisation). Without
-    observations the result is the forward pass. For a seed the estimates
-    differ from those of the earlier sampler, which drew every chooser; run
-    on the sub-graph induced by A with the same seed, it gives A the same
-    floats, and the tests pin that. Deterministic per seed. Raises
-    InfeasibleOracleError when every trial is rejected.
+    observations the result is the forward pass. Deterministic per seed.
+    Raises InfeasibleOracleError when every trial is rejected.
     """
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
     observed = _check_observed(g, oracles)
-    # ingress codes; 0 is no route
-    names: list[str | None] = [None, *g.ingress_points]
-    code = {m: c for c, m in enumerate(names)}
     form = g.chooser_form
     closure = _ancestor_closure(g, [x for x, _ in observed])
     # a node of A that copies a chooser copies one in A, its ancestor
     sampled = sorted({form.follows[n] for n in closure if n in form.follows})
-
-    level: dict[int, int] = {}  # 1 + highest level of a chooser it depends on
+    draws = []
     for i in sampled:
-        sources = [form.follows[p] for p in g.parents[form.choosers[i]] if p in form.follows]
-        level[i] = 1 + max((level[j] for j in sources), default=0)
-    # ``values`` holds each code at its own index, then one slot per sampled
-    # chooser, level by level, so a level is one slice whose sources all
-    # sit in earlier slots
-    layout = sorted(sampled, key=lambda i: (level[i], i))
-    base = len(names)
-    slot = {i: base + k for k, i in enumerate(layout)}
-    draw = {i: k for k, i in enumerate(sampled)}
-
-    def slot_of(n: int) -> int:
-        return code[form.fixed[n]] if n in form.fixed else slot[form.follows[n]]
-
-    levels = []
-    for _, run in itertools.groupby(layout, key=level.__getitem__):
-        run = list(run)
-        lo = slot[run[0]]
-        nodes = [form.choosers[i] for i in run]
-        levels.append((
-            lo,
-            lo + len(run),
-            [draw[i] for i in run],
-            [list(itertools.accumulate(g.tie_weights(n))) for n in nodes],
-            # the last parent twice: a draw at or past a cumulative total
-            # that rounded below 1 takes the last parent
-            [(*map(slot_of, g.parents[n]), slot_of(g.parents[n][-1])) for n in nodes],
-        ))
-    observed_slots = [slot_of(x) for x, _ in observed]
-    observed_codes = [code[m] for _, m in observed]
-
-    values = list(range(base)) + [0] * len(layout)
-    value_at = values.__getitem__
+        c = form.choosers[i]
+        draws.append((i, g.parents[c], list(itertools.accumulate(g.tie_weights(c)))))
+    # a chooser's parents copy only earlier choosers, so each trial
+    # overwrites every entry it reads before reading it
+    picks: list[str | None] = [None] * len(form.choosers)
+    counts: list[dict[str, int]] = [{} for _ in sampled]
     rng = random.Random(seed)
-    tallies: list[dict[int, int]] = [{} for _ in layout]
-    rows: list[list[int]] = []
     accepted = 0
     for _ in range(trials):
-        uniforms = list(itertools.starmap(rng.random, itertools.repeat((), len(layout))))
-        for lo, hi, draws, cums, parent_slots in levels:
-            picks = map(bisect.bisect_right, cums, map(uniforms.__getitem__, draws))
-            values[lo:hi] = map(value_at, map(getitem, parent_slots, picks))
-        if list(map(value_at, observed_slots)) != observed_codes:
+        for i, parents, cum in draws:
+            # a draw at or past a cumulative total that rounded below 1
+            # takes the last parent
+            parent = parents[min(bisect.bisect_right(cum, rng.random()), len(parents) - 1)]
+            picks[i] = form.ingress(picks, parent)
+        if any(form.ingress(picks, x) != m for x, m in observed):
             continue
         accepted += 1
-        rows.append(values[base:])
-        if len(rows) == _TALLY_BATCH:
-            _tally(rows, tallies)
-            rows.clear()
-    _tally(rows, tallies)
+        for i, count in zip(sampled, counts):
+            m = picks[i]
+            if m is not None:
+                count[m] = count.get(m, 0) + 1
     if accepted == 0:
         raise InfeasibleOracleError(
             f"all {trials} sampled outcomes contradict the observations"
         )
 
     estimated = {
-        form.choosers[i]: {names[c]: k / accepted for c, k in tally.items() if c}
-        for i, tally in zip(layout, tallies)
+        form.choosers[i]: {m: k / accepted for m, k in count.items()}
+        for i, count in zip(sampled, counts)
     }
     routes = certain_inference(g)
     probs: RouteProbabilities = {}
@@ -490,10 +447,3 @@ def _ancestor_closure(g: RGraph, nodes: list[int]) -> set[int]:
             stack.extend(g.parents[n])
     return closure
 
-
-def _tally(rows: list[list[int]], tallies: list[dict[int, int]]) -> None:
-    """Add each column of ``rows`` to its tally; a code new to a tally goes
-    after the ones already there, so keys keep first-appearance order."""
-    for tally, column in zip(tallies, zip(*rows)):
-        for c in dict.fromkeys(column):
-            tally[c] = tally.get(c, 0) + column.count(c)

@@ -43,6 +43,8 @@ from .topology import (
     DestinationSpec,
     Relationship,
     Topology,
+    _REL_BY_NAME,
+    _REL_NAMES,
     _strip_comment,
     apply_prepending,
     attach_destination,
@@ -53,13 +55,6 @@ from .topology import (
 )
 
 logger = logging.getLogger(__name__)
-
-_REL_TOKENS = {
-    "p2c": Relationship.P2C,
-    "p2p": Relationship.P2P,
-    "c2p": Relationship.C2P,
-}
-
 
 @dataclass
 class ScenarioConfig:
@@ -91,7 +86,7 @@ class ScenarioConfig:
             "generate": self.generate,
             "attachments": {str(k): v for k, v in sorted(self.attachments.items())},
             "attachment_rels": {
-                str(k): v.name.lower() for k, v in sorted(self.attachment_rels.items())
+                str(k): _REL_NAMES[v] for k, v in sorted(self.attachment_rels.items())
             },
             "moas_origins": list(self.moas_origins),
             "dst_id": self.dst_id,
@@ -116,7 +111,7 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
     Directives: ``topology file <path>`` / ``topology generate k=v ...``,
     ``attach <node> <ingress> [rel]``, ``moas <node>...``, ``dst_id <n>``,
     ``prepend <ingress> <k>``, ``mode certain|probabilistic``, ``sp on|off``,
-    ``oracles <path>``, ``posterior exact|monte-carlo [trials]``,
+    ``oracles <path>``, ``posterior exact`` / ``posterior monte-carlo [trials]``,
     ``plan budget <B>``, ``plan candidates <node>...|uncertain``,
     ``seed <n>``. A ``#`` at the start of a line or after whitespace starts
     a comment. Paths are resolved against ``base_dir``.
@@ -137,7 +132,7 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
         parts = line.split()
         key = parts[0]
         try:
-            if key == "topology" and len(parts) >= 2 and parts[1] == "file":
+            if key == "topology" and len(parts) >= 3 and parts[1] == "file":
                 cfg.topology_file = resolve(" ".join(parts[2:]))
             elif key == "topology" and len(parts) >= 2 and parts[1] == "generate":
                 params: dict = {}
@@ -161,11 +156,11 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
                     )
                 cfg.attachments[node] = parts[2]
                 if len(parts) == 4:
-                    if parts[3] not in _REL_TOKENS:
+                    if parts[3] not in _REL_BY_NAME:
                         raise TopologyParseError(
                             f"unknown relationship {parts[3]!r}", line_no
                         )
-                    cfg.attachment_rels[node] = _REL_TOKENS[parts[3]]
+                    cfg.attachment_rels[node] = _REL_BY_NAME[parts[3]]
             elif key == "remove_ingress" and len(parts) == 2:
                 found = [n for n, m in cfg.attachments.items() if m == parts[1]]
                 if not found:
@@ -196,6 +191,10 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
                     )
                 cfg.posterior = parts[1]
                 if len(parts) == 3:
+                    if parts[1] == "exact":
+                        raise TopologyParseError(
+                            "posterior exact takes no trial count", line_no
+                        )
                     cfg.posterior_trials = int(parts[2])
             elif key == "plan" and len(parts) == 3 and parts[1] == "budget":
                 cfg.plan_budget = int(parts[2])

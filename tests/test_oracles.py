@@ -520,8 +520,8 @@ PARENTLESS_FEEDER = [
     (0, 1), (0, 2), (1, 3), (2, 3), (9, 3), (9, 4), (3, 5), (4, 5), (1, 5), (5, 6), (2, 6),
 ]
 
-# choosers 4, 5, 6 and 7 in topological order; 5 hears 4, so the sampler
-# evaluates 4 and 6 before 5, while it draws in the order 4, 5, 6, 7
+# choosers 4, 5, 6 and 7 in topological order; 5 hears 4, so 5's pick
+# copies the pick 4 drew earlier in the same trial
 LEVELS_OUT_OF_ORDER = [
     (0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (1, 5), (4, 5), (2, 6), (3, 6), (5, 7), (6, 7),
 ]
@@ -543,6 +543,24 @@ class TestSameStreamAsReference:
             oracles = feasible_observations(g, k, seed=idx + k)
             assert len(oracles) == k
             assert assert_same_as_reference(g, 300, idx + k, oracles) is not None
+
+    @pytest.mark.parametrize("weights", ["uniform", "unequal", "zeros"])
+    def test_many_draws_per_trial(self, weights):
+        # the two nodes with the most chooser ancestors are observed, so a
+        # trial draws 27 choosers, more than two observations on a
+        # 10k-node generated graph typically need
+        g = build_rgraph(helpers.random_instance(0, num_nodes=150, avg_degree=4.0))
+        g = weighted(g, weights, random.Random(0))
+
+        def draws(nodes):
+            return len(helpers.ancestor_subgraph(g, nodes).chooser_form.choosers)
+
+        deepest = sorted(g.nodes, key=lambda n: (-draws([n]), n))[:2]
+        outcome, _, _ = helpers.reference_monte_carlo(g, trials=1, seed=1)
+        oracles = {n: next(iter(outcome[n])) for n in deepest}
+        est = assert_same_as_reference(g, 1000, 1, oracles)
+        assert est.draws_per_trial == draws(deepest) >= 15
+        assert 0 < est.accepted < est.trials
 
     @pytest.mark.parametrize("oracles", [{}, {5: "a"}, {5: "b"}, {2: "b"}, {4: "b", 5: "a"}])
     def test_root_attached_node_with_another_parent(self, oracles):

@@ -95,8 +95,12 @@ class TestScenarioParsing:
         assert cfg.generate == {"n": 50, "avg_degree": 2.5, "seed": 3}
 
     def test_unknown_directive_reports_line(self):
-        # a plan line takes exactly its own tokens
-        for line in ("frobnicate 5", "plan budget 2 3", "plan candidates uncertain 7"):
+        # a plan line takes exactly its own tokens, a topology file line a
+        # path, and an exact posterior no trial count
+        for line in (
+            "frobnicate 5", "plan budget 2 3", "plan candidates uncertain 7",
+            "topology file", "posterior exact 50",
+        ):
             with pytest.raises(TopologyParseError) as err:
                 parse_scenario_file(f"mode certain\n{line}\n")
             assert "line 2" in str(err.value)
