@@ -196,6 +196,11 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
                             "posterior exact takes no trial count", line_no
                         )
                     cfg.posterior_trials = int(parts[2])
+                    if cfg.posterior_trials < 1:
+                        raise TopologyParseError(
+                            f"posterior monte-carlo needs at least one trial, "
+                            f"got {cfg.posterior_trials}", line_no
+                        )
             elif key == "plan" and len(parts) == 3 and parts[1] == "budget":
                 cfg.plan_budget = int(parts[2])
             elif key == "plan" and len(parts) >= 3 and parts[1] == "candidates":
@@ -207,7 +212,9 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
                 cfg.seed = int(parts[1])
             else:
                 raise TopologyParseError(f"unrecognized directive {raw!r}", line_no)
-        except ValueError:
+        except TopologyParseError:
+            raise
+        except ValueError:  # from int() or float()
             raise TopologyParseError(f"bad number in {raw!r}", line_no) from None
     return cfg
 

@@ -9,6 +9,7 @@ optionally behind chains of virtual nodes that model path prepending.
 from __future__ import annotations
 
 import logging
+import math
 import random
 import re
 import unicodedata
@@ -74,7 +75,9 @@ class Topology:
     """Undirected relationship-labelled graph, plus optional routing policies.
 
     Treat instances as immutable once built: every transformation in this
-    package returns a new Topology. ``local_pref`` and ``exports`` raise
+    package returns a new Topology, which shares with its input every
+    neighbor row it does not change (so ``add_edge`` on a derived topology
+    could write into its input). ``local_pref`` and ``exports`` raise
     PolicyError until policies are enabled (see ``derive_vf_policies``).
     """
 
@@ -106,12 +109,6 @@ class Topology:
             )
         self._adj.setdefault(i, {})[j] = rel
         self._adj.setdefault(j, {})[i] = rel.reversed() if rel is not None else None
-
-    def copy(self) -> "Topology":
-        out = Topology()
-        out._adj = {n: dict(nbrs) for n, nbrs in self._adj.items()}
-        out._vf_policies = self._vf_policies
-        return out
 
     # -- structure queries -------------------------------------------------
 
@@ -184,6 +181,18 @@ class Topology:
 _MISSING = object()
 
 
+def _derive(topology: Topology, changed: Iterable[int]) -> Topology:
+    """A new Topology that shares every neighbor row of ``topology`` except
+    those of ``changed``, which it copies: O(N) for the node map plus the
+    copied rows, instead of copying every edge."""
+    out = Topology()
+    adj = out._adj = dict(topology._adj)
+    for node in changed:
+        adj[node] = dict(adj[node])
+    out._vf_policies = topology._vf_policies
+    return out
+
+
 def parse_caida_asrel(text: str | Iterable[str]) -> Topology:
     """Parse a serial-1 pipe-delimited AS relationship listing.
 
@@ -220,8 +229,9 @@ def parse_caida_asrel(text: str | Iterable[str]) -> Topology:
         except EdgeConflictError as exc:
             raise TopologyParseError(str(exc), line_no) from None
         count += 1
-    logger.info("parsed %d relationship lines: %d nodes, %d edges",
-                count, topology.num_nodes, topology.num_edges)
+    if logger.isEnabledFor(logging.INFO):  # num_edges walks every row
+        logger.info("parsed %d relationship lines: %d nodes, %d edges",
+                    count, topology.num_nodes, topology.num_edges)
     return topology
 
 
@@ -277,7 +287,8 @@ def parse_topology(text: str) -> Topology:
 
 
 def derive_vf_policies(topology: Topology) -> Topology:
-    """Return a copy with valley-free policies enabled.
+    """Return a new Topology, sharing every row of ``topology``, with
+    valley-free policies enabled.
 
     Preferences follow VF_LOCAL_PREF per relationship class; the export
     rule allows a route to be exported iff it goes to a customer or was
@@ -285,7 +296,7 @@ def derive_vf_policies(topology: Topology) -> Topology:
     or if providers form a cycle: each node of it a provider of the next.
     """
     _check_hierarchy(topology)
-    out = topology.copy()
+    out = _derive(topology, ())
     out._vf_policies = True
     return out
 
@@ -417,7 +428,7 @@ def attach_destination(topology: Topology, spec: DestinationSpec) -> AugmentedTo
     elif n_dst in topology:
         raise DestinationSpecError(f"destination id {n_dst} collides with a base node")
 
-    augmented = topology.copy()
+    augmented = _derive(topology, neighbor_to_ingress)
     augmented.add_node(n_dst)
     for neighbor in neighbor_to_ingress:
         rel = spec.attachment_rels.get(neighbor, Relationship.C2P)
@@ -445,7 +456,7 @@ def apply_prepending(aug: AugmentedTopology, ingress: str, k: int) -> AugmentedT
         return aug
 
     affected = sorted(n for n, m in aug.ingress_map.items() if m == ingress)
-    topology = aug.topology.copy()
+    topology = _derive(aug.topology, [aug.n_dst, *affected])
     next_id = max(topology.nodes()) + 1
     chain = list(range(next_id, next_id + k))
 
@@ -494,6 +505,8 @@ def generate_random_topology(
         raise GenerationError(f"need at least one node, got {num_nodes}")
     if not 0 <= peer_fraction <= 1:
         raise GenerationError(f"peer_fraction must be in [0,1], got {peer_fraction}")
+    if not math.isfinite(avg_degree):
+        raise GenerationError(f"avg_degree must be finite, got {avg_degree}")
     if num_nodes == 1:
         topology = Topology()
         topology.add_node(1)
@@ -510,33 +523,38 @@ def generate_random_topology(
     order = list(range(1, num_nodes + 1))
     rng.shuffle(order)  # order[0] is the top of the hierarchy
     rank = {node: idx for idx, node in enumerate(order)}
+    p2p, p2c = Relationship.P2P, Relationship.P2C
 
+    # Rows are written directly, in add_edge's order: the provider's entry,
+    # then the customer's. The earlier-ranked endpoint acts as the provider.
     topology = Topology()
-    topology.add_node(order[0])
-    edges: set[tuple[int, int]] = set()
-
-    def add(u: int, v: int) -> None:
-        # the earlier-ranked endpoint acts as the provider
-        provider, customer = (u, v) if rank[u] < rank[v] else (v, u)
-        if rng.random() < peer_fraction:
-            topology.add_edge(provider, customer, Relationship.P2P)
-        else:
-            topology.add_edge(provider, customer, Relationship.P2C)
-        edges.add((min(u, v), max(u, v)))
-
+    adj = topology._adj
+    adj[order[0]] = {}
     for idx in range(1, num_nodes):
+        # a spanning tree: v is ranked earlier (the provider side), u's row is new
         u = order[idx]
         v = order[rng.randrange(idx)]
-        add(u, v)
+        rel = p2p if rng.random() < peer_fraction else p2c
+        adj[v][u] = rel
+        adj[u] = {v: _REVERSED[rel]}
 
+    edges = num_nodes - 1
     attempts = 0
     max_attempts = 50 * target_edges + 100
-    while len(edges) < target_edges and attempts < max_attempts:
+    while edges < target_edges and attempts < max_attempts:
         attempts += 1
         u, v = rng.sample(order, 2)
-        if (min(u, v), max(u, v)) in edges:
+        if v in adj[u]:
             continue
-        add(u, v)
-    if len(edges) < target_edges:
-        logger.warning("reached %d of %d requested edges", len(edges), target_edges)
+        provider, customer = (u, v) if rank[u] < rank[v] else (v, u)
+        rel = p2p if rng.random() < peer_fraction else p2c
+        adj[provider][customer] = rel
+        adj[customer][provider] = _REVERSED[rel]
+        edges += 1
+    if edges < target_edges:
+        logger.warning("reached %d of %d requested edges", edges, target_edges)
+    logger.debug(
+        "generated %d nodes, %d edges: %d sample draws, %d duplicate draws",
+        num_nodes, edges, attempts, attempts - (edges - num_nodes + 1),
+    )
     return topology

@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+import logging
 import math
 import random
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from catchmap import (
     generate_random_topology,
 )
 from catchmap.cli import random_instance  # noqa: F401  (re-exported)
-from catchmap.errors import CapacityError, InfeasibleOracleError, InputError
+from catchmap.errors import CapacityError, GenerationError, InfeasibleOracleError, InputError
 from catchmap.inference import (
     RouteProbabilities,
     RoutingFunction,
@@ -38,6 +39,8 @@ from catchmap.oracles import OracleSet, _check_observed, apply_oracles
 from catchmap.planner import MeasurementPlan, ObjectiveWeights, _prepare_candidates
 from catchmap.rgraph import RGraph, exact_limit, topological_order
 from catchmap.scenario import ScenarioReport
+
+logger = logging.getLogger(__name__)
 
 DST = 9
 
@@ -121,6 +124,76 @@ def assert_antisymmetric(topology: Topology) -> None:
         for j, rel in topology.relationships(i).items():
             back = topology.relationship(j, i)
             assert back == (rel.reversed() if rel is not None else None), (i, j)
+
+
+# The generator written through ``Topology.add_edge`` with a separate edge
+# set: the oracle for ``generate_random_topology``, which must give each seed
+# the same adjacency, in the same key order at both levels.
+def reference_generate_random_topology(
+    num_nodes: int,
+    *,
+    avg_degree: float = 2.5,
+    peer_fraction: float = 0.15,
+    seed: int = 0,
+) -> Topology:
+    """Random connected relationship graph, deterministic per seed.
+
+    Nodes are ranked into a hierarchy; customer/provider edges always point
+    from lower to higher rank, so the provider relation stays acyclic. A
+    random spanning tree guarantees connectivity; extra edges are added up
+    to ``avg_degree * num_nodes / 2`` total. Each edge is a peering with
+    probability ``peer_fraction``, customer/provider otherwise.
+    """
+    if num_nodes <= 0:
+        raise GenerationError(f"need at least one node, got {num_nodes}")
+    if not 0 <= peer_fraction <= 1:
+        raise GenerationError(f"peer_fraction must be in [0,1], got {peer_fraction}")
+    if num_nodes == 1:
+        topology = Topology()
+        topology.add_node(1)
+        return topology
+    target_edges = max(num_nodes - 1, round(avg_degree * num_nodes / 2))
+    max_edges = num_nodes * (num_nodes - 1) // 2
+    if target_edges > max_edges:
+        raise GenerationError(
+            f"avg_degree {avg_degree} needs {target_edges} edges, "
+            f"but {num_nodes} nodes allow only {max_edges}"
+        )
+
+    rng = random.Random(seed)
+    order = list(range(1, num_nodes + 1))
+    rng.shuffle(order)  # order[0] is the top of the hierarchy
+    rank = {node: idx for idx, node in enumerate(order)}
+
+    topology = Topology()
+    topology.add_node(order[0])
+    edges: set[tuple[int, int]] = set()
+
+    def add(u: int, v: int) -> None:
+        # the earlier-ranked endpoint acts as the provider
+        provider, customer = (u, v) if rank[u] < rank[v] else (v, u)
+        if rng.random() < peer_fraction:
+            topology.add_edge(provider, customer, Relationship.P2P)
+        else:
+            topology.add_edge(provider, customer, Relationship.P2C)
+        edges.add((min(u, v), max(u, v)))
+
+    for idx in range(1, num_nodes):
+        u = order[idx]
+        v = order[rng.randrange(idx)]
+        add(u, v)
+
+    attempts = 0
+    max_attempts = 50 * target_edges + 100
+    while len(edges) < target_edges and attempts < max_attempts:
+        attempts += 1
+        u, v = rng.sample(order, 2)
+        if (min(u, v), max(u, v)) in edges:
+            continue
+        add(u, v)
+    if len(edges) < target_edges:
+        logger.warning("reached %d of %d requested edges", len(edges), target_edges)
+    return topology
 
 
 def conditional_nc(

@@ -96,14 +96,27 @@ class TestScenarioParsing:
 
     def test_unknown_directive_reports_line(self):
         # a plan line takes exactly its own tokens, a topology file line a
-        # path, and an exact posterior no trial count
+        # path, an exact posterior no trial count and a sampled one at least
+        # one trial
         for line in (
             "frobnicate 5", "plan budget 2 3", "plan candidates uncertain 7",
-            "topology file", "posterior exact 50",
+            "topology file", "posterior exact 50", "posterior monte-carlo 0",
+            "posterior monte-carlo -5",
         ):
             with pytest.raises(TopologyParseError) as err:
                 parse_scenario_file(f"mode certain\n{line}\n")
             assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("line, message", [
+        ("mode speculative", "unknown mode 'speculative'"),
+        ("posterior exact 50", "posterior exact takes no trial count"),
+        ("posterior monte-carlo 0", "needs at least one trial, got 0"),
+        ("posterior monte-carlo -5", "needs at least one trial, got -5"),
+        ("posterior monte-carlo many", "bad number in 'posterior monte-carlo many'"),
+    ])
+    def test_named_errors_keep_their_message(self, line, message):
+        with pytest.raises(TopologyParseError, match=f"^line 1: .*{message}$"):
+            parse_scenario_file(f"{line}\n")
 
     def test_bad_mode_rejected(self):
         with pytest.raises(TopologyParseError):

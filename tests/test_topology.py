@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import logging
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,13 +81,30 @@ class TestTopologyEdges:
         with pytest.raises(EdgeConflictError):
             topo.add_edge(3, 3, Relationship.P2P)
 
-    def test_copy_is_independent(self):
-        topo = Topology()
-        topo.add_edge(1, 2, Relationship.P2C)
-        clone = topo.copy()
-        clone.add_edge(2, 3, Relationship.P2P)
-        assert topo.num_edges == 1
-        assert clone.num_edges == 2
+    def test_derivations_leave_their_input_unchanged(self):
+        # each derived topology shares the rows it does not change
+        base = generate_random_topology(40, seed=3)
+        vf = derive_vf_policies(base)
+        assert all(vf.relationships(n) is base.relationships(n) for n in base.nodes())
+        spec = DestinationSpec(attachments={1: "m1", 2: "m1", 3: "m2"})
+        aug = attach_destination(vf, spec)
+        derivations = [
+            (base, lambda: derive_vf_policies(base)),
+            (vf, lambda: attach_destination(vf, spec).topology),
+            (aug.topology, lambda: apply_prepending(aug, "m1", 2).topology),
+        ]
+        for source, derive in derivations:
+            before = _state(source)
+            derived = derive()
+            assert _state(source) == before
+            derived.add_node(1000)
+            assert _state(source) == before
+
+
+def _state(topo: Topology) -> tuple[str, list]:
+    """The canonical text and every row's items, in key order."""
+    rows = [(n, list(topo.relationships(n).items())) for n in topo.nodes()]
+    return serialize_topology(topo), rows
 
 
 class TestPolicies:
@@ -186,6 +207,11 @@ class TestCaidaParser:
     def test_conflicting_duplicate_rejected(self):
         with pytest.raises(TopologyParseError):
             parse_caida_asrel("1|2|-1\n2|1|-1\n")
+
+    def test_counts_are_logged(self, caplog):
+        with caplog.at_level(logging.INFO, logger="catchmap.topology"):
+            parse_caida_asrel("1|2|-1\n1|3|0\n1|2|-1\n")
+        assert caplog.messages == ["parsed 3 relationship lines: 3 nodes, 2 edges"]
 
 
 class TestCanonicalFormat:
@@ -313,6 +339,39 @@ class TestGenerator:
     def test_impossible_density_rejected(self):
         with pytest.raises(GenerationError):
             generate_random_topology(4, avg_degree=40.0, seed=0)
+
+    def test_generation_facts_are_logged(self, caplog):
+        # 12 spanning-tree edges, then 40 of 78 sampled pairs were new
+        with caplog.at_level(logging.DEBUG, logger="catchmap.topology"):
+            generate_random_topology(13, avg_degree=8, seed=0)
+        assert caplog.messages == [
+            "generated 13 nodes, 52 edges: 78 sample draws, 38 duplicate draws"
+        ]
+
+    @pytest.mark.parametrize("degree", [float("nan"), float("inf")])
+    def test_non_finite_degree_rejected(self, degree):
+        with pytest.raises(GenerationError, match=f"avg_degree must be finite, got {degree}"):
+            generate_random_topology(10, avg_degree=degree, seed=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 13, 200, 10_000])
+    def test_same_adjacency_as_reference(self, n):
+        # same nodes, rows and relationships, in the same key order at both
+        # levels; where the reference refuses, the same error
+        for seed, peers, degree in itertools.product(range(5), (0, 0.15, 1), (2.5, 4, 8)):
+            kwargs = {"avg_degree": degree, "peer_fraction": peers, "seed": seed}
+            try:
+                want = helpers.reference_generate_random_topology(n, **kwargs)
+            except GenerationError as exc:
+                with pytest.raises(GenerationError, match=f"^{re.escape(str(exc))}$"):
+                    generate_random_topology(n, **kwargs)
+                continue
+            got = generate_random_topology(n, **kwargs)
+            assert list(got.nodes()) == list(want.nodes()), kwargs
+            rows = [got.relationships(node) for node in got.nodes()]
+            want_rows = [want.relationships(node) for node in want.nodes()]
+            assert rows == want_rows, kwargs
+            assert [list(r) for r in rows] == [list(r) for r in want_rows], kwargs
+            assert got.has_policies == want.has_policies
 
     @settings(max_examples=40, deadline=None)
     @given(
