@@ -55,8 +55,8 @@ def certain_inference(g: RGraph) -> RoutingFunction:
 
 def mixed_distribution(
     g: RGraph,
-    routes: RoutingFunction,
-    out: RouteProbabilities,
+    routes: Mapping[int, "str | None"],
+    out: Mapping[int, dict[str, float]],
     node: int,
 ) -> dict[str, float]:
     """One node's distribution, from its parents' entries already in ``out``:
@@ -98,27 +98,54 @@ def probabilistic_inference(g: RGraph, routes: RoutingFunction) -> RouteProbabil
 
 def update_probabilistic_inference(
     g: RGraph,
-    probs: RouteProbabilities,
-    routes: RoutingFunction,
+    probs: Mapping[int, dict[str, float]],
+    routes: Mapping[int, "str | None"],
     pinned: Iterable[int],
+    *,
+    given: Mapping[int, dict[str, float]] | None = None,
 ) -> RouteProbabilities:
-    """The forward pass for ``routes``, derived from the one for older routes.
+    """The entries of the forward pass for ``routes`` that can differ from ``probs``.
 
     ``probs`` must be ``probabilistic_inference(g, old_routes)`` and
     ``routes`` may differ from ``old_routes`` only at the ``pinned`` nodes.
-    Only those nodes and their descendants are recomputed, in a topological
-    order of that cone; every other entry is shared with ``probs``, which is
-    not modified. The result equals ``probabilistic_inference(g, routes)``
-    float for float.
+    Only those nodes and their descendants can change: the result maps each
+    of them, in ``topological_order(g)``, to its recomputed entry,
+    so ``{**probs, **result}`` equals ``probabilistic_inference(g, routes)``
+    float for float. Both inputs are read by lookup only, never copied,
+    scanned or modified. ``given`` fixes the entries of some cone nodes
+    instead of mixing them; the result then starts with them, the
+    recomputed entries follow, and the nodes below read them.
     """
-    out = dict(probs)
+    out: RouteProbabilities = dict(given or {})
+    view = _Overlay(out, probs)
     for node in _cone_order(g, pinned):
-        out[node] = mixed_distribution(g, routes, out, node)
+        if node not in out:
+            out[node] = mixed_distribution(g, routes, view, node)
     return out
 
 
+class _Overlay:
+    """Read-only view of ``delta`` laid over ``base``: a key in ``delta``
+    hides the same key in ``base``. A lookup is at most two dictionary
+    probes; the view never copies or scans either mapping."""
+
+    __slots__ = ("delta", "base")
+
+    def __init__(self, delta: Mapping, base: Mapping) -> None:
+        self.delta = delta
+        self.base = base
+
+    def __getitem__(self, key):
+        delta = self.delta
+        return delta[key] if key in delta else self.base[key]
+
+    def get(self, key, default=None):
+        delta = self.delta
+        return delta[key] if key in delta else self.base.get(key, default)
+
+
 def _cone_order(g: RGraph, sources: Iterable[int]) -> list[int]:
-    """``sources`` and every node below them, parents before children."""
+    """``sources`` and every node below them, in ``g.order``."""
     cone: set[int] = set()
     stack = list(sources)
     while stack:
@@ -126,19 +153,7 @@ def _cone_order(g: RGraph, sources: Iterable[int]) -> list[int]:
         if node not in cone:
             cone.add(node)
             stack.extend(g.children[node])
-    # Kahn's algorithm restricted to the cone: every child of a cone node
-    # is in the cone, so only parents inside it hold a node back
-    waiting = {node: sum(p in cone for p in g.parents[node]) for node in cone}
-    ready = [node for node, count in waiting.items() if count == 0]
-    order: list[int] = []
-    while ready:
-        node = ready.pop()
-        order.append(node)
-        for child in g.children[node]:
-            waiting[child] -= 1
-            if waiting[child] == 0:
-                ready.append(child)
-    return order
+    return sorted(cone, key=g.order_index.__getitem__)
 
 
 def shortest_path_transform(g: RGraph) -> RGraph:

@@ -30,7 +30,13 @@ from .errors import (
     TopologyParseError,
     UnknownNodeError,
 )
-from .inference import RouteProbabilities, RoutingFunction, certain_inference, mixed_distribution
+from .inference import (
+    RouteProbabilities,
+    RoutingFunction,
+    certain_inference,
+    probabilistic_inference,
+    update_probabilistic_inference,
+)
 from .rgraph import RGraph, exact_limit, topological_order
 from .topology import _strip_comment
 
@@ -141,29 +147,49 @@ def parse_oracle_file(text: str) -> OracleSet:
 class OracleApplication:
     """Result of folding observations into an inference state.
 
-    Unpacks as ``(routes, probs)``. ``probs`` shares every entry that the
-    observations left unchanged with the input distributions, so treat it
-    as read-only. ``pinned`` lists the nodes the propagation pinned, in
-    the order it pinned them (at most one step per node);
-    ``set_route_calls`` is their number. ``skipped`` lists observations
+    ``pins`` maps each node the propagation pinned to its ingress, in the
+    order it pinned them (at most one step per node); ``pinned`` lists those
+    nodes and ``set_route_calls`` is their number. A pinned node's
+    distribution is ``{ingress: 1.0}``, so the pins describe the whole
+    change. ``routes`` and ``probs`` are the inputs with the pins laid over
+    them, built on first read; unpacking gives ``(routes, probs)``.
+    ``probs`` shares every entry the pins left unchanged with the input
+    distributions, so treat it as read-only. ``skipped`` lists observations
     dropped for contradicting existing certainty when downgrading is on.
     ``stale_probability_nodes`` are nodes still uncertain, whose
     distributions were carried over unchanged from before the observations
     and therefore do not condition on them.
     """
 
-    routes: RoutingFunction
-    probs: RouteProbabilities
     graph: RGraph = field(repr=False, compare=False)
-    pinned: tuple[int, ...] = ()
+    base_routes: Mapping[int, "str | None"] = field(repr=False, compare=False)
+    base_probs: Mapping[int, dict[str, float]] = field(repr=False, compare=False)
+    pins: dict[int, str] = field(default_factory=dict)
     skipped: tuple[tuple[int, str], ...] = ()
 
     def __iter__(self) -> Iterator:
         return iter((self.routes, self.probs))
 
     @property
+    def pinned(self) -> tuple[int, ...]:
+        return tuple(self.pins)
+
+    @property
     def set_route_calls(self) -> int:
-        return len(self.pinned)
+        return len(self.pins)
+
+    @functools.cached_property
+    def routes(self) -> RoutingFunction:
+        routes = dict(self.base_routes)
+        routes.update(self.pins)
+        return routes
+
+    @functools.cached_property
+    def probs(self) -> RouteProbabilities:
+        probs = dict(self.base_probs)
+        for node, ingress in self.pins.items():
+            probs[node] = {ingress: 1.0}
+        return probs
 
     @functools.cached_property
     def stale_probability_nodes(self) -> frozenset[int]:
@@ -175,8 +201,8 @@ class OracleApplication:
 
 def apply_oracles(
     g: RGraph,
-    routes: RoutingFunction,
-    probs: RouteProbabilities,
+    routes: Mapping[int, "str | None"],
+    probs: Mapping[int, dict[str, float]],
     oracles: OracleSet | Mapping[int, str],
     *,
     on_contradiction: str = "error",
@@ -185,10 +211,12 @@ def apply_oracles(
 
     Upward: if exactly one parent of an observed node could have carried
     its ingress, that parent is pinned too. Downward: a node whose parents
-    all became pinned to the same ingress is pinned. Inputs are not
-    mutated; the returned distributions share their unchanged entries with
-    ``probs``. Applying the same observations again changes nothing, and the
-    resulting certain set does not depend on observation order.
+    all became pinned to the same ingress is pinned. Inputs are read by
+    lookup only (``get``), never copied or mutated, so the work is
+    proportional to the pins and their neighbours; the returned
+    distributions share their unchanged entries with ``probs``. Applying the
+    same observations again changes nothing, and the resulting certain set
+    does not depend on observation order.
 
     Raises UnknownNodeError, before pinning anything, when an observation
     names a node or ingress the graph does not have; ContradictionError when
@@ -200,14 +228,19 @@ def apply_oracles(
     if on_contradiction not in ("error", "skip"):
         raise InputError(f"on_contradiction must be 'error' or 'skip', got {on_contradiction!r}")
     observed = _check_observed(g, oracles)
-    new_routes = dict(routes)
-    # pinning replaces entries and never mutates one, so sharing is safe
-    new_probs = dict(probs)
-    pinned: list[int] = []
+    pins: dict[int, str] = {}
     skipped: list[tuple[int, str]] = []
 
+    def route(node: int) -> "str | None":
+        return pins[node] if node in pins else routes.get(node)
+
+    def can_carry(node: int, ingress: str) -> bool:
+        if node in pins:
+            return pins[node] == ingress
+        return probs.get(node, {}).get(ingress, 0.0) > 0.0
+
     for node, ingress in observed:
-        current = new_routes.get(node)
+        current = route(node)
         if current is not None and current != ingress:
             if on_contradiction == "skip":
                 logger.warning(
@@ -220,7 +253,7 @@ def apply_oracles(
                 f"observation pins node {node} to {ingress!r} but it is "
                 f"certainly routed to {current!r}"
             )
-        if current != ingress and new_probs.get(node, {}).get(ingress, 0.0) == 0.0:
+        if current != ingress and not can_carry(node, ingress):
             raise InfeasibleOracleError(
                 f"observation {node}->{ingress!r} has probability zero"
             )
@@ -230,7 +263,7 @@ def apply_oracles(
         stack: list[tuple[int, str]] = [(node, ingress)]
         while stack:
             current_node, current_ingress = stack.pop()
-            already = new_routes.get(current_node)
+            already = route(current_node)
             if already is not None:
                 if already != current_ingress:
                     raise ContradictionError(
@@ -238,32 +271,28 @@ def apply_oracles(
                         f"{already!r} and {current_ingress!r}"
                     )
                 continue
-            pinned.append(current_node)
-            new_routes[current_node] = current_ingress
-            new_probs[current_node] = {current_ingress: 1.0}
+            pins[current_node] = current_ingress
 
             carriers = [
-                p
-                for p in g.parents[current_node]
-                if new_probs.get(p, {}).get(current_ingress, 0.0) > 0.0
+                p for p in g.parents[current_node] if can_carry(p, current_ingress)
             ]
-            if len(carriers) == 1 and new_routes.get(carriers[0]) is None:
+            if len(carriers) == 1 and route(carriers[0]) is None:
                 stack.append((carriers[0], current_ingress))
 
             for child in g.children[current_node]:
-                if new_routes.get(child) is not None:
+                if route(child) is not None:
                     continue
-                parent_routes = {new_routes.get(p) for p in g.parents[child]}
+                parent_routes = {route(p) for p in g.parents[child]}
                 if len(parent_routes) == 1:
                     (only,) = parent_routes
                     if only is not None:
                         stack.append((child, only))
 
     return OracleApplication(
-        routes=new_routes,
-        probs=new_probs,
         graph=g,
-        pinned=tuple(pinned),
+        base_routes=routes,
+        base_probs=probs,
+        pins=pins,
         skipped=tuple(skipped),
     )
 
@@ -370,6 +399,8 @@ def monte_carlo_inference(
     trials: int,
     seed: int = 0,
     oracles: OracleSet | Mapping[int, str] | None = None,
+    *,
+    prior: tuple[RoutingFunction, RouteProbabilities] | None = None,
 ) -> MonteCarloEstimate:
     """Sample the observations' ancestors, reject, and mix the rest exactly.
 
@@ -377,12 +408,16 @@ def monte_carlo_inference(
     their ancestors. Each trial draws one ``random()`` per chooser of
     ``g.chooser_form`` in A, in the form's order, and is dropped if it
     contradicts an observation; A's choosers get the accepted trials'
-    shares, keys in first-appearance order. One forward pass
-    (``mixed_distribution`` over ``certain_inference``) then mixes every
-    other node from its parents. That is exact, as its choice is
-    independent of the observations (Rao-Blackwellisation). Without
-    observations the result is the forward pass. Deterministic per seed.
-    Raises InfeasibleOracleError when every trial is rejected.
+    shares, keys in first-appearance order. Every other node mixes its
+    parents (``mixed_distribution`` over ``certain_inference``). That is
+    exact, as its choice is independent of the observations
+    (Rao-Blackwellisation), and below none of the sampled choosers it is
+    the forward pass, so only the cone below them is mixed again
+    (``update_probabilistic_inference``). ``prior``, when given, must be
+    ``(certain_inference(g), probabilistic_inference(g, routes))`` of those
+    routes; it is computed otherwise. Without observations the result is the
+    forward pass. Keys follow ``topological_order(g)``. Deterministic per
+    seed. Raises InfeasibleOracleError when every trial is rejected.
     """
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
@@ -423,10 +458,12 @@ def monte_carlo_inference(
         form.choosers[i]: {m: k / accepted for m, k in count.items()}
         for i, count in zip(sampled, counts)
     }
-    routes = certain_inference(g)
-    probs: RouteProbabilities = {}
-    for n in topological_order(g):
-        probs[n] = estimated[n] if n in estimated else mixed_distribution(g, routes, probs, n)
+    if prior is None:
+        routes = certain_inference(g)
+        prior = routes, probabilistic_inference(g, routes)
+    routes, forward = prior
+    mixed = update_probabilistic_inference(g, forward, routes, estimated, given=estimated)
+    probs = {n: mixed[n] if n in mixed else forward[n] for n in topological_order(g)}
     return MonteCarloEstimate(
         probs=probs,
         trials=trials,

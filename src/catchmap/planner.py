@@ -26,11 +26,11 @@ from .errors import CapacityError, InputError, UnknownNodeError
 from .inference import (
     RouteProbabilities,
     RoutingFunction,
-    _cone_order,
+    _Overlay,
     probabilistic_inference,
     update_probabilistic_inference,
 )
-from .oracles import OracleApplication, apply_oracles, outcomes_keeping
+from .oracles import apply_oracles, outcomes_keeping
 from .rgraph import RGraph
 
 logger = logging.getLogger(__name__)
@@ -86,7 +86,10 @@ class _Objective:
     """
 
     def __init__(self, g: RGraph, weights: ObjectiveWeights) -> None:
-        self.scored = {n: weights.weight(n) for n in g.report_nodes}
+        self.scored = dict.fromkeys(g.report_nodes, 1.0)
+        for n, w in weights.weights.items():
+            if n in self.scored:
+                self.scored[n] = w
         explicit = weights.weights.values()
         # nodes without an explicit weight count 1 each; counting every
         # reporting node once more only makes the bound stricter
@@ -94,15 +97,18 @@ class _Objective:
             sum(int(w) for w in explicit) + len(g.report_nodes) <= 2**53
         )
 
-    def value(self, routes: RoutingFunction) -> float:
+    def value(self, routes: Mapping[int, "str | None"]) -> float:
         """Total weight of the reporting nodes that ``routes`` pins."""
         return sum(w for n, w in self.scored.items() if routes.get(n) is not None)
 
-    def extended(self, value: float, applied: OracleApplication) -> float:
-        """Value of a branch after ``applied``, from its parent's ``value``."""
+    def extended(
+        self, value: float, pins: Mapping[int, str], routes: Mapping[int, "str | None"]
+    ) -> float:
+        """Value of a branch whose ``routes`` add ``pins`` to its parent's,
+        from the parent's ``value``."""
         if not self.carried:
-            return self.value(applied.routes)
-        for n in applied.pinned:
+            return self.value(routes)
+        for n in pins:
             w = self.scored.get(n)  # None for the root and virtual chain nodes
             if w is not None:
                 value += w
@@ -118,17 +124,20 @@ class _Branch:
 
     ``value`` is the objective on ``routes``. ``probs`` weighs the outcomes
     of the next measurement and guides observation propagation;
-    ``forward`` is the forward pass of ``routes``. They are the same object
-    except in the initial branch, whose ``probs`` are the caller's (possibly
-    conditioned on earlier observations). Branches share dictionaries with
-    each other and never mutate them.
+    ``forward`` is the forward pass of ``routes``. Every branch of a plan
+    lays its own small delta over one shared base: ``routes`` holds the
+    branch's pins over the caller's routes, and ``forward`` the entries it
+    recomputed over the plan's forward pass. ``probs`` is ``forward``
+    except in the initial branch, whose ``probs`` are the caller's
+    (possibly conditioned on earlier observations). Nothing mutates a base
+    or a delta once a branch holds it.
     """
 
     prob: float
     value: float
-    routes: RoutingFunction
-    probs: RouteProbabilities
-    forward: RouteProbabilities
+    routes: _Overlay
+    probs: Mapping[int, dict[str, float]]
+    forward: _Overlay
 
 
 def _initial_branches(
@@ -140,7 +149,9 @@ def _initial_branches(
 ) -> list[_Branch]:
     if forward is None:
         forward = probabilistic_inference(g, routes)
-    return [_Branch(1.0, objective.value(routes), routes, probs, forward)]
+    return [_Branch(
+        1.0, objective.value(routes), _Overlay({}, routes), probs, _Overlay({}, forward)
+    )]
 
 
 def _extend_branches(
@@ -148,16 +159,19 @@ def _extend_branches(
     branches: list[_Branch],
     node: int,
     objective: _Objective,
-    counts: Counter[str] | None = None,
+    counts: Counter[str],
 ) -> list[_Branch]:
     """Split every branch on the possible outcomes of measuring ``node``.
 
     Each outcome is folded in and the distributions of still-uncertain nodes
     are recomputed forward with the graph's tie weights (their parent sets
     are untouched by new certainty); only the nodes the outcome pinned and
-    those below them can change. Zero-probability outcomes are dropped.
-    Measuring a node with no possible route changes nothing. ``counts``,
-    when given, accumulates the branches evaluated and the nodes recomputed.
+    those below them can change. A child branch copies its parent's deltas
+    and adds the outcome's pins and recomputed entries, so it costs the pins
+    and their cone, not the graph. Zero-probability outcomes are dropped.
+    Measuring a node with no possible route changes nothing. ``counts``
+    accumulates the branches evaluated, the nodes pinned and the nodes
+    recomputed.
     """
     out: list[_Branch] = []
     for branch in branches:
@@ -169,15 +183,16 @@ def _extend_branches(
             if p == 0.0:
                 continue
             applied = apply_oracles(g, branch.routes, branch.probs, {node: ingress})
-            refreshed = update_probabilistic_inference(
-                g, branch.forward, applied.routes, applied.pinned
-            )
-            if counts is not None:
-                counts["branches"] += 1
-                counts["cone nodes"] += len(_cone_order(g, applied.pinned))
+            pins = applied.pins
+            routes = _Overlay({**branch.routes.delta, **pins}, branch.routes.base)
+            refreshed = update_probabilistic_inference(g, branch.forward, routes, pins)
+            forward = _Overlay({**branch.forward.delta, **refreshed}, branch.forward.base)
+            counts["branches"] += 1
+            counts["pins"] += len(pins)
+            counts["cone nodes"] += len(refreshed)
             out.append(_Branch(
-                branch.prob * p, objective.extended(branch.value, applied),
-                applied.routes, refreshed, refreshed,
+                branch.prob * p, objective.extended(branch.value, pins, routes),
+                routes, forward, forward,
             ))
     return out
 
@@ -193,8 +208,9 @@ def _replay(
     objective: _Objective,
 ) -> float:
     """Value of measuring ``measured`` in order, starting from ``branches``."""
+    counts: Counter[str] = Counter()
     for node in measured:
-        branches = _extend_branches(g, branches, node, objective)
+        branches = _extend_branches(g, branches, node, objective, counts)
     return _branch_value(branches)
 
 
@@ -331,7 +347,7 @@ def greedy_plan(
     if not pool and budget > 0:
         notes.append("no measurable candidates; empty plan")
 
-    counts = Counter() if logger.isEnabledFor(logging.DEBUG) else None
+    counts: Counter[str] = Counter()
     branches = _initial_branches(g, routes, probs, objective, forward)
     baseline = branches[0].value
     selected: list[int] = []
@@ -351,14 +367,13 @@ def greedy_plan(
         step_values.append(best_value)
         branches = best_branches
         remaining -= weights.cost(best_node)
-    if counts is not None:
-        logger.debug(
-            "greedy plan: %d candidates, %d steps, %d branches evaluated, "
-            "%d cone nodes recomputed, %s scoring, forward pass %s",
-            len(pool), len(selected), counts["branches"], counts["cone nodes"],
-            "carried" if objective.carried else "ordered scan",
-            "computed" if forward is None else "reused",
-        )
+    logger.debug(
+        "greedy plan: %d candidates, %d steps, %d branches evaluated, "
+        "%d cone nodes recomputed, %d nodes pinned, %s scoring, forward pass %s",
+        len(pool), len(selected), counts["branches"], counts["cone nodes"],
+        counts["pins"], "carried" if objective.carried else "ordered scan",
+        "computed" if forward is None else "reused",
+    )
     return MeasurementPlan(
         selected=tuple(selected),
         step_values=tuple(step_values),

@@ -165,6 +165,11 @@ class RGraph:
     def ingress_points(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.ingress_map.values())))
 
+    @functools.cached_property
+    def order_index(self) -> dict[int, int]:
+        """Each node's position in ``order``, derived on first use and then kept."""
+        return {n: i for i, n in enumerate(self.order)}
+
     def tie_weights(self, node: int) -> list[float]:
         """Probability of picking each parent: override, else uniform; a lone parent 1.0."""
         parents = self.parents[node]

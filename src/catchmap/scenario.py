@@ -435,6 +435,7 @@ def _run_augmented(
         prob_status = {n: "exact" for n in g.report_nodes}
 
     if oracles:
+        prior = routes, probs
         applied = apply_oracles(g, routes, probs, oracles)
         routes, probs = applied.routes, applied.probs
         set_route_calls = applied.set_route_calls
@@ -453,7 +454,7 @@ def _run_augmented(
                 status = "posterior-exact"
             else:
                 estimate = monte_carlo_inference(
-                    g, cfg.posterior_trials, cfg.seed, oracles
+                    g, cfg.posterior_trials, cfg.seed, oracles, prior=prior
                 )
                 probs = estimate.probs
                 logger.debug(

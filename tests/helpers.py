@@ -31,9 +31,10 @@ from catchmap.errors import CapacityError, GenerationError, InfeasibleOracleErro
 from catchmap.inference import (
     RouteProbabilities,
     RoutingFunction,
+    _cone_order,
     certain_inference,
+    mixed_distribution,
     probabilistic_inference,
-    update_probabilistic_inference,
 )
 from catchmap.oracles import OracleSet, _check_observed, apply_oracles
 from catchmap.planner import MeasurementPlan, ObjectiveWeights, _prepare_candidates
@@ -465,11 +466,35 @@ _CONFLICT = object()
 
 # The greedy planner as it was written before each branch carried its value:
 # every branch priced by an ordered scan of all reporting nodes, and the
-# initial forward pass always computed. Kept verbatim, but for the name of
-# ``reference_greedy_plan``, as the oracle for ``greedy_plan``,
+# initial forward pass always computed. Kept verbatim, but for the names of
+# ``reference_greedy_plan`` and its cone update, as the oracle for ``greedy_plan``,
 # ``expected_nc(mode="approx")`` and ``random_plan_values(mode="approx")``,
 # which must give the same floats for every weighting. ``_replay`` with
-# ``_initial_branches`` is the approximate ``expected_nc``.
+# ``_initial_branches`` is the approximate ``expected_nc``. Each branch holds
+# whole maps: ``apply_oracles``' full ``routes`` and the full forward pass of
+# ``reference_update_probabilistic_inference``, the package's cone update as
+# it was while it returned the whole pass.
+def reference_update_probabilistic_inference(
+    g: RGraph,
+    probs: RouteProbabilities,
+    routes: RoutingFunction,
+    pinned: Iterable[int],
+) -> RouteProbabilities:
+    """The forward pass for ``routes``, derived from the one for older routes.
+
+    ``probs`` must be ``probabilistic_inference(g, old_routes)`` and
+    ``routes`` may differ from ``old_routes`` only at the ``pinned`` nodes.
+    Only those nodes and their descendants are recomputed, in a topological
+    order of that cone; every other entry is shared with ``probs``, which is
+    not modified. The result equals ``probabilistic_inference(g, routes)``
+    float for float.
+    """
+    out = dict(probs)
+    for node in _cone_order(g, pinned):
+        out[node] = mixed_distribution(g, routes, out, node)
+    return out
+
+
 def _scored_nodes(g: RGraph, weights: ObjectiveWeights) -> list[tuple[int, float]]:
     """``(node, weight)`` for every reporting node, in ``report_nodes`` order."""
     return [(n, weights.weight(n)) for n in g.report_nodes]
@@ -525,7 +550,7 @@ def _extend_branches(
             if p == 0.0:
                 continue
             applied = apply_oracles(g, branch.routes, branch.probs, {node: ingress})
-            refreshed = update_probabilistic_inference(
+            refreshed = reference_update_probabilistic_inference(
                 g, branch.forward, applied.routes, applied.pinned
             )
             out.append(

@@ -19,6 +19,7 @@ from catchmap import (
     run_bgp,
     shortest_path_transform,
     simulated_catchment,
+    topological_order,
 )
 from catchmap.errors import InputError
 from catchmap.inference import update_probabilistic_inference
@@ -70,7 +71,7 @@ def test_unpinned_root_attached_node_enters_through_its_own_attachment():
     assert probs[2] == exact[2] == {"b": 1.0}
     assert probs[3] == exact[3] == {"a": 0.5, "b": 0.5}
     routes = {**unpinned, 1: "a"}
-    assert update_probabilistic_inference(g, probs, routes, [1]) == (
+    assert {**probs, **update_probabilistic_inference(g, probs, routes, [1])} == (
         probabilistic_inference(g, routes)
     )
 
@@ -138,7 +139,8 @@ def _items(probs):
 
 
 class TestConeUpdate:
-    """The cone update equals a full forward pass, float for float."""
+    """The cone update, laid over the old pass, equals a full forward pass,
+    float for float."""
 
     @pytest.mark.parametrize("with_ties", [False, True])
     def test_equals_full_pass_after_random_observations(self, with_ties):
@@ -159,22 +161,30 @@ class TestConeUpdate:
                 batch = rng.sample(observable, min(len(observable), rng.randint(1, 4)))
                 before = copy.deepcopy((routes, probs))
                 applied = apply_oracles(g, routes, probs, {n: truth[n] for n in batch})
-                updated = update_probabilistic_inference(
+                cone = update_probabilistic_inference(
                     g, probs, applied.routes, applied.pinned
                 )
+                updated = {**probs, **cone}
                 full = probabilistic_inference(g, applied.routes)
                 assert updated == full
                 assert _items(updated) == _items(full)
                 assert (routes, probs) == before
+                # exactly the pinned nodes and everything below them
+                below = set(applied.pinned)
+                for node in topological_order(g):
+                    if any(p in below for p in g.parents[node]):
+                        below.add(node)
+                assert set(cone) == below
                 routes, probs = applied.routes, updated
                 updates += 1
         assert updates == 3 * len(instances)
 
     def test_no_pins_shares_every_entry(self, example_graph, example_routes, example_probs):
-        updated = update_probabilistic_inference(
+        cone = update_probabilistic_inference(
             example_graph, example_probs, example_routes, ()
         )
-        assert updated is not example_probs
+        assert cone == {}
+        updated = {**example_probs, **cone}
         assert all(updated[n] is example_probs[n] for n in example_probs)
 
 

@@ -449,7 +449,8 @@ def assert_same_as_reference(g, trials, seed, oracles=None):
     their ancestors: equal floats in the same per-node key order on those
     nodes, equal counts, or the same error. Every other node must equal the
     forward mix seeded with those values, float for float and in the same
-    key order. Returns the estimate, None if both raised."""
+    key order. Passing the prior routes and forward pass gives the same
+    estimate, key order included. Returns the estimate, None if both raised."""
     observed = dict(oracles or {})
     sub = helpers.ancestor_subgraph(g, observed)
     try:
@@ -462,6 +463,9 @@ def assert_same_as_reference(g, trials, seed, oracles=None):
         assert str(caught.value) == str(err)
         return None
     est = monte_carlo_inference(g, trials, seed, oracles)
+    routes = certain_inference(g)
+    prior = routes, probabilistic_inference(g, routes)
+    assert repr(monte_carlo_inference(g, trials, seed, oracles, prior=prior)) == repr(est)
     assert (est.trials, est.accepted) == (ref_trials, ref_accepted)
     # the sub-graph always holds the root, an ancestor only of routed nodes
     closure = set(sub.nodes)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import random
 import statistics
+from collections import Counter
+from collections.abc import Mapping
 
 import pytest
 
@@ -20,7 +23,7 @@ from catchmap import (
     probabilistic_inference,
     random_plan_values,
 )
-from catchmap import planner
+from catchmap import inference, planner
 from catchmap.errors import CapacityError, InputError, UnknownNodeError
 from catchmap.planner import (
     export_plan_csv,
@@ -239,11 +242,12 @@ class TestGreedyPlan:
                 weights=weights, forward=forward,
             )
         # step 1: two outcomes for each of 4, 6, 8, whose cones are 3, 3, 3,
-        # 3, 3 and 1 nodes; step 2 after 4: one outcome of 6 per branch
-        # (cones empty), two of 8 after 4=m1 (cones 1, 1), one after 4=m2
+        # 3, 3 and 1 nodes and which pin 2, 3, 2, 3, 3 and 1 nodes; step 2
+        # after 4: one outcome of 6 per branch (nothing pinned), two of 8
+        # after 4=m1 (each pins 8, cones 1, 1), one after 4=m2 (nothing)
         assert [r.getMessage() for r in caplog.records] == [
             "greedy plan: 3 candidates, 2 steps, 11 branches evaluated, "
-            "18 cone nodes recomputed, "
+            "18 cone nodes recomputed, 16 nodes pinned, "
             + ("ordered scan scoring, forward pass reused" if fractional
                else "carried scoring, forward pass computed")
         ]
@@ -251,10 +255,26 @@ class TestGreedyPlan:
     def test_plan_facts_cost_nothing_without_debug_logging(
         self, monkeypatch, caplog, example_graph, example_routes, example_probs
     ):
-        caplog.set_level(logging.INFO, logger="catchmap.planner")
-        monkeypatch.setattr(planner, "_cone_order", None)
-        plan = greedy_plan(example_graph, example_routes, example_probs, (4, 6, 8), 2)
-        assert plan.selected == (4, 8)
+        # the facts are counted on every plan, from the one cone walk each
+        # evaluated branch makes anyway, with or without DEBUG logging
+        walks = []
+        cone_order = inference._cone_order
+
+        def counted(*args):
+            walks.append(1)
+            return cone_order(*args)
+
+        monkeypatch.setattr(inference, "_cone_order", counted)
+        # a walk of the planner's own would go through its module namespace
+        monkeypatch.setattr(planner, "_cone_order", counted, raising=False)
+        for level in (logging.INFO, logging.DEBUG):
+            del walks[:]
+            with caplog.at_level(level, logger="catchmap.planner"):
+                plan = greedy_plan(
+                    example_graph, example_routes, example_probs, (4, 6, 8), 2
+                )
+            assert plan.selected == (4, 8)
+            assert len(walks) == 11, level  # the branches the worked example evaluates
 
     def test_costs_limit_selection(self, example_graph, example_routes, example_probs):
         weights = ObjectiveWeights(costs={4: 3.0, 6: 3.0, 8: 3.0})
@@ -344,6 +364,69 @@ class TestAgainstReferencePlanner:
             )
             assert repr(got) == repr(want), label
             assert not calls, label
+
+
+class _CountingMapping(Mapping):
+    """A read-only view of a dict that counts every call able to copy or
+    scan it; lookups (``[]``, ``get``, ``in``) go uncounted."""
+
+    def __init__(self, data):
+        self._data = data
+        self.scans = Counter()
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def __iter__(self):
+        self.scans["__iter__"] += 1
+        return iter(self._data)
+
+    def __len__(self):
+        self.scans["__len__"] += 1
+        return len(self._data)
+
+    def keys(self):
+        self.scans["keys"] += 1
+        return self._data.keys()
+
+    def items(self):
+        self.scans["items"] += 1
+        return self._data.items()
+
+    def values(self):
+        self.scans["values"] += 1
+        return self._data.values()
+
+    def copy(self):
+        self.scans["copy"] += 1
+        return dict(self._data)
+
+
+def test_branches_never_copy_or_scan_the_base():
+    for label, g, routes, probs, candidates, weights, rng in _reference_instances():
+        forward = probabilistic_inference(g, routes)
+        before = copy.deepcopy((routes, probs, forward))
+        measured = sorted(rng.sample(candidates, min(3, len(candidates))))
+        want = (
+            greedy_plan(g, routes, probs, candidates, 2, weights=weights, forward=forward),
+            expected_nc(g, routes, probs, measured, mode="approx", weights=weights),
+            random_plan_values(
+                g, routes, probs, candidates, 2, 3, seed=4, mode="approx", weights=weights
+            ),
+        )
+        wrapped = [_CountingMapping(m) for m in (routes, probs, forward)]
+        r, p, f = wrapped
+        got = (
+            greedy_plan(g, r, p, candidates, 2, weights=weights, forward=f),
+            expected_nc(g, r, p, measured, mode="approx", weights=weights),
+            random_plan_values(g, r, p, candidates, 2, 3, seed=4, mode="approx", weights=weights),
+        )
+        assert repr(got) == repr(want), label
+        assert [m.scans for m in wrapped] == [Counter()] * 3, label
+        assert (routes, probs, forward) == before, label
+        assert [list(m.items()) for m in (routes, probs, forward)] == [
+            list(m.items()) for m in before
+        ], label
 
 
 class TestExhaustivePlan:
