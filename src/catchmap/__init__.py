@@ -33,7 +33,6 @@ from .inference import (
 from .oracles import (
     MonteCarloEstimate,
     OracleApplication,
-    OracleSet,
     apply_oracles,
     enumerate_route_outcomes,
     exact_conditional_distribution,
@@ -107,7 +106,7 @@ __all__ = [
     "probabilistic_inference", "shortest_path_transform", "expected_load",
     "catchment_bounds",
     # observations
-    "OracleSet", "OracleApplication", "MonteCarloEstimate", "apply_oracles",
+    "OracleApplication", "MonteCarloEstimate", "apply_oracles",
     "parse_oracle_file", "exact_conditional_distribution", "monte_carlo_inference",
     "enumerate_route_outcomes",
     # planning

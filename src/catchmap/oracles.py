@@ -45,70 +45,21 @@ logger = logging.getLogger(__name__)
 PROVENANCE_TAGS = ("bgp-rib", "traceroute", "ping", "synthetic")
 
 
-@dataclass(frozen=True)
-class OracleSet:
-    """Measured node-to-ingress observations, each tagged with a source."""
-
-    assignments: Mapping[int, str]
-    provenance: Mapping[int, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignments", dict(self.assignments))
-        prov = dict(self.provenance)
-        for node in self.assignments:
-            prov.setdefault(node, "synthetic")
-        for node, tag in prov.items():
-            if tag not in PROVENANCE_TAGS:
-                raise InputError(
-                    f"unknown provenance {tag!r} for node {node}; "
-                    f"expected one of {', '.join(PROVENANCE_TAGS)}"
-                )
-            if node not in self.assignments:
-                raise InputError(f"provenance for unobserved node {node}")
-        object.__setattr__(self, "provenance", prov)
-
-    def __len__(self) -> int:
-        return len(self.assignments)
-
-    def __bool__(self) -> bool:
-        return bool(self.assignments)
-
-    def items(self) -> Iterator[tuple[int, str]]:
-        return iter(sorted(self.assignments.items()))
-
-
-def parse_oracle_file(text: str) -> OracleSet:
-    """Parse observation lines.
+def parse_oracle_file(text: str) -> dict[int, str]:
+    """Parse observation lines into node -> ingress, in file order.
 
     Plain form: ``node,ingress[,provenance]``. Path form:
     ``path:<space-separated nodes>,ingress[,provenance]`` which pins every
     node on the path, since each of them forwards along the same suffix.
-    A ``#`` at the start of a line or after whitespace starts a comment.
-    Repeating a node with a different ingress is a parse error.
+    The provenance, when given, must be one of ``PROVENANCE_TAGS``; it is
+    checked and not kept. A ``#`` at the start of a line or after whitespace
+    starts a comment. Repeating a node with a different ingress is a parse
+    error.
 
-    >>> o = parse_oracle_file("7,m1,ping\\npath:8 5 2,m2\\n")
-    >>> assert o.assignments == {7: "m1", 8: "m2", 5: "m2", 2: "m2"}
-    >>> assert o.provenance[5] == "traceroute"
+    >>> parse_oracle_file("7,m1,ping\\npath:8 5 2,m2\\n")
+    {7: 'm1', 8: 'm2', 5: 'm2', 2: 'm2'}
     """
     assignments: dict[int, str] = {}
-    provenance: dict[int, str] = {}
-
-    def record(node: int, ingress: str, tag: str, line_no: int) -> None:
-        if tag not in PROVENANCE_TAGS:
-            raise TopologyParseError(
-                f"unknown provenance {tag!r}; expected one of "
-                f"{', '.join(PROVENANCE_TAGS)}",
-                line_no,
-            )
-        if node in assignments and assignments[node] != ingress:
-            raise TopologyParseError(
-                f"node {node} assigned to both {assignments[node]!r} "
-                f"and {ingress!r}",
-                line_no,
-            )
-        assignments[node] = ingress
-        provenance[node] = tag
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -120,7 +71,6 @@ def parse_oracle_file(text: str) -> OracleSet:
             )
         ingress = parts[1]
         if parts[0].startswith("path:"):
-            tag = parts[2] if len(parts) == 3 else "traceroute"
             try:
                 nodes = [int(tok) for tok in parts[0][len("path:"):].split()]
             except ValueError:
@@ -129,18 +79,28 @@ def parse_oracle_file(text: str) -> OracleSet:
                 ) from None
             if not nodes:
                 raise TopologyParseError("empty path", line_no)
-            for node in nodes:
-                record(node, ingress, tag, line_no)
         else:
-            tag = parts[2] if len(parts) == 3 else "synthetic"
             try:
-                node = int(parts[0])
+                nodes = [int(parts[0])]
             except ValueError:
                 raise TopologyParseError(
                     f"non-integer node id {parts[0]!r}", line_no
                 ) from None
-            record(node, ingress, tag, line_no)
-    return OracleSet(assignments, provenance)
+        if len(parts) == 3 and parts[2] not in PROVENANCE_TAGS:
+            raise TopologyParseError(
+                f"unknown provenance {parts[2]!r}; expected one of "
+                f"{', '.join(PROVENANCE_TAGS)}",
+                line_no,
+            )
+        for node in nodes:
+            if assignments.get(node, ingress) != ingress:
+                raise TopologyParseError(
+                    f"node {node} assigned to both {assignments[node]!r} "
+                    f"and {ingress!r}",
+                    line_no,
+                )
+            assignments[node] = ingress
+    return assignments
 
 
 @dataclass(frozen=True)
@@ -148,20 +108,17 @@ class OracleApplication:
     """Result of folding observations into an inference state.
 
     ``pins`` maps each node the propagation pinned to its ingress, in the
-    order it pinned them (at most one step per node); ``pinned`` lists those
-    nodes and ``set_route_calls`` is their number. A pinned node's
-    distribution is ``{ingress: 1.0}``, so the pins describe the whole
-    change. ``routes`` and ``probs`` are the inputs with the pins laid over
-    them, built on first read; unpacking gives ``(routes, probs)``.
-    ``probs`` shares every entry the pins left unchanged with the input
-    distributions, so treat it as read-only. ``skipped`` lists observations
-    dropped for contradicting existing certainty when downgrading is on.
-    ``stale_probability_nodes`` are nodes still uncertain, whose
-    distributions were carried over unchanged from before the observations
-    and therefore do not condition on them.
+    order it pinned them (at most one step per node); ``set_route_calls`` is
+    their number. A pinned node's distribution is ``{ingress: 1.0}``, so the
+    pins describe the whole change. ``routes`` and ``probs`` are the inputs
+    with the pins laid over them, built on first read; unpacking gives
+    ``(routes, probs)``. ``probs`` shares every entry the pins left
+    unchanged with the input distributions, so treat it as read-only: a node
+    still uncertain keeps its distribution from before the observations,
+    which does not condition on them. ``skipped`` lists observations dropped
+    for contradicting existing certainty when downgrading is on.
     """
 
-    graph: RGraph = field(repr=False, compare=False)
     base_routes: Mapping[int, "str | None"] = field(repr=False, compare=False)
     base_probs: Mapping[int, dict[str, float]] = field(repr=False, compare=False)
     pins: dict[int, str] = field(default_factory=dict)
@@ -169,10 +126,6 @@ class OracleApplication:
 
     def __iter__(self) -> Iterator:
         return iter((self.routes, self.probs))
-
-    @property
-    def pinned(self) -> tuple[int, ...]:
-        return tuple(self.pins)
 
     @property
     def set_route_calls(self) -> int:
@@ -191,19 +144,12 @@ class OracleApplication:
             probs[node] = {ingress: 1.0}
         return probs
 
-    @functools.cached_property
-    def stale_probability_nodes(self) -> frozenset[int]:
-        g = self.graph
-        return frozenset(
-            n for n in g.nodes if n != g.root and self.routes.get(n) is None
-        )
-
 
 def apply_oracles(
     g: RGraph,
     routes: Mapping[int, "str | None"],
     probs: Mapping[int, dict[str, float]],
-    oracles: OracleSet | Mapping[int, str],
+    oracles: Mapping[int, str],
     *,
     on_contradiction: str = "error",
 ) -> OracleApplication:
@@ -215,8 +161,14 @@ def apply_oracles(
     lookup only (``get``), never copied or mutated, so the work is
     proportional to the pins and their neighbours; the returned
     distributions share their unchanged entries with ``probs``. Applying the
-    same observations again changes nothing, and the resulting certain set
-    does not depend on observation order.
+    same observations again changes nothing.
+
+    Observations are applied one at a time, in ascending node id, so the
+    mapping's own order does not matter. That order is not neutral: an
+    earlier observation's pins can remove carriers from a later one's
+    upward walk, so applying the same observations in another order can
+    pin a different set (on one 10,000-node graph, 5,594 nodes instead of
+    6,413).
 
     Raises UnknownNodeError, before pinning anything, when an observation
     names a node or ingress the graph does not have; ContradictionError when
@@ -289,7 +241,6 @@ def apply_oracles(
                         stack.append((child, only))
 
     return OracleApplication(
-        graph=g,
         base_routes=routes,
         base_probs=probs,
         pins=pins,
@@ -328,13 +279,11 @@ def enumerate_route_outcomes(g: RGraph) -> Iterator[tuple[float, tuple["str | No
 
 
 def _check_observed(
-    g: RGraph, oracles: OracleSet | Mapping[int, str] | None
+    g: RGraph, oracles: Mapping[int, str] | None
 ) -> list[tuple[int, str]]:
     """Observations as sorted ``(node, ingress)`` pairs, every one checked to
     name a node of ``g`` and one of its ingress points."""
-    if not isinstance(oracles, OracleSet):
-        oracles = OracleSet(oracles or {})
-    pairs = list(oracles.items())
+    pairs = sorted(oracles.items()) if oracles else []
     for node, ingress in pairs:
         if node not in g.parents:
             raise UnknownNodeError(f"observed node {node} not in forwarding graph")
@@ -344,7 +293,7 @@ def _check_observed(
 
 
 def exact_conditional_distribution(
-    g: RGraph, oracles: OracleSet | Mapping[int, str] | None = None
+    g: RGraph, oracles: Mapping[int, str] | None = None
 ) -> RouteProbabilities:
     """Exact per-node posterior given the observations, by full enumeration.
 
@@ -398,7 +347,7 @@ def monte_carlo_inference(
     g: RGraph,
     trials: int,
     seed: int = 0,
-    oracles: OracleSet | Mapping[int, str] | None = None,
+    oracles: Mapping[int, str] | None = None,
     *,
     prior: tuple[RoutingFunction, RouteProbabilities] | None = None,
 ) -> MonteCarloEstimate:

@@ -30,7 +30,6 @@ from .inference import (
     shortest_path_transform,
 )
 from .oracles import (
-    OracleSet,
     apply_oracles,
     exact_conditional_distribution,
     monte_carlo_inference,
@@ -259,7 +258,7 @@ def build_augmented(cfg: ScenarioConfig) -> AugmentedTopology:
     return aug
 
 
-def _load_oracles(cfg: ScenarioConfig) -> OracleSet | None:
+def _load_oracles(cfg: ScenarioConfig) -> dict[int, str] | None:
     if cfg.oracle_text is not None:
         return parse_oracle_file(cfg.oracle_text)
     if cfg.oracle_file is not None:
@@ -432,18 +431,12 @@ def _run_augmented(
     if want_probs:
         probs = probabilistic_inference(g, routes)
         stages.append("probabilistic-inference")
-        prob_status = {n: "exact" for n in g.report_nodes}
 
     if oracles:
-        prior = routes, probs
         applied = apply_oracles(g, routes, probs, oracles)
-        routes, probs = applied.routes, applied.probs
         set_route_calls = applied.set_route_calls
         skipped = applied.skipped
         stages.append("observation-propagation")
-        for n in g.report_nodes:
-            if n in applied.stale_probability_nodes:
-                prob_status[n] = "pre-observation"
         if cfg.mode == "probabilistic":
             method = cfg.posterior
             if method is None:
@@ -454,7 +447,7 @@ def _run_augmented(
                 status = "posterior-exact"
             else:
                 estimate = monte_carlo_inference(
-                    g, cfg.posterior_trials, cfg.seed, oracles, prior=prior
+                    g, cfg.posterior_trials, cfg.seed, oracles, prior=(routes, probs)
                 )
                 probs = estimate.probs
                 logger.debug(
@@ -467,7 +460,18 @@ def _run_augmented(
                 )
                 stages.append("posterior-sampling")
                 status = "posterior-sampled"
-            prob_status = {n: status for n in g.report_nodes}
+            routes = applied.routes
+            prob_status = dict.fromkeys(g.report_nodes, status)
+        else:
+            # a node still uncertain keeps its distribution from before the
+            # observations, which does not condition on them
+            routes, probs = applied
+            prob_status = {
+                n: "exact" if routes[n] is not None else "pre-observation"
+                for n in g.report_nodes
+            }
+    elif probs is not None:
+        prob_status = dict.fromkeys(g.report_nodes, "exact")
 
     universe = g.report_nodes
     routes_view = {n: routes[n] for n in universe}

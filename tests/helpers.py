@@ -36,7 +36,7 @@ from catchmap.inference import (
     mixed_distribution,
     probabilistic_inference,
 )
-from catchmap.oracles import OracleSet, _check_observed, apply_oracles
+from catchmap.oracles import _check_observed, apply_oracles
 from catchmap.planner import MeasurementPlan, ObjectiveWeights, _prepare_candidates
 from catchmap.rgraph import RGraph, exact_limit, topological_order
 from catchmap.scenario import ScenarioReport
@@ -247,7 +247,7 @@ def reference_monte_carlo(
     g: RGraph,
     trials: int = 10_000,
     seed: int = 0,
-    oracles: OracleSet | Mapping[int, str] | None = None,
+    oracles: Mapping[int, str] | None = None,
 ) -> tuple[RouteProbabilities, int, int]:
     """Sample tie-break outcomes, reject those contradicting observations.
 
@@ -390,7 +390,7 @@ def reference_route_outcomes(g: RGraph) -> Iterator[tuple[float, dict[int, "str 
 
 
 def reference_exact_posterior(
-    g: RGraph, oracles: OracleSet | Mapping[int, str] | None = None
+    g: RGraph, oracles: Mapping[int, str] | None = None
 ) -> RouteProbabilities:
     """Exact per-node posterior given the observations, by full enumeration.
 
@@ -551,7 +551,7 @@ def _extend_branches(
                 continue
             applied = apply_oracles(g, branch.routes, branch.probs, {node: ingress})
             refreshed = reference_update_probabilistic_inference(
-                g, branch.forward, applied.routes, applied.pinned
+                g, branch.forward, applied.routes, applied.pins
             )
             out.append(
                 _Branch(branch.prob * p, applied.routes, refreshed, refreshed)

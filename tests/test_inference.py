@@ -162,7 +162,7 @@ class TestConeUpdate:
                 before = copy.deepcopy((routes, probs))
                 applied = apply_oracles(g, routes, probs, {n: truth[n] for n in batch})
                 cone = update_probabilistic_inference(
-                    g, probs, applied.routes, applied.pinned
+                    g, probs, applied.routes, applied.pins
                 )
                 updated = {**probs, **cone}
                 full = probabilistic_inference(g, applied.routes)
@@ -170,7 +170,7 @@ class TestConeUpdate:
                 assert _items(updated) == _items(full)
                 assert (routes, probs) == before
                 # exactly the pinned nodes and everything below them
-                below = set(applied.pinned)
+                below = set(applied.pins)
                 for node in topological_order(g):
                     if any(p in below for p in g.parents[node]):
                         below.add(node)

@@ -47,15 +47,15 @@ import helpers
 
 class TestOracleFiles:
     def test_node_lines(self):
-        oracles = parse_oracle_file("4,m1\n8,m2,ping\n")
-        assert dict(oracles.items()) == {4: "m1", 8: "m2"}
-        assert oracles.provenance[8] == "ping"
-        assert oracles.provenance[4] == "synthetic"
+        # the provenance cell is checked and dropped
+        oracles = parse_oracle_file("8,m2,ping\n4,m1\n")
+        assert oracles == {8: "m2", 4: "m1"}
+        assert list(oracles) == [8, 4]
 
     def test_path_line_pins_every_hop(self):
-        oracles = parse_oracle_file("path:8 6 4,m1\n")
-        assert dict(oracles.items()) == {4: "m1", 6: "m1", 8: "m1"}
-        assert set(oracles.provenance.values()) == {"traceroute"}
+        oracles = parse_oracle_file("path:8 6 4,m1\n6,m1,bgp-rib\n")
+        assert oracles == {8: "m1", 6: "m1", 4: "m1"}
+        assert list(oracles) == [8, 6, 4]
 
     def test_comments_ignored(self):
         oracles = parse_oracle_file("# survey batch 3\n4,m1\n")
@@ -123,8 +123,8 @@ class TestPropagation:
         self, example_graph, example_routes, example_probs
     ):
         applied = apply_oracles(example_graph, example_routes, example_probs, {8: "m1"})
-        assert applied.pinned == (8, 6, 4)
-        assert applied.set_route_calls == len(applied.pinned)
+        assert tuple(applied.pins) == (8, 6, 4)
+        assert applied.set_route_calls == len(applied.pins)
 
     def test_inputs_left_unchanged(self, example_graph, example_routes, example_probs):
         routes_before = copy.deepcopy(example_routes)
@@ -152,10 +152,14 @@ class TestPropagation:
     def test_stale_marking_for_untouched_uncertain_nodes(
         self, example_graph, example_routes, example_probs
     ):
+        # the scenario marks these nodes ``pre-observation``; see
+        # test_scenario::TestRunScenario::test_observation_statuses
         applied = apply_oracles(example_graph, example_routes, example_probs, {8: "m2"})
-        assert 4 in applied.stale_probability_nodes
-        assert 6 in applied.stale_probability_nodes
-        assert 8 not in applied.stale_probability_nodes
+        assert applied.routes[4] is None
+        assert applied.routes[6] is None
+        assert applied.routes[8] == "m2"
+        assert applied.probs[4] is example_probs[4]
+        assert applied.probs[6] is example_probs[6]
 
     def test_contradiction_raises_by_default(
         self, example_graph, example_routes, example_probs
@@ -229,11 +233,32 @@ def _simulation_backed_observations(idx: int, count: int, seed: int):
     seed=st.integers(min_value=0, max_value=200),
 )
 def test_certain_set_independent_of_observation_order(idx, count, seed):
+    """Only the mapping's item order: both calls apply the observations in
+    ascending node id, so this says nothing about other application orders."""
     g, routes, probs, obs = _simulation_backed_observations(idx, count, seed)
     items = list(obs.items())
     forward = apply_oracles(g, routes, probs, dict(items))
     backward = apply_oracles(g, routes, probs, dict(reversed(items)))
     assert forward.routes == backward.routes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    idx=st.integers(min_value=0, max_value=39),
+    count=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=200),
+)
+def test_observations_apply_one_at_a_time_in_node_order(idx, count, seed):
+    g, routes, probs, obs = _simulation_backed_observations(idx, count, seed)
+    together = apply_oracles(g, routes, probs, obs)
+    pins = []
+    for node in sorted(obs):
+        step = apply_oracles(g, routes, probs, {node: obs[node]})
+        routes, probs = step
+        pins.extend(step.pins.items())
+    assert list(together.routes.items()) == list(routes.items())
+    assert list(together.probs.items()) == list(probs.items())
+    assert list(together.pins.items()) == pins
 
 
 @settings(max_examples=60, deadline=None)

@@ -202,6 +202,40 @@ class TestRunScenario:
         assert "posterior-exact" in report.stages
         assert set(report.prob_status.values()) == {"posterior-exact"}
 
+    def test_observation_statuses(self):
+        # certain mode: the nodes the observation leaves uncertain keep the
+        # forward pass from before it, and only they say so
+        report, g = run_scenario(example_config(oracle_text="8,m2\n"))
+        forward = probabilistic_inference(g, certain_inference(g))
+        open_nodes = {n for n in report.nodes if report.routes[n] is None}
+        assert open_nodes == {4, 6}
+        assert report.prob_status == {
+            n: "pre-observation" if n in open_nodes else "exact" for n in report.nodes
+        }
+        assert all(report.probs[n] == forward[n] for n in open_nodes)
+        assert all(
+            report.probs[n] == {report.routes[n]: 1.0}
+            for n in report.nodes if n not in open_nodes
+        )
+
+        report, _ = run_scenario(example_config(oracle_text="8,m1\n4,m1\n"))
+        assert set(report.prob_status.values()) == {"exact"}
+
+        for posterior, status in [
+            ("exact", "posterior-exact"),
+            ("monte-carlo", "posterior-sampled"),
+            (None, "posterior-exact"),
+        ]:
+            report, _ = run_scenario(
+                example_config(
+                    mode="probabilistic",
+                    oracle_text="8,m2\n",
+                    posterior=posterior,
+                    posterior_trials=500,
+                )
+            )
+            assert set(report.prob_status.values()) == {status}
+
     def test_sp_mode_prunes_and_repins(self):
         report, g = run_scenario(example_config(sp=True))
         assert "shortest-path-pruning" in report.stages
