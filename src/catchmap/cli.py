@@ -6,6 +6,8 @@ locally are also looked up under $CATCHMAP_DATA_DIR.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import logging
 import os
@@ -73,6 +75,24 @@ def _resolve_data_path(p: str | Path) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Run with the cyclic garbage collector off, then restore its state.
+
+    A command allocates hundreds of thousands of container objects (topology
+    rows, graph maps, report rows) and leaves almost no reference cycles,
+    so reference counting frees them; with the collector on, its
+    generational sweeps re-walk the same long-lived rows many times over.
+    Usable as a decorator."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # -- programmatic commands -------------------------------------------------------
 
 
@@ -92,6 +112,7 @@ def cmd_ingest(path: str | Path, out: str | Path | None = None) -> str:
     return canonical
 
 
+@_collector_paused()
 def cmd_run(
     scenario: str | Path,
     out: str | Path,
@@ -114,6 +135,7 @@ def cmd_run(
     return report, written
 
 
+@_collector_paused()
 def cmd_plan(
     scenario: str | Path,
     out: str | Path,

@@ -13,7 +13,6 @@ path length before anything random happens.
 from __future__ import annotations
 
 import logging
-import math
 from typing import Iterable, Mapping
 
 from .errors import CatchmapError, InputError
@@ -159,25 +158,30 @@ def _cone_order(g: RGraph, sources: Iterable[int]) -> list[int]:
 def shortest_path_transform(g: RGraph) -> RGraph:
     """Drop parent edges that cannot start a minimum-length route to the root.
 
-    Node levels are computed in one sweep; an edge from parent j survives
-    only if going through j achieves the node's level. Unreachable parts of
-    the graph keep their edges (their level is infinite on both sides).
+    Node levels (hops from the root) come from one breadth-first pass over
+    the child lists; an edge from parent j survives only if going through j
+    achieves the node's level. Only a node with two or more parents can lose
+    an edge. A node the root does not reach keeps its edges.
     """
-    level: dict[int, float] = {}
-    for node in topological_order(g):
-        if node == g.root:
-            level[node] = 0.0
-            continue
-        level[node] = min(
-            (level[p] + 1.0 for p in g.parents[node]), default=math.inf
-        )
+    level = {g.root: 0}
+    queue = [g.root]
+    children = g.children
+    for node in queue:
+        below = level[node] + 1
+        for child in children[node]:
+            if child not in level:
+                level[child] = below
+                queue.append(child)
     # a filtered sorted tuple stays sorted, so the graph needs no normalising
-    pruned = {
-        node: tuple(p for p in parents if not level[p] + 1.0 > level[node])
-        for node, parents in g.parents.items()
-    }
-    kept = sum(len(p) for p in pruned.values())
-    logger.debug("shortest-path pruning kept %d of %d edges", kept, g.num_edges)
+    pruned: dict[int, tuple[int, ...]] = {}
+    for node, parents in g.parents.items():
+        if len(parents) > 1 and node in level:
+            above = level[node] - 1
+            parents = tuple(p for p in parents if level.get(p) == above)
+        pruned[node] = parents
+    if logger.isEnabledFor(logging.DEBUG):
+        kept = sum(len(p) for p in pruned.values())
+        logger.debug("shortest-path pruning kept %d of %d edges", kept, g.num_edges)
     return RGraph._from_sorted(
         g.root, g.ingress_map, pruned, g.nodes, g.report_nodes, g.tie_probs
     )

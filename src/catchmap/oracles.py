@@ -53,8 +53,9 @@ def parse_oracle_file(text: str) -> dict[int, str]:
     node on the path, since each of them forwards along the same suffix.
     The provenance, when given, must be one of ``PROVENANCE_TAGS``; it is
     checked and not kept. A ``#`` at the start of a line or after whitespace
-    starts a comment. Repeating a node with a different ingress is a parse
-    error.
+    starts a comment. A path that visits a node twice is a parse error, since
+    no forwarding path loops, and so is repeating a node with a different
+    ingress.
 
     >>> parse_oracle_file("7,m1,ping\\npath:8 5 2,m2\\n")
     {7: 'm1', 8: 'm2', 5: 'm2', 2: 'm2'}
@@ -79,6 +80,11 @@ def parse_oracle_file(text: str) -> dict[int, str]:
                 ) from None
             if not nodes:
                 raise TopologyParseError("empty path", line_no)
+            if len(set(nodes)) < len(nodes):
+                repeated = next(n for i, n in enumerate(nodes) if n in nodes[:i])
+                raise TopologyParseError(
+                    f"path {parts[0]!r} visits node {repeated} twice", line_no
+                )
         else:
             try:
                 nodes = [int(parts[0])]

@@ -44,8 +44,10 @@ class RGraph:
     the root, each name obeying the rule ``DestinationSpec`` checks;
     ``report_nodes`` is the accounting universe (real nodes only,
     no root, no virtual chain nodes). ``order`` lists every node parents
-    first; it is computed once at construction, which rejects any directed
-    cycle, so every ``RGraph`` is acyclic.
+    first; it is derived on first read and then kept. Every ``RGraph`` is
+    acyclic: ``from_parent_map`` and ``from_edges`` order the graph before
+    they return, which rejects any directed cycle, and the builder and the
+    shortest-path transform make only acyclic graphs.
 
     ``tie_probs`` holds the tie-break weights that differ from uniform:
     node -> parent -> probability of forwarding through that parent. Each
@@ -60,7 +62,6 @@ class RGraph:
     children: Mapping[int, tuple[int, ...]]
     nodes: tuple[int, ...]
     report_nodes: tuple[int, ...]
-    order: tuple[int, ...]
     tie_probs: Mapping[int, Mapping[int, float]]
 
     @classmethod
@@ -89,7 +90,9 @@ class RGraph:
             report = tuple(n for n in node_tuple if n != root)
         else:
             report = tuple(sorted(report_nodes))
-        return cls._from_sorted(root, ingress_map, norm_parents, node_tuple, report, tie_probs)
+        g = cls._from_sorted(root, ingress_map, norm_parents, node_tuple, report, tie_probs)
+        g.order  # arbitrary input: reject a cycle here, not at first use
+        return g
 
     @classmethod
     def _from_sorted(
@@ -105,7 +108,10 @@ class RGraph:
         every node of ``nodes`` to a sorted tuple of distinct parents, and
         ``nodes`` and ``report_nodes`` are sorted. Walking the nodes in
         ascending order appends each child list in sorted order. Still
-        rejects a cycle and checks the ingress names and the overrides."""
+        checks the ingress names and the overrides, but not for a cycle:
+        the input must be acyclic, as the builder's route classes and the
+        shortest-path transform's levels make it. A cycle would raise
+        CycleError only when ``order`` is first read."""
         if parents[root]:
             raise CycleError(f"root {root} cannot have parents")
         for name in dict.fromkeys(ingress_map.values()):
@@ -122,7 +128,6 @@ class RGraph:
             children=frozen_children,
             nodes=nodes,
             report_nodes=report_nodes,
-            order=_kahn_order(parents, frozen_children),
             tie_probs=_validated_tie_probs(parents, tie_probs),
         )
 
@@ -164,6 +169,12 @@ class RGraph:
     @functools.cached_property
     def ingress_points(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.ingress_map.values())))
+
+    @functools.cached_property
+    def order(self) -> tuple[int, ...]:
+        """Every node, parents first and the smallest id first among ready
+        nodes; derived on first read and then kept."""
+        return _kahn_order(self.parents, self.children)
 
     @functools.cached_property
     def order_index(self) -> dict[int, int]:
@@ -267,8 +278,9 @@ def build_rgraph(aug: AugmentedTopology) -> RGraph:
     destination or customer-class; otherwise peer-class if a peer of it is;
     otherwise provider-class if a provider of it is routed at all. A node's
     parents are the neighbors, the destination included, that offer it a
-    route in its class. Three passes that read each edge at most once per
-    direction: O(N+E). ``simulated_parents`` reads the same parent sets off
+    route in its class, gathered as the passes assign the classes. Three
+    passes that read each edge at most once per direction, then one sort
+    per parent list. ``simulated_parents`` reads the same parent sets off
     a full propagation run, as a cross-check.
 
     Raises PolicyError if the destination's attachments close a provider
@@ -289,44 +301,49 @@ def build_rgraph(aug: AugmentedTopology) -> RGraph:
     ):
         _check_hierarchy(topology)
 
+    # each pass reads every offer edge once and records the offering node
+    # under a neighbor that takes the route's class, or already has it
     cls = {root: _ORIGIN}
+    offerers: dict[int, list[int]] = {}
     # the destination and the customer class: every neighbor hears them
     offering = [root]
     for n in offering:
         for j, rel in rels(n).items():
-            if rel is Relationship.C2P and j not in cls:
-                cls[j] = _CUSTOMER
-                offering.append(j)
+            if rel is Relationship.C2P:
+                c = cls.get(j)
+                if c is None:
+                    cls[j] = _CUSTOMER
+                    offerers[j] = [n]
+                    offering.append(j)
+                elif c == _CUSTOMER:
+                    offerers[j].append(n)
     for n in offering:
         for j, rel in rels(n).items():
-            if rel is Relationship.P2P and j not in cls:
-                cls[j] = _PEER
+            if rel is Relationship.P2P:
+                c = cls.get(j)
+                if c is None:
+                    cls[j] = _PEER
+                    offerers[j] = [n]
+                elif c == _PEER:
+                    offerers[j].append(n)
     routed = list(cls)  # every routed node exports to its customers
     for n in routed:
         for j, rel in rels(n).items():
-            if rel is Relationship.P2C and j not in cls:
-                cls[j] = _PROVIDER
-                routed.append(j)
+            if rel is Relationship.P2C:
+                c = cls.get(j)
+                if c is None:
+                    cls[j] = _PROVIDER
+                    offerers[j] = [n]
+                    routed.append(j)
+                elif c == _PROVIDER:
+                    offerers[j].append(n)
 
-    wanted = {_CUSTOMER: Relationship.P2C, _PEER: Relationship.P2P}
-    # neighbors are dict keys, so each sorted parent tuple is already distinct;
-    # the root's entry goes last, where a normalising build puts it
-    parents: dict[int, tuple[int, ...]] = {}
-    for n in topology.nodes():
-        if n == root:
-            continue
-        c = cls.get(n)
-        if c is None:
-            parents[n] = ()
-        elif c == _PROVIDER:
-            parents[n] = tuple(sorted(
-                j for j, rel in rels(n).items() if rel is Relationship.C2P and j in cls
-            ))
-        else:
-            parents[n] = tuple(sorted(
-                j for j, rel in rels(n).items()
-                if rel is wanted[c] and cls.get(j, _PROVIDER) <= _CUSTOMER
-            ))
+    # neighbors are dict keys, so each sorted offerer list is already
+    # distinct; the root's entry goes last, where a normalising build puts it
+    parents: dict[int, tuple[int, ...]] = {
+        n: tuple(sorted(offerers[n])) if n in offerers else ()
+        for n in topology.nodes() if n != root
+    }
     parents[root] = ()
     g = RGraph._from_sorted(
         root, aug.ingress_map, parents, tuple(sorted(parents)), aug.real_nodes, None,
@@ -380,7 +397,7 @@ def _kahn_order(
 
 
 def topological_order(g: RGraph) -> tuple[int, ...]:
-    """The order fixed when ``g`` was built: parents first, smallest id first."""
+    """``g.order``: parents first, smallest id first."""
     return g.order
 
 

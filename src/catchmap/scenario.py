@@ -295,7 +295,9 @@ class ScenarioReport:
     def to_json(self) -> str:
         """The report as ``json.dumps(doc, sort_keys=True, indent=2)`` lays it
         out. The four per-node maps are written row by row, because the
-        standard encoder falls back to pure Python once it indents."""
+        standard encoder falls back to pure Python once it indents. Each
+        distinct distribution is formatted once; its values are floats, and
+        equal floats print alike except for zeros of opposite sign."""
         keyed = [
             (encode_basestring_ascii(k), n)
             for k, n in sorted({str(n): n for n in self.nodes}.items())
@@ -316,10 +318,21 @@ class ScenarioReport:
                 return int.__repr__(v)
             return json.dumps(v)
 
+        def rows(d: dict[str, float]) -> str:
+            return _json_rows([f"{value(m)}: {value(p)}" for m, p in sorted(d.items())], 2)
+
+        dists: dict[tuple, str] = {}
+
         def dist(d: dict[str, float]) -> str:
             if not d:
                 return "{}"
-            return _json_rows([f"{value(m)}: {value(p)}" for m, p in sorted(d.items())], 2)
+            if 0.0 in d.values():  # 0.0 == -0.0, but they print differently
+                return rows(d)
+            key = tuple(d.items())
+            text = dists.get(key)
+            if text is None:
+                text = dists[key] = rows(d)
+            return text
 
         doc = {
             "config": self.config,
@@ -375,15 +388,31 @@ class ScenarioReport:
         cols += [f"pi_{m}" for m in self.ingress_points]
         cols += ["status"]
         lines = [",".join(cols)]
+        ingress_points, probs, status = self.ingress_points, self.probs, self.prob_status
+
+        def tail(route: str | None, d: dict[str, float] | None, state: str) -> str:
+            cells = [route or ""]
+            if d is None:
+                cells += [""] * len(ingress_points)
+            else:
+                cells += [repr(d.get(m, 0.0)) for m in ingress_points]
+            cells.append(state)
+            return ",".join(cells)
+
+        # each distinct (route, distribution, status) is formatted once
+        tails: dict[tuple, str] = {}
         for n in self.nodes:
-            row = [str(n), self.routes[n] or ""]
-            for m in self.ingress_points:
-                if self.probs is None:
-                    row.append("")
-                else:
-                    row.append(repr(self.probs[n].get(m, 0.0)))
-            row.append(self.prob_status[n] if self.prob_status else "")
-            lines.append(",".join(row))
+            route = self.routes[n]
+            d = probs[n] if probs is not None else None
+            state = status[n] if status else ""
+            if d is not None and 0.0 in d.values():  # as in ``to_json``
+                text = tail(route, d, state)
+            else:
+                key = (route, None if d is None else tuple(d.items()), state)
+                text = tails.get(key)
+                if text is None:
+                    text = tails[key] = tail(route, d, state)
+            lines.append(str(n) + "," + text)
         return "\n".join(lines) + "\n"
 
 

@@ -694,6 +694,29 @@ def reference_report_json(self: ScenarioReport) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+# ``ScenarioReport.to_node_csv`` as it was written before it formatted each
+# distinct row once. Kept verbatim, but for its name, as the oracle for
+# ``to_node_csv``, which must give the same bytes for every report.
+def reference_node_csv(self: ScenarioReport) -> str:
+    """Rows ``node,route,pi_<ingress>...,status`` over the report universe.
+    No ingress name holds a comma, a quote or a line break, so no cell
+    needs quoting."""
+    cols = ["node", "route"]
+    cols += [f"pi_{m}" for m in self.ingress_points]
+    cols += ["status"]
+    lines = [",".join(cols)]
+    for n in self.nodes:
+        row = [str(n), self.routes[n] or ""]
+        for m in self.ingress_points:
+            if self.probs is None:
+                row.append("")
+            else:
+                row.append(repr(self.probs[n].get(m, 0.0)))
+        row.append(self.prob_status[n] if self.prob_status else "")
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 # The graph derivations as they were written before ``RGraph`` had a
 # constructor for input that is already normalised: the pruned graph made by
 # the normalising constructor, and each export sorting the edges again. The

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -14,8 +15,9 @@ from catchmap import (
     run_scenario,
     serialize_topology,
 )
+from catchmap import cli
 from catchmap.cli import main
-from catchmap.errors import CapacityError
+from catchmap.errors import CapacityError, InputError
 from catchmap.oracles import exact_conditional_distribution
 from catchmap.rgraph import MAX_EXACT_NODES, MAX_EXACT_OUTCOMES
 
@@ -259,6 +261,41 @@ class TestPlan:
         result = runner.invoke(main, ["plan", scenario, "--out", str(tmp_path / "o")])
         assert result.exit_code != 0
         assert "budget" in result.output
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("command", ["run", "plan"])
+def test_commands_pause_the_collector_and_restore_it(
+    tmp_path, monkeypatch, command, enabled, raises
+):
+    seen = []
+
+    def run(cfg):
+        seen.append(gc.isenabled())
+        if raises:
+            raise InputError("stopped")
+        return run_scenario(cfg)
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    scenario = write_scenario(tmp_path, "mode probabilistic\n")
+    call = {
+        "run": lambda: cli.cmd_run(scenario, tmp_path / "o"),
+        "plan": lambda: cli.cmd_plan(scenario, tmp_path / "o", budget=1),
+    }[command]
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(InputError, match="stopped"):
+                call()
+        else:
+            call()
+        after = gc.isenabled()
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert seen == [False]
+    assert after is enabled
 
 
 class TestValidate:

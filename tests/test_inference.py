@@ -216,6 +216,22 @@ class TestShortestPathTransform:
                 if before[node] is not None:
                     assert after[node] == before[node], (idx, node)
 
+    @pytest.mark.parametrize("edges, ties", [
+        # parentless 2 feeds 3 and 4; 4 also hangs two hops below the root
+        ([(0, 1), (1, 4), (2, 3), (2, 4), (3, 4)], {}),
+        # a detached diamond with a chord keeps every edge
+        ([(0, 1), (5, 6), (5, 7), (6, 7), (6, 8), (7, 8)], {}),
+        # levels 1, 2 and 3 meet at node 5; a detached node also feeds it
+        ([(0, 1), (0, 2), (1, 3), (2, 3), (3, 5), (1, 4), (4, 5), (2, 5), (9, 5)], {}),
+        # overrides on a chooser whose parents all sit on one level
+        ([(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (9, 4), (9, 10)], {3: {1: 0.25, 2: 0.75}}),
+    ], ids=["parentless-feeder", "detached-diamond", "mixed-levels", "ties"])
+    def test_matches_the_reference_on_hand_drawn_graphs(self, edges, ties):
+        g = RGraph.from_edges(0, edges, {1: "m1", 2: "m2"}, tie_probs=ties)
+        helpers.assert_same_graph(
+            shortest_path_transform(g), helpers.reference_shortest_path_transform(g)
+        )
+
     def test_unreachable_nodes_keep_their_edges(self):
         g = RGraph.from_parent_map(0, {1: "m"}, {1: [0], 3: [2]}, nodes=[2, 3])
         # nodes 2 and 3 form a detached island: both levels stay infinite;

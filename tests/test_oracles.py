@@ -66,6 +66,13 @@ class TestOracleFiles:
             parse_oracle_file("4,m1\n4,m2\n")
         assert "line 2" in str(err.value)
 
+    def test_looped_path_names_the_repeated_node(self):
+        # no forwarding path visits a node twice; checked before the tag
+        with pytest.raises(TopologyParseError, match="line 2: path 'path:4 5 4' visits node 4 twice"):
+            parse_oracle_file("8,m1\npath:4 5 4,m1\n")
+        with pytest.raises(TopologyParseError, match="line 1: .* visits node 6 twice"):
+            parse_oracle_file("path:6 6,m1,hearsay\n")
+
     def test_unknown_provenance_reports_line(self):
         with pytest.raises(TopologyParseError) as err:
             parse_oracle_file("4,m1,hearsay\n")

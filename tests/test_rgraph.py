@@ -316,6 +316,21 @@ class TestTopologicalOrder:
         with pytest.raises(CycleError):
             RGraph.from_edges(0, [(0, 1), (1, 2), (2, 3), (3, 1)], {1: "m"})
 
+    def test_equality_and_overrides_do_not_depend_on_the_order_being_read(self):
+        edges = [(0, 1), (0, 2), (1, 3), (2, 3)]
+        g = RGraph.from_edges(0, edges, {1: "m1", 2: "m2"})
+        chain = RGraph.from_edges(0, [(0, 1), (1, 2)], {1: "m1"})
+        unread = shortest_path_transform(chain)  # nothing to prune
+        assert "order" not in vars(unread)
+        assert unread == chain
+        assert g == RGraph.from_edges(0, edges[::-1], {2: "m2", 1: "m1"})
+        assert g != RGraph.from_edges(0, edges[:-1], {1: "m1", 2: "m2"}, nodes=[3])
+        weighted = g.with_tie_probs({3: {1: 0.25, 2: 0.75}})
+        assert weighted != g
+        assert weighted.order == g.order == (0, 1, 2, 3)
+        assert weighted.with_tie_probs({}) == g
+        assert g.tie_probs == {}
+
     def test_pruned_graph_carries_its_own_order(self, example_graph):
         pruned = shortest_path_transform(example_graph)
         pos = {n: i for i, n in enumerate(topological_order(pruned))}

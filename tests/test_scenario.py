@@ -31,6 +31,7 @@ from catchmap import (
     shortest_path_transform,
     write_report_files,
 )
+from catchmap import rgraph as rgraph_module
 from catchmap.planner import MeasurementPlan
 from catchmap.rgraph import MAX_EXACT_NODES
 from catchmap.scenario import ScenarioReport, build_augmented
@@ -580,17 +581,41 @@ def _hand_report(**overrides) -> ScenarioReport:
     return ScenarioReport(**fields)
 
 
-@pytest.mark.parametrize("overrides", [
+def _signed_zero_probs() -> dict[int, dict[str, float]]:
+    """Distributions that repeat with the same status (odd nodes are
+    ``exact``), some equal as floats but not as text: ``0.0 == -0.0``, in
+    either order of first appearance."""
+    a, b = _ODD_NAMES[0], _ODD_NAMES[1]
+    return {
+        1: {a: -0.0, b: 1.0}, 2: {a: 0.5, b: 0.5}, 9: {a: 0.0, b: 1.0},
+        10: {a: 0.5, b: 0.5}, 99: {b: 1.0, a: -0.0}, 100: {a: 0.0, b: 1.0},
+        12345: {a: 0.25, b: 0.75}, 54321: {a: 0.25, b: 0.75},
+    }
+
+
+_HAND_REPORTS = pytest.mark.parametrize("overrides", [
     {},
     {"probs": None, "prob_status": None, "expected_loads": None},
     {"plan": None, "skipped_observations": (), "set_route_calls": None},
     {"probability_mass_deficit": {}},
     {"nodes": (), "routes": {}, "probs": {}, "prob_status": {}},
     {"nodes": (7,), "routes": {7: None}, "probs": {7: {}}, "prob_status": {7: "exact"}},
-], ids=["full", "no-probs", "no-plan", "no-deficit", "no-nodes", "one-node"])
+    {"probs": _signed_zero_probs(), "routes": dict.fromkeys((1, 2, 9, 10, 99, 100, 12345, 54321))},
+], ids=["full", "no-probs", "no-plan", "no-deficit", "no-nodes", "one-node", "signed-zeros"])
+
+
+@_HAND_REPORTS
 def test_report_json_matches_the_reference_on_hand_built_reports(overrides):
     report = _hand_report(**overrides)
     assert report.to_json() == helpers.reference_report_json(report)
+
+
+@_HAND_REPORTS
+def test_node_csv_matches_the_reference_on_hand_built_reports(overrides):
+    """Rows that repeat a route, distribution and status share one text;
+    signed zeros and a missing distribution map still print as before."""
+    report = _hand_report(**overrides)
+    assert report.to_node_csv() == helpers.reference_node_csv(report)
 
 
 def _generated_report_configs() -> list[ScenarioConfig]:
@@ -638,6 +663,17 @@ def test_report_json_matches_the_reference_on_generated_scenarios():
         assert report.to_json() == helpers.reference_report_json(report)
         observed += 1
     assert observed >= 10
+
+
+@pytest.mark.parametrize("case", [0, 1, 5], ids=["sp-off-plan", "sp-on", "sp-on-plan"])
+def test_a_run_orders_one_graph(monkeypatch, case):
+    """The graph that shortest-path pruning discards is never ordered."""
+    cfg = _generated_report_configs()[case]
+    calls = []
+    kahn = rgraph_module._kahn_order
+    monkeypatch.setattr(rgraph_module, "_kahn_order", lambda *a: calls.append(a) or kahn(*a))
+    run_scenario(cfg)
+    assert len(calls) == 1
 
 
 def _odd_name_run(tmp_path, names: dict[int, str]):
