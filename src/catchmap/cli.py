@@ -197,38 +197,48 @@ def cmd_plan(
 
 
 # -- built-in validation ----------------------------------------------------------
+# The worked example: nine nodes, (customer, provider) links, the destination
+# (node 9) attached at nodes 1 and 2. Each customer re-exports the
+# destination's route upward, so each link is a forwarding edge. The
+# expectations were derived by hand before the engine existed; ``validate``
+# and the tests compare the engine against them, never the other way around.
+EXAMPLE_CUSTOMER_LINKS = (
+    (1, 3), (1, 4), (2, 4), (2, 5), (4, 6), (1, 7), (3, 7), (5, 8), (6, 8),
+)
+EXAMPLE_ATTACHMENTS = {1: "m1", 2: "m2"}
 
-
-def _example_aug() -> AugmentedTopology:
-    """Eight real nodes, two ingress points; the package's worked example.
-
-    Every forwarding edge is realized by making the upstream side the
-    customer of the downstream side, so all routes are customer routes and
-    every listed edge is usable.
-    """
-    t = Topology()
-    for i, j in [(1, 3), (1, 4), (2, 4), (2, 5), (4, 6), (1, 7), (3, 7), (5, 8), (6, 8)]:
-        t.add_edge(i, j, Relationship.C2P)
-    t = derive_vf_policies(t)
-    spec = DestinationSpec(attachments={1: "m1", 2: "m2"})
-    return attach_destination(t, spec)
-
-
-_EXPECTED_EDGES = {
-    (9, 1), (9, 2), (1, 3), (1, 4), (2, 4), (2, 5), (4, 6), (1, 7), (3, 7),
-    (5, 8), (6, 8),
-}
-_EXPECTED_ROUTES = {
+# Forwarding-graph edges as (parent, child): parent advertises to child.
+EXPECTED_EDGES = frozenset(
+    {(9, 1), (9, 2)} | {(c, p) for c, p in EXAMPLE_CUSTOMER_LINKS}
+)
+EXPECTED_ROUTES = {
     1: "m1", 2: "m2", 3: "m1", 4: None, 5: "m2", 6: None, 7: "m1", 8: None,
 }
-_EXPECTED_PROBS = {
-    1: {"m1": 1.0}, 2: {"m2": 1.0}, 3: {"m1": 1.0}, 5: {"m2": 1.0}, 7: {"m1": 1.0},
-    4: {"m1": 0.5, "m2": 0.5}, 6: {"m1": 0.5, "m2": 0.5},
+EXPECTED_PROBS = {
+    1: {"m1": 1.0}, 2: {"m2": 1.0}, 3: {"m1": 1.0}, 4: {"m1": 0.5, "m2": 0.5},
+    5: {"m2": 1.0}, 6: {"m1": 0.5, "m2": 0.5}, 7: {"m1": 1.0},
     8: {"m1": 0.25, "m2": 0.75},
 }
-_EXPECTED_BOUNDS = {"m1": (3, 6), "m2": (2, 5)}
-_EXPECTED_LOADS = {"m1": 4.25, "m2": 3.75}
-_EXPECTED_SP_DROPPED = {(3, 7), (6, 8)}
+EXPECTED_PATHS_8 = frozenset({(8, 5, 2, 9), (8, 6, 4, 1, 9), (8, 6, 4, 2, 9)})
+EXPECTED_BOUNDS = {"m1": (3, 6), "m2": (2, 5)}
+EXPECTED_LOADS = {"m1": 4.25, "m2": 3.75}
+# removed by shortest-path pruning (depth one: 1, 2; two: 3, 4, 5, 7; three: 6, 8)
+EXPECTED_SP_DROPPED = frozenset({(3, 7), (6, 8)})
+
+
+def example_base_topology() -> Topology:
+    """The worked example's hierarchy, policies enabled: all routes are
+    customer routes, so every listed edge is usable."""
+    t = Topology()
+    for customer, provider in EXAMPLE_CUSTOMER_LINKS:
+        t.add_edge(customer, provider, Relationship.C2P)
+    return derive_vf_policies(t)
+
+
+def example_aug() -> AugmentedTopology:
+    """The worked example: eight real nodes and two ingress points."""
+    spec = DestinationSpec(attachments=dict(EXAMPLE_ATTACHMENTS), dst_id=9)
+    return attach_destination(example_base_topology(), spec)
 
 
 def _close(a: float, b: float, tol: float = 1e-12) -> bool:
@@ -256,30 +266,30 @@ def _compare_probs(actual: dict, expected: dict) -> list[str]:
 
 def _quick_checks(seed: int) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
-    aug = _example_aug()
+    aug = example_aug()
     g = build_rgraph(aug)
 
     edges = set(g.edges())
     checks.append((
         "example forwarding graph",
-        edges == _EXPECTED_EDGES,
+        edges == EXPECTED_EDGES,
         f"got {sorted(edges)}",
     ))
 
     routes = certain_inference(g)
-    mismatches = _compare_routes(routes, _EXPECTED_ROUTES)
+    mismatches = _compare_routes(routes, EXPECTED_ROUTES)
     checks.append(("example certain inference", not mismatches, "; ".join(mismatches)))
 
     probs = probabilistic_inference(g, routes)
-    problems = _compare_probs(probs, _EXPECTED_PROBS)
+    problems = _compare_probs(probs, EXPECTED_PROBS)
     checks.append(("example route probabilities", not problems, "; ".join(problems)))
 
     view = {n: routes[n] for n in g.report_nodes}
     bounds = catchment_bounds(view, ("m1", "m2"))
     loads = expected_load({n: probs[n] for n in g.report_nodes},
                           {n: 1.0 for n in g.report_nodes})
-    ok = bounds == _EXPECTED_BOUNDS and all(
-        _close(loads[m], _EXPECTED_LOADS[m]) for m in _EXPECTED_LOADS
+    ok = bounds == EXPECTED_BOUNDS and all(
+        _close(loads[m], EXPECTED_LOADS[m]) for m in EXPECTED_LOADS
     )
     checks.append(("example bounds and loads", ok, f"bounds={bounds} loads={loads}"))
 
@@ -309,16 +319,15 @@ def _quick_checks(seed: int) -> list[tuple[str, bool, str]]:
     )
     checks.append((
         "example shortest-path pruning",
-        dropped == _EXPECTED_SP_DROPPED and monotone and sp_routes[8] == "m2",
+        dropped == EXPECTED_SP_DROPPED and monotone and sp_routes[8] == "m2",
         f"dropped={sorted(dropped)}",
     ))
 
     enum = enumerate_rpaths(g, 8)
-    expected_paths = {(8, 5, 2, 9), (8, 6, 4, 1, 9), (8, 6, 4, 2, 9)}
     brute = brute_force_eligible_paths(aug)[4]
     checks.append((
         "example path enumeration",
-        enum.paths == frozenset(expected_paths)
+        enum.paths == EXPECTED_PATHS_8
         and not enum.truncated
         and brute == frozenset({(4, 1, 9), (4, 2, 9)}),
         f"got {sorted(enum.paths)} / {sorted(brute)}",
@@ -360,7 +369,7 @@ def _quick_checks(seed: int) -> list[tuple[str, bool, str]]:
     ))
 
     # negative control: a deliberately corrupted expectation must be caught
-    tampered = dict(_EXPECTED_ROUTES)
+    tampered = dict(EXPECTED_ROUTES)
     tampered[3] = "m2"
     caught = bool(_compare_routes(routes, tampered))
     checks.append((

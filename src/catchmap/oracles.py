@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import logging
 import random
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -38,9 +37,7 @@ from .inference import (
     update_probabilistic_inference,
 )
 from .rgraph import RGraph, exact_limit, topological_order
-from .topology import _strip_comment
-
-logger = logging.getLogger(__name__)
+from .topology import _data_lines
 
 PROVENANCE_TAGS = ("bgp-rib", "traceroute", "ping", "synthetic")
 
@@ -52,19 +49,15 @@ def parse_oracle_file(text: str) -> dict[int, str]:
     ``path:<space-separated nodes>,ingress[,provenance]`` which pins every
     node on the path, since each of them forwards along the same suffix.
     The provenance, when given, must be one of ``PROVENANCE_TAGS``; it is
-    checked and not kept. A ``#`` at the start of a line or after whitespace
-    starts a comment. A path that visits a node twice is a parse error, since
-    no forwarding path loops, and so is repeating a node with a different
-    ingress.
+    checked and not kept. Comments follow ``topology._data_lines``. A path
+    that visits a node twice is a parse error, since no forwarding path
+    loops, and so is repeating a node with a different ingress.
 
     >>> parse_oracle_file("7,m1,ping\\npath:8 5 2,m2\\n")
     {7: 'm1', 8: 'm2', 5: 'm2', 2: 'm2'}
     """
     assignments: dict[int, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
+    for line_no, raw, line in _data_lines(text):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) not in (2, 3) or not parts[1]:
             raise TopologyParseError(
@@ -121,14 +114,12 @@ class OracleApplication:
     ``(routes, probs)``. ``probs`` shares every entry the pins left
     unchanged with the input distributions, so treat it as read-only: a node
     still uncertain keeps its distribution from before the observations,
-    which does not condition on them. ``skipped`` lists observations dropped
-    for contradicting existing certainty when downgrading is on.
+    which does not condition on them.
     """
 
     base_routes: Mapping[int, "str | None"] = field(repr=False, compare=False)
     base_probs: Mapping[int, dict[str, float]] = field(repr=False, compare=False)
     pins: dict[int, str] = field(default_factory=dict)
-    skipped: tuple[tuple[int, str], ...] = ()
 
     def __iter__(self) -> Iterator:
         return iter((self.routes, self.probs))
@@ -156,8 +147,6 @@ def apply_oracles(
     routes: Mapping[int, "str | None"],
     probs: Mapping[int, dict[str, float]],
     oracles: Mapping[int, str],
-    *,
-    on_contradiction: str = "error",
 ) -> OracleApplication:
     """Pin observed nodes and propagate the certainty both ways.
 
@@ -178,16 +167,12 @@ def apply_oracles(
 
     Raises UnknownNodeError, before pinning anything, when an observation
     names a node or ingress the graph does not have; ContradictionError when
-    an observation disagrees with an already-certain node
-    (``on_contradiction="skip"`` downgrades that to a warning); and
+    an observation, or its propagation, disagrees with a certain node; and
     InfeasibleOracleError when an observation has probability zero under
     the current distributions.
     """
-    if on_contradiction not in ("error", "skip"):
-        raise InputError(f"on_contradiction must be 'error' or 'skip', got {on_contradiction!r}")
     observed = _check_observed(g, oracles)
     pins: dict[int, str] = {}
-    skipped: list[tuple[int, str]] = []
 
     def route(node: int) -> "str | None":
         return pins[node] if node in pins else routes.get(node)
@@ -200,13 +185,6 @@ def apply_oracles(
     for node, ingress in observed:
         current = route(node)
         if current is not None and current != ingress:
-            if on_contradiction == "skip":
-                logger.warning(
-                    "dropping observation %d->%s: node already pinned to %s",
-                    node, ingress, current,
-                )
-                skipped.append((node, ingress))
-                continue
             raise ContradictionError(
                 f"observation pins node {node} to {ingress!r} but it is "
                 f"certainly routed to {current!r}"
@@ -246,12 +224,7 @@ def apply_oracles(
                     if only is not None:
                         stack.append((child, only))
 
-    return OracleApplication(
-        base_routes=routes,
-        base_probs=probs,
-        pins=pins,
-        skipped=tuple(skipped),
-    )
+    return OracleApplication(base_routes=routes, base_probs=probs, pins=pins)
 
 
 # -- conditional distributions -------------------------------------------------

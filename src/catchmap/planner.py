@@ -399,7 +399,8 @@ def exhaustive_plan(
     exact mode and inherits its size guards; the empty subset is scored
     first, so a graph too large for exact mode fails before the subsets
     grow. Ties prefer fewer measurements, then the lexicographically
-    smallest subset.
+    smallest subset. Each prefix of the best subset is an affordable subset
+    of its own, so the step values are read from the scores already made.
     """
     _check_budget(budget)
     weights = weights or ObjectiveWeights()
@@ -407,6 +408,7 @@ def exhaustive_plan(
     baseline = _Objective(g, weights).value(routes)
 
     best_subset, best_value = (), baseline
+    scores: dict[tuple[int, ...], float] = {}
     for size in range(0, len(pool) + 1):
         if size > _MAX_EXACT_MEASUREMENTS:
             notes.append(
@@ -417,7 +419,7 @@ def exhaustive_plan(
         for subset in itertools.combinations(pool, size):
             if sum(weights.cost(n) for n in subset) > budget:
                 continue
-            value = expected_nc(
+            value = scores[subset] = expected_nc(
                 g, routes, probs, subset,
                 mode="exact", weights=weights,
             )
@@ -427,16 +429,11 @@ def exhaustive_plan(
             ):
                 best_subset, best_value = subset, value
 
-    step_values = tuple(
-        expected_nc(
-            g, routes, probs, best_subset[: k + 1],
-            mode="exact", weights=weights,
-        )
-        for k in range(len(best_subset))
-    )
     return MeasurementPlan(
         selected=best_subset,
-        step_values=step_values,
+        step_values=tuple(
+            scores[best_subset[:k]] for k in range(1, len(best_subset) + 1)
+        ),
         baseline_value=baseline,
         budget=budget,
         method="exhaustive",

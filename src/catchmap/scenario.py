@@ -44,7 +44,7 @@ from .topology import (
     Topology,
     _REL_BY_NAME,
     _REL_NAMES,
-    _strip_comment,
+    _data_lines,
     apply_prepending,
     attach_destination,
     derive_vf_policies,
@@ -112,8 +112,8 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
     ``prepend <ingress> <k>``, ``mode certain|probabilistic``, ``sp on|off``,
     ``oracles <path>``, ``posterior exact`` / ``posterior monte-carlo [trials]``,
     ``plan budget <B>``, ``plan candidates <node>...|uncertain``,
-    ``seed <n>``. A ``#`` at the start of a line or after whitespace starts
-    a comment. Paths are resolved against ``base_dir``.
+    ``seed <n>``. Comments follow ``topology._data_lines``. Paths are
+    resolved against ``base_dir``.
     """
     cfg = ScenarioConfig()
     base = Path(base_dir) if base_dir is not None else None
@@ -124,10 +124,7 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
             path = base / path
         return str(path)
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
+    for line_no, raw, line in _data_lines(text):
         parts = line.split()
         key = parts[0]
         try:
@@ -233,14 +230,8 @@ def _load_topology(cfg: ScenarioConfig) -> Topology:
 
 def parse_topology_text(text: str) -> Topology:
     """Parse either format: CAIDA pipe if the first data line has a ``|``."""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "|" in line:
-            return parse_caida_asrel(text)
-        break
-    return parse_topology(text)
+    _, _, first = next(_data_lines(text), (0, "", ""))
+    return parse_caida_asrel(text) if "|" in first else parse_topology(text)
 
 
 def build_augmented(cfg: ScenarioConfig) -> AugmentedTopology:
@@ -283,7 +274,6 @@ class ScenarioReport:
     expected_loads: dict[str, float] | None
     probability_mass_deficit: dict[int, float]
     set_route_calls: int | None
-    skipped_observations: tuple[tuple[int, str], ...]
     plan: MeasurementPlan | None
     rgraph_nodes: int
     rgraph_edges: int
@@ -344,7 +334,6 @@ class ScenarioReport:
             "bounds": {m: list(b) for m, b in self.bounds.items()},
             "expected_loads": self.expected_loads,
             "set_route_calls": self.set_route_calls,
-            "skipped_observations": [list(s) for s in self.skipped_observations],
             "plan": (
                 {
                     "selected": list(self.plan.selected),
@@ -455,7 +444,6 @@ def _run_augmented(
     probs: RouteProbabilities | None = None
     prob_status: dict[int, str] | None = None
     set_route_calls: int | None = None
-    skipped: tuple[tuple[int, str], ...] = ()
 
     if want_probs:
         probs = probabilistic_inference(g, routes)
@@ -464,7 +452,6 @@ def _run_augmented(
     if oracles:
         applied = apply_oracles(g, routes, probs, oracles)
         set_route_calls = applied.set_route_calls
-        skipped = applied.skipped
         stages.append("observation-propagation")
         if cfg.mode == "probabilistic":
             method = cfg.posterior
@@ -552,7 +539,6 @@ def _run_augmented(
         expected_loads=loads,
         probability_mass_deficit=deficit,
         set_route_calls=set_route_calls,
-        skipped_observations=skipped,
         plan=plan,
         rgraph_nodes=len(g.nodes),
         rgraph_edges=g.num_edges,

@@ -193,24 +193,36 @@ def _derive(topology: Topology, changed: Iterable[int]) -> Topology:
     return out
 
 
-def parse_caida_asrel(text: str | Iterable[str]) -> Topology:
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def _data_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """``(line number, raw line, content)`` for each line of ``text`` that
+    holds data, the one comment rule of every input format. The content is
+    the line without its comment, stripped. A comment starts at a ``#`` that
+    begins the line or follows whitespace; any other ``#`` is part of a
+    token. Blank and comment-only lines are skipped."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        # most lines hold no ``#``, and ``in`` is cheaper than the pattern
+        line = (_COMMENT.split(raw, 1)[0] if "#" in raw else raw).strip()
+        if line:
+            yield line_no, raw, line
+
+
+def parse_caida_asrel(text: str) -> Topology:
     """Parse a serial-1 pipe-delimited AS relationship listing.
 
     Lines look like ``<as1>|<as2>|<rel>`` where rel -1 marks as1 as the
-    provider of as2 and rel 0 marks a peering; ``#`` lines are comments.
+    provider of as2 and rel 0 marks a peering; comments follow ``_data_lines``.
 
-    >>> t = parse_caida_asrel("1|2|-1\\n1|3|0\\n")
+    >>> t = parse_caida_asrel("1|2|-1\\n1|3|0  # a peering\\n")
     >>> assert t.relationship(1, 2) == Relationship.P2C
     >>> assert t.relationship(2, 1) == Relationship.C2P
     >>> assert t.relationship(3, 1) == Relationship.P2P
     """
-    lines = text.splitlines() if isinstance(text, str) else text
     topology = Topology()
     count = 0
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, _, line in _data_lines(text):
         parts = line.split("|")
         if len(parts) < 3:
             raise TopologyParseError(f"expected <as1>|<as2>|<rel>, got {line!r}", line_no)
@@ -254,12 +266,10 @@ def serialize_topology(topology: Topology) -> str:
 
 
 def parse_topology(text: str) -> Topology:
-    """Parse the canonical form produced by ``serialize_topology``."""
+    """Parse the canonical form produced by ``serialize_topology``.
+    Comments follow ``_data_lines``."""
     topology = Topology()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, _, line in _data_lines(text):
         parts = line.split()
         if parts[0] == "node" and len(parts) == 2:
             try:
@@ -374,15 +384,6 @@ def _check_ingress_name(name: str) -> None:
     for ch in name:
         if ch in _NAME_FORBIDDEN or ch.isspace() or unicodedata.category(ch) == "Cc":
             raise DestinationSpecError(f"ingress name {name!r} holds {ch!r}")
-
-
-_COMMENT = re.compile(r"(?:^|\s)#")
-
-
-def _strip_comment(line: str) -> str:
-    """``line`` without its comment, which starts at a ``#`` that begins the
-    line or follows whitespace; any other ``#`` is part of a token."""
-    return _COMMENT.split(line, 1)[0]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Shared builders and frozen expectations for the test suite.
 
-The worked example is a nine-node provider hierarchy with the destination
-(node 9) attached at nodes 1 and 2.  Every expectation below was derived by
-hand from the forwarding model before the engine existed; tests compare the
-engine's output against these constants, never the other way around.
+The worked example and its hand-derived expectations live in
+``catchmap.cli``, which ``catchmap validate`` checks against; they are
+re-exported here under the names the tests use, next to the few that only
+tests need.
 """
 
 from __future__ import annotations
@@ -26,7 +26,20 @@ from catchmap import (
     derive_vf_policies,
     generate_random_topology,
 )
-from catchmap.cli import random_instance  # noqa: F401  (re-exported)
+from catchmap.cli import (  # noqa: F401  (re-exported)
+    EXAMPLE_ATTACHMENTS,
+    EXAMPLE_CUSTOMER_LINKS,
+    EXPECTED_BOUNDS,
+    EXPECTED_EDGES,
+    EXPECTED_LOADS,
+    EXPECTED_PATHS_8,
+    EXPECTED_PROBS,
+    EXPECTED_ROUTES,
+    EXPECTED_SP_DROPPED,
+    example_aug,
+    example_base_topology,
+    random_instance,
+)
 from catchmap.errors import CapacityError, GenerationError, InfeasibleOracleError, InputError
 from catchmap.inference import (
     RouteProbabilities,
@@ -43,74 +56,11 @@ from catchmap.scenario import ScenarioReport
 
 logger = logging.getLogger(__name__)
 
-DST = 9
-
-# (customer, provider) pairs: the customer learns the destination's route
-# first and re-exports it upward, so each provider link is a forwarding edge.
-EXAMPLE_CUSTOMER_LINKS = (
-    (1, 3),
-    (1, 4),
-    (2, 4),
-    (2, 5),
-    (4, 6),
-    (1, 7),
-    (3, 7),
-    (5, 8),
-    (6, 8),
-)
-
-EXAMPLE_ATTACHMENTS = {1: "m1", 2: "m2"}
-
-# Forwarding-graph edges as (parent, child): parent advertises to child.
-EXPECTED_EDGES = frozenset(
-    {(DST, 1), (DST, 2)} | {(c, p) for c, p in EXAMPLE_CUSTOMER_LINKS}
-)
-
-EXPECTED_ROUTES = {
-    1: "m1",
-    2: "m2",
-    3: "m1",
-    4: None,
-    5: "m2",
-    6: None,
-    7: "m1",
-    8: None,
-}
-
-EXPECTED_PROBS = {
-    1: {"m1": 1.0},
-    2: {"m2": 1.0},
-    3: {"m1": 1.0},
-    4: {"m1": 0.5, "m2": 0.5},
-    5: {"m2": 1.0},
-    6: {"m1": 0.5, "m2": 0.5},
-    7: {"m1": 1.0},
-    8: {"m1": 0.25, "m2": 0.75},
-}
+DST = 9  # the destination node of the worked example
 
 EXPECTED_PATHS_3 = frozenset({(3, 1, DST)})
-EXPECTED_PATHS_8 = frozenset({(8, 5, 2, DST), (8, 6, 4, 1, DST), (8, 6, 4, 2, DST)})
-
-EXPECTED_BOUNDS = {"m1": (3, 6), "m2": (2, 5)}
-EXPECTED_LOADS = {"m1": 4.25, "m2": 3.75}
-
-# Edges removed by the shortest-path pruning pass (levels: 1,2 at depth one;
-# 3,4,5,7 at two; 6,8 at three).
-EXPECTED_SP_DROPPED = frozenset({(3, 7), (6, 8)})
 
 CERTAIN_COUNT = 5  # of 8 report nodes
-
-
-def example_base_topology() -> Topology:
-    topo = Topology()
-    for customer, provider in EXAMPLE_CUSTOMER_LINKS:
-        topo.add_edge(customer, provider, Relationship.C2P)
-    return derive_vf_policies(topo)
-
-
-def example_aug() -> AugmentedTopology:
-    spec = DestinationSpec(attachments=dict(EXAMPLE_ATTACHMENTS), dst_id=DST)
-    return attach_destination(example_base_topology(), spec)
 
 
 def ingress_points(aug: AugmentedTopology) -> tuple[str, ...]:
@@ -675,7 +625,6 @@ def reference_report_json(self: ScenarioReport) -> str:
             str(n): v for n, v in sorted(self.probability_mass_deficit.items())
         },
         "set_route_calls": self.set_route_calls,
-        "skipped_observations": [list(s) for s in self.skipped_observations],
         "plan": (
             {
                 "selected": list(self.plan.selected),

@@ -173,20 +173,11 @@ class TestPropagation:
     ):
         with pytest.raises(ContradictionError):
             apply_oracles(example_graph, example_routes, example_probs, {3: "m2"})
-
-    def test_contradiction_skippable(
-        self, example_graph, example_routes, example_probs
-    ):
-        applied = apply_oracles(
-            example_graph,
-            example_routes,
-            example_probs,
-            {3: "m2", 4: "m1"},
-            on_contradiction="skip",
-        )
-        assert (3, "m2") in applied.skipped
-        assert applied.routes[3] == "m1"
-        assert applied.routes[4] == "m1"
+        # a feasible observation alongside does not make it droppable
+        with pytest.raises(ContradictionError):
+            apply_oracles(
+                example_graph, example_routes, example_probs, {3: "m2", 4: "m1"}
+            )
 
     def test_impossible_ingress_rejected(self):
         # node 4 hangs off attachment 1 (m1) and the detached node 3, so it
@@ -207,16 +198,14 @@ class TestPropagation:
             apply_oracles(example_graph, example_routes, example_probs, {4: "m9"})
 
     @pytest.mark.parametrize("bad", [{99: "m1"}, {4: "m9"}])
-    @pytest.mark.parametrize("on_contradiction", ["error", "skip"])
     def test_every_observation_checked_before_any_is_applied(
-        self, example_graph, example_routes, example_probs, bad, on_contradiction
+        self, example_graph, example_routes, example_probs, bad
     ):
         # node 3 is certainly m1 and sorts first, so a pass that validated
-        # as it pinned would stop at (or skip) the contradiction instead
+        # as it pinned would stop at the contradiction instead
         with pytest.raises(UnknownNodeError):
             apply_oracles(
-                example_graph, example_routes, example_probs, {3: "m2", **bad},
-                on_contradiction=on_contradiction,
+                example_graph, example_routes, example_probs, {3: "m2", **bad}
             )
 
 

@@ -1,5 +1,5 @@
 """Package-level surface: star imports, the names the benchmark tracer wraps,
-names nothing reads, and the doctests."""
+names nothing reads, the one comment rule, and the doctests."""
 
 from __future__ import annotations
 
@@ -159,6 +159,64 @@ def test_no_private_name_is_left_unreferenced():
     assert sources
     unreferenced = unreferenced_private_names(sources)
     assert not unreferenced, f"private names nothing refers to: {unreferenced}"
+
+
+def comment_rule_breaches(sources: dict[str, str]) -> list[str]:
+    """``module:line`` for each ``startswith`` call given a string that
+    begins with ``#``, and for each use of ``_COMMENT`` (a read, an
+    attribute or an import) outside ``topology._data_lines``, the one reader
+    through which every input format skips its comments."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        reader = set()
+        if module == "topology.py":
+            for stmt in tree.body:
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "_data_lines":
+                    reader = {id(node) for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                breach = node.func.attr == "startswith" and any(
+                    isinstance(c, ast.Constant) and str(c.value).startswith("#")
+                    for arg in node.args for c in ast.walk(arg)
+                )
+            elif isinstance(node, ast.Name):
+                breach = node.id == "_COMMENT" and isinstance(node.ctx, ast.Load)
+            elif isinstance(node, ast.Attribute):
+                breach = node.attr == "_COMMENT"
+            elif isinstance(node, ast.ImportFrom):
+                breach = any(a.name == "_COMMENT" for a in node.names)
+            else:
+                continue
+            if breach and id(node) not in reader:
+                found.append(f"{module}:{node.lineno}")
+    return sorted(found)
+
+
+def test_comment_rule_scan():
+    sources = {
+        "topology.py": (
+            "import re\n_COMMENT = re.compile('#')\n"
+            "def _data_lines(text):\n    return _COMMENT.split(text)\n"
+            "def other(line):\n    return _COMMENT.split(line)\n"
+        ),
+        "a.py": (
+            "from .topology import _COMMENT\nfrom . import topology\n"
+            "def f(line):\n"
+            "    return line.startswith(('#', ';')), line.startswith('p'), topology._COMMENT\n"
+            "def g(line):\n    return line.strip().startswith('# x') or '#' in line\n"
+        ),
+    }
+    assert comment_rule_breaches(sources) == [
+        "a.py:1", "a.py:4", "a.py:4", "a.py:6", "topology.py:6",
+    ]
+
+
+def test_every_input_format_skips_comments_through_one_reader():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert "topology.py" in sources
+    breaches = comment_rule_breaches(sources)
+    assert not breaches, f"comment handling outside topology._data_lines: {breaches}"
 
 
 def names_read(tree: ast.AST) -> Counter[str]:

@@ -448,6 +448,27 @@ class TestExhaustivePlan:
         assert math.isclose(plan.expected_value, 8.0, abs_tol=TOL)
         assert [round(v, 9) for v in plan.step_values] == [7.5, 8.0]
 
+    def test_step_values_reuse_the_subset_scores(
+        self, monkeypatch, example_graph, example_routes, example_probs
+    ):
+        # budget 2 over (4, 6, 8) scores seven subsets, one enumeration pass
+        # each: the empty one, three singletons and three pairs. The best
+        # pair's prefixes are among them, so no pass is made for its steps.
+        passes = []
+        original = planner.outcomes_keeping
+
+        def counted(*args):
+            passes.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(planner, "outcomes_keeping", counted)
+        plan = exhaustive_plan(
+            example_graph, example_routes, example_probs, (4, 6, 8), 2
+        )
+        assert plan.selected == (4, 8)
+        assert [round(v, 9) for v in plan.step_values] == [7.5, 8.0]
+        assert len(passes) == 7
+
     def test_never_below_greedy(self):
         for idx in range(12):
             aug = helpers.random_instance(idx)

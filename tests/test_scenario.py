@@ -354,6 +354,17 @@ class TestRunScenario:
         assert doc["routes"]["3"] == "m1"
         assert doc["node_count"] == 8
 
+    def test_report_json_top_level_keys(self):
+        report, _ = run_scenario(example_config(
+            mode="probabilistic", oracle_text="8,m1\n", plan_budget=1,
+        ))
+        assert list(json.loads(report.to_json())) == [
+            "bounds", "certain_counts", "config", "expected_loads",
+            "ingress_points", "node_count", "plan", "prob_status",
+            "probability_mass_deficit", "probs", "rgraph", "routes", "seed",
+            "set_route_calls", "stages", "uncertain_count",
+        ]
+
     def test_node_csv_shape(self):
         report, _ = run_scenario(example_config(mode="probabilistic"))
         lines = report.to_node_csv().strip().splitlines()
@@ -544,8 +555,8 @@ _ODD_NAMES = ('m"x', "a\\b", "é", "t\tab")
 
 def _hand_report(**overrides) -> ScenarioReport:
     """A report built by hand: node ids of one to five digits, ingress names
-    that need escaping, empty distributions, tiny and inexact floats, a plan
-    and skipped observations."""
+    that need escaping, empty distributions, tiny and inexact floats and a
+    plan."""
     nodes = (1, 2, 9, 10, 99, 100, 12345, 54321)
     routes = {n: _ODD_NAMES[i % 4] if i % 3 else None for i, n in enumerate(nodes)}
     probs = {
@@ -568,7 +579,6 @@ def _hand_report(**overrides) -> ScenarioReport:
             10: 0.5, 9: 0, 100: 1e-17, 12345: 0.1 + 0.2, 54321: math.nan,
         },
         set_route_calls=7,
-        skipped_observations=((99, _ODD_NAMES[1]), (5, "gone")),
         plan=MeasurementPlan(
             selected=(10, 9), step_values=(2.5, 0.1 + 0.2), baseline_value=1.0,
             budget=2, method="greedy", notes=("node 5 has no route",),
@@ -596,7 +606,7 @@ def _signed_zero_probs() -> dict[int, dict[str, float]]:
 _HAND_REPORTS = pytest.mark.parametrize("overrides", [
     {},
     {"probs": None, "prob_status": None, "expected_loads": None},
-    {"plan": None, "skipped_observations": (), "set_route_calls": None},
+    {"plan": None, "set_route_calls": None},
     {"probability_mass_deficit": {}},
     {"nodes": (), "routes": {}, "probs": {}, "prob_status": {}},
     {"nodes": (7,), "routes": {7: None}, "probs": {7: {}}, "prob_status": {7: "exact"}},

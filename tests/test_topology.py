@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import logging
 import re
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ from catchmap import (
     derive_vf_policies,
     generate_random_topology,
     parse_caida_asrel,
+    parse_oracle_file,
+    parse_scenario_file,
     parse_topology,
     serialize_topology,
 )
@@ -32,6 +35,7 @@ from catchmap.errors import (
     TopologyParseError,
     UnknownNodeError,
 )
+from catchmap.scenario import parse_topology_text
 
 import helpers
 
@@ -212,6 +216,75 @@ class TestCaidaParser:
         with caplog.at_level(logging.INFO, logger="catchmap.topology"):
             parse_caida_asrel("1|2|-1\n1|3|0\n1|2|-1\n")
         assert caplog.messages == ["parsed 3 relationship lines: 3 nodes, 2 edges"]
+
+
+# One comment rule for all four line formats. Per format: its parser, a view
+# that compares two parses, a text whose lines end in comments, the same
+# text without them, a text with a "#" inside a token, and what that text
+# gives: the token kept in the parse, or a parse error that quotes it.
+COMMENT_CASES = {
+    "caida": (
+        parse_caida_asrel, serialize_topology,
+        "# serial-1\n1|2|-1  # provider first\n1|3|0\t# a peering\n",
+        "1|2|-1\n1|3|0\n",
+        "1|2|-1#x\n", "non-integer field in '1|2|-1#x'",
+    ),
+    "canonical": (
+        parse_topology, serialize_topology,
+        "node 5 # lone\n  # indented\nedge 1 2 p2c # note\n",
+        "node 5\nedge 1 2 p2c\n",
+        "edge 1 2 p2c#x\n", "unknown relationship 'p2c#x'",
+    ),
+    "scenario": (
+        parse_scenario_file, attrgetter("attachments", "seed"),
+        "attach 1 m1 # first\nseed 4\t# fixed\n",
+        "attach 1 m1\nseed 4\n",
+        "attach 1 m#x\nseed 4\n", ({1: "m#x"}, 4),
+    ),
+    "observations": (
+        parse_oracle_file, dict,
+        "4,m1 # traceroute\npath:8 6,m1,ping\t# looked\n",
+        "4,m1\npath:8 6,m1,ping\n",
+        "5,m#x\n", {5: "m#x"},
+    ),
+}
+# Per format, a bad line that follows a comment line, a blank line and a
+# good line with a comment: each error names line 4.
+BAD_FOURTH_LINES = {
+    "caida": "3|4|7", "canonical": "edge 3 4 q2q",
+    "scenario": "frobnicate 5", "observations": "x,m1",
+}
+GOOD_LINES = {
+    "caida": "1|2|-1", "canonical": "node 1", "scenario": "seed 1",
+    "observations": "4,m1",
+}
+
+
+class TestCommentRule:
+    @pytest.mark.parametrize("fmt", sorted(COMMENT_CASES))
+    def test_trailing_comment_and_hash_inside_a_token(self, fmt):
+        parse, view, commented, plain, hashed, kept = COMMENT_CASES[fmt]
+        assert view(parse(commented)) == view(parse(plain))
+        if isinstance(kept, str):
+            with pytest.raises(TopologyParseError, match=f"^line 1: {re.escape(kept)}$"):
+                parse(hashed)
+        else:
+            assert view(parse(hashed)) == kept
+
+    @pytest.mark.parametrize("fmt", sorted(BAD_FOURTH_LINES))
+    def test_bad_line_after_comments_reports_its_own_number(self, fmt):
+        parse = COMMENT_CASES[fmt][0]
+        text = f"# header\n\n{GOOD_LINES[fmt]}  # fine\n{BAD_FOURTH_LINES[fmt]}\n"
+        with pytest.raises(TopologyParseError, match="^line 4: "):
+            parse(text)
+
+    def test_format_sniffer_reads_the_first_data_line(self):
+        canonical = serialize_topology(helpers.example_base_topology())
+        for header in ("# rows like 1|2|-1 follow\n", "node 1  # was 1|2|-1\n"):
+            topo = parse_topology_text(header + canonical)
+            assert serialize_topology(topo) == canonical, header
+        topo = parse_topology_text("# canonical: node 1\n1|2|-1  # edge 1 2 p2c\n")
+        assert topo.relationship(1, 2) == Relationship.P2C
 
 
 class TestCanonicalFormat:
