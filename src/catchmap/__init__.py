@@ -41,7 +41,6 @@ from .oracles import (
 )
 from .planner import (
     MeasurementPlan,
-    ObjectiveWeights,
     exhaustive_plan,
     expected_nc,
     export_plan_csv,
@@ -110,8 +109,8 @@ __all__ = [
     "parse_oracle_file", "exact_conditional_distribution", "monte_carlo_inference",
     "enumerate_route_outcomes",
     # planning
-    "ObjectiveWeights", "MeasurementPlan", "expected_nc", "greedy_plan",
-    "exhaustive_plan", "random_plan_values", "export_plan_csv",
+    "MeasurementPlan", "expected_nc", "greedy_plan", "exhaustive_plan",
+    "random_plan_values", "export_plan_csv",
     "nonsupermodularity_witness", "nonsubmodularity_witness",
     # scenarios
     "ScenarioConfig", "ScenarioReport", "SimulationComparison",

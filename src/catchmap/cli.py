@@ -42,6 +42,7 @@ from .rgraph import (
     brute_force_eligible_paths, build_rgraph, enumerate_rpaths, simulated_parents,
 )
 from .scenario import (
+    _MODES,
     compare_with_simulation,
     parse_scenario_file,
     parse_topology_text,
@@ -122,6 +123,8 @@ def cmd_run(
     sp: bool | None = None,
 ):
     """Run a scenario file end-to-end and write its report files."""
+    if mode is not None and mode not in _MODES:
+        raise InputError(f"unknown mode {mode!r}")
     path = _resolve_data_path(scenario)
     cfg = parse_scenario_file(path.read_text(), base_dir=path.parent)
     if seed is not None:
@@ -655,7 +658,7 @@ def ingest_command(path: str, out: str | None) -> None:
 @click.argument("scenario")
 @click.option("--out", default="catchmap-out", show_default=True)
 @click.option("--seed", type=int, default=None, help="override the scenario seed")
-@click.option("--mode", type=click.Choice(["certain", "probabilistic"]), default=None)
+@click.option("--mode", type=click.Choice(_MODES), default=None)
 @click.option("--sp/--no-sp", "sp", default=None, help="override shortest-path preference")
 def run_command(scenario: str, out: str, seed: int | None, mode: str | None, sp: bool | None) -> None:
     """Run a scenario and write its report."""

@@ -3,7 +3,7 @@
 Two passes over the same DAG: a certainty pass that labels a node with an
 ingress only when every possible next hop already carries that label, and a
 probabilistic pass that mixes parent distributions with per-edge tie-break
-probabilities. Both run in one topological sweep. When more nodes get
+probabilities. Each makes its own topological sweep. When more nodes get
 pinned later, the probabilistic pass is redone on the cone below them only.
 
 The shortest-path transform prunes edges that cannot lie on a

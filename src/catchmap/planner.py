@@ -17,9 +17,8 @@ import itertools
 import logging
 import math
 import random
-import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import CapacityError, InputError, UnknownNodeError
@@ -38,81 +37,24 @@ logger = logging.getLogger(__name__)
 _MAX_EXACT_MEASUREMENTS = 6
 
 
-@dataclass(frozen=True)
-class ObjectiveWeights:
-    """Per-node contribution to the objective and per-node measurement cost.
-
-    Nodes absent from either mapping default to weight 1 and cost 1, so the
-    unweighted objective is simply the number of certain nodes.
-    """
-
-    weights: Mapping[int, float] = field(default_factory=dict)
-    costs: Mapping[int, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        # NaN fails every comparison
-        for node, w in self.weights.items():
-            if not 0 <= w <= sys.float_info.max:
-                raise InputError(
-                    f"weight for node {node} must be finite and non-negative, got {w}"
-                )
-        for node, c in self.costs.items():
-            if not c > 0:
-                raise InputError(f"measurement cost for node {node} must be positive, got {c}")
-
-    def weight(self, node: int) -> float:
-        return self.weights.get(node, 1.0)
-
-    def cost(self, node: int) -> float:
-        return self.costs.get(node, 1.0)
-
-
 def _check_budget(budget: float) -> None:
     # written so that a NaN budget fails too
     if not budget >= 0:
         raise InputError(f"budget must be a non-negative number, got {budget}")
 
 
-class _Objective:
-    """The objective on one graph, and how a branch's value is priced.
+def _checked_costs(costs: Mapping[int, float] | None) -> Mapping[int, float]:
+    """Per-node measurement costs; a node without one costs 1."""
+    costs = costs or {}
+    for node, c in costs.items():
+        if not c > 0:  # NaN fails every comparison
+            raise InputError(f"measurement cost for node {node} must be positive, got {c}")
+    return costs
 
-    ``scored`` maps every reporting node to its weight, in ``report_nodes``
-    order. When ``carried`` is set, a branch extended by one measurement is
-    worth its parent's value plus the weights of the reporting nodes the
-    outcome pinned. That is exact, and independent of the order of the
-    additions, when every weight is a whole number and all of them together
-    stay within 2**53: no partial sum then rounds. Any other weights price
-    each branch by the ordered scan of ``value``.
-    """
 
-    def __init__(self, g: RGraph, weights: ObjectiveWeights) -> None:
-        self.scored = dict.fromkeys(g.report_nodes, 1.0)
-        for n, w in weights.weights.items():
-            if n in self.scored:
-                self.scored[n] = w
-        explicit = weights.weights.values()
-        # nodes without an explicit weight count 1 each; counting every
-        # reporting node once more only makes the bound stricter
-        self.carried = all(float(w).is_integer() for w in explicit) and (
-            sum(int(w) for w in explicit) + len(g.report_nodes) <= 2**53
-        )
-
-    def value(self, routes: Mapping[int, "str | None"]) -> float:
-        """Total weight of the reporting nodes that ``routes`` pins."""
-        return sum(w for n, w in self.scored.items() if routes.get(n) is not None)
-
-    def extended(
-        self, value: float, pins: Mapping[int, str], routes: Mapping[int, "str | None"]
-    ) -> float:
-        """Value of a branch whose ``routes`` add ``pins`` to its parent's,
-        from the parent's ``value``."""
-        if not self.carried:
-            return self.value(routes)
-        for n in pins:
-            w = self.scored.get(n)  # None for the root and virtual chain nodes
-            if w is not None:
-                value += w
-        return value
+def _certain_count(report: Iterable[int], routes: Mapping[int, "str | None"]) -> float:
+    """Number of the ``report`` nodes that ``routes`` pins."""
+    return sum(1.0 for n in report if routes.get(n) is not None)
 
 
 # -- branch bookkeeping ---------------------------------------------------------
@@ -122,15 +64,15 @@ class _Objective:
 class _Branch:
     """One combination of outcomes, with its probability and inference state.
 
-    ``value`` is the objective on ``routes``. ``probs`` weighs the outcomes
-    of the next measurement and guides observation propagation;
-    ``forward`` is the forward pass of ``routes``. Every branch of a plan
-    lays its own small delta over one shared base: ``routes`` holds the
-    branch's pins over the caller's routes, and ``forward`` the entries it
-    recomputed over the plan's forward pass. ``probs`` is ``forward``
-    except in the initial branch, whose ``probs`` are the caller's
-    (possibly conditioned on earlier observations). Nothing mutates a base
-    or a delta once a branch holds it.
+    ``value`` is the number of reporting nodes ``routes`` pins. ``probs``
+    weighs the outcomes of the next measurement and guides observation
+    propagation; ``forward`` is the forward pass of ``routes``. Every branch
+    of a plan lays its own small delta over one shared base: ``routes``
+    holds the branch's pins over the caller's routes, and ``forward`` the
+    entries it recomputed over the plan's forward pass. ``probs`` is
+    ``forward`` except in the initial branch, whose ``probs`` are the
+    caller's (possibly conditioned on earlier observations). Nothing mutates
+    a base or a delta once a branch holds it.
     """
 
     prob: float
@@ -144,13 +86,14 @@ def _initial_branches(
     g: RGraph,
     routes: RoutingFunction,
     probs: RouteProbabilities,
-    objective: _Objective,
+    report: frozenset[int],
     forward: RouteProbabilities | None = None,
 ) -> list[_Branch]:
     if forward is None:
         forward = probabilistic_inference(g, routes)
     return [_Branch(
-        1.0, objective.value(routes), _Overlay({}, routes), probs, _Overlay({}, forward)
+        1.0, _certain_count(report, routes), _Overlay({}, routes), probs,
+        _Overlay({}, forward),
     )]
 
 
@@ -158,7 +101,7 @@ def _extend_branches(
     g: RGraph,
     branches: list[_Branch],
     node: int,
-    objective: _Objective,
+    report: frozenset[int],
     counts: Counter[str],
 ) -> list[_Branch]:
     """Split every branch on the possible outcomes of measuring ``node``.
@@ -168,7 +111,9 @@ def _extend_branches(
     are untouched by new certainty); only the nodes the outcome pinned and
     those below them can change. A child branch copies its parent's deltas
     and adds the outcome's pins and recomputed entries, so it costs the pins
-    and their cone, not the graph. Zero-probability outcomes are dropped.
+    and their cone, not the graph. Its value is its parent's plus one for
+    each node of ``report`` the outcome pinned (the root and virtual chain
+    nodes are not in it). Zero-probability outcomes are dropped.
     Measuring a node with no possible route changes nothing. ``counts``
     accumulates the branches evaluated, the nodes pinned and the nodes
     recomputed.
@@ -191,7 +136,7 @@ def _extend_branches(
             counts["pins"] += len(pins)
             counts["cone nodes"] += len(refreshed)
             out.append(_Branch(
-                branch.prob * p, objective.extended(branch.value, pins, routes),
+                branch.prob * p, branch.value + sum(1.0 for n in pins if n in report),
                 routes, forward, forward,
             ))
     return out
@@ -205,12 +150,12 @@ def _replay(
     g: RGraph,
     branches: list[_Branch],
     measured: list[int],
-    objective: _Objective,
+    report: frozenset[int],
 ) -> float:
     """Value of measuring ``measured`` in order, starting from ``branches``."""
     counts: Counter[str] = Counter()
     for node in measured:
-        branches = _extend_branches(g, branches, node, objective, counts)
+        branches = _extend_branches(g, branches, node, report, counts)
     return _branch_value(branches)
 
 
@@ -224,9 +169,8 @@ def expected_nc(
     measured: Iterable[int],
     *,
     mode: str = "approx",
-    weights: ObjectiveWeights | None = None,
 ) -> float:
-    """Expected objective after measuring the given nodes.
+    """Expected number of certain reporting nodes after measuring the given nodes.
 
     ``approx`` replays the planner's own branch bookkeeping (measurements
     applied in ascending node order). ``exact`` enumerates the full
@@ -234,15 +178,14 @@ def expected_nc(
     scores each joint measurement outcome by which nodes are forced to a
     single ingress; guarded by ``exact_limit`` and to 6 measured nodes.
     """
-    weights = weights or ObjectiveWeights()
     measured = sorted(set(measured))
     for node in measured:
         if node not in g.parents:
             raise UnknownNodeError(f"measured node {node} not in forwarding graph")
     if mode == "approx":
-        objective = _Objective(g, weights)
-        initial = _initial_branches(g, routes, probs, objective)
-        return _replay(g, initial, measured, objective)
+        report = frozenset(g.report_nodes)
+        initial = _initial_branches(g, routes, probs, report)
+        return _replay(g, initial, measured, report)
     if mode != "exact":
         raise InputError(f"mode must be 'approx' or 'exact', got {mode!r}")
 
@@ -269,9 +212,7 @@ def expected_nc(
 
     value = 0.0
     for entry_mass, values in signatures.values():
-        nc = sum(
-            weights.weight(n) for n in g.report_nodes if form.ingress(values, n) is not None
-        )
+        nc = sum(1.0 for n in g.report_nodes if form.ingress(values, n) is not None)
         value += (entry_mass / total) * nc
     return value
 
@@ -329,50 +270,50 @@ def greedy_plan(
     candidates: Iterable[int],
     budget: float,
     *,
-    weights: ObjectiveWeights | None = None,
+    costs: Mapping[int, float] | None = None,
     forward: RouteProbabilities | None = None,
 ) -> MeasurementPlan:
     """Pick measurements one at a time, each maximizing the expected objective.
 
     Ties go to the smallest node id. Selection stops when the budget cannot
-    afford any remaining candidate. Nodes that cannot be usefully measured
+    afford any remaining candidate; ``costs`` maps a node to the price of
+    measuring it, 1 when absent. Nodes that cannot be usefully measured
     (the destination, unreachable nodes) are set aside with a note.
     ``forward``, when given, must be ``probabilistic_inference(g, routes)``;
     the plan then makes no forward pass of its own.
     """
     _check_budget(budget)
-    weights = weights or ObjectiveWeights()
+    costs = _checked_costs(costs)
     pool, notes = _prepare_candidates(g, routes, probs, candidates)
-    objective = _Objective(g, weights)
+    report = frozenset(g.report_nodes)
     if not pool and budget > 0:
         notes.append("no measurable candidates; empty plan")
 
     counts: Counter[str] = Counter()
-    branches = _initial_branches(g, routes, probs, objective, forward)
+    branches = _initial_branches(g, routes, probs, report, forward)
     baseline = branches[0].value
     selected: list[int] = []
     step_values: list[float] = []
     remaining = float(budget)
     while True:
-        affordable = [n for n in pool if n not in selected and weights.cost(n) <= remaining]
+        affordable = [n for n in pool if n not in selected and costs.get(n, 1.0) <= remaining]
         if not affordable:
             break
         best_node, best_value, best_branches = None, -math.inf, None
         for node in affordable:
-            trial = _extend_branches(g, branches, node, objective, counts)
+            trial = _extend_branches(g, branches, node, report, counts)
             value = _branch_value(trial)
             if value > best_value:
                 best_node, best_value, best_branches = node, value, trial
         selected.append(best_node)
         step_values.append(best_value)
         branches = best_branches
-        remaining -= weights.cost(best_node)
+        remaining -= costs.get(best_node, 1.0)
     logger.debug(
         "greedy plan: %d candidates, %d steps, %d branches evaluated, "
-        "%d cone nodes recomputed, %d nodes pinned, %s scoring, forward pass %s",
+        "%d cone nodes recomputed, %d nodes pinned, forward pass %s",
         len(pool), len(selected), counts["branches"], counts["cone nodes"],
-        counts["pins"], "carried" if objective.carried else "ordered scan",
-        "computed" if forward is None else "reused",
+        counts["pins"], "computed" if forward is None else "reused",
     )
     return MeasurementPlan(
         selected=tuple(selected),
@@ -391,7 +332,7 @@ def exhaustive_plan(
     candidates: Iterable[int],
     budget: float,
     *,
-    weights: ObjectiveWeights | None = None,
+    costs: Mapping[int, float] | None = None,
 ) -> MeasurementPlan:
     """Evaluate every affordable candidate subset exactly; return the best.
 
@@ -401,28 +342,28 @@ def exhaustive_plan(
     grow. Ties prefer fewer measurements, then the lexicographically
     smallest subset. Each prefix of the best subset is an affordable subset
     of its own, so the step values are read from the scores already made.
+    ``costs`` prices measurements as in ``greedy_plan``.
     """
     _check_budget(budget)
-    weights = weights or ObjectiveWeights()
+    costs = _checked_costs(costs)
     pool, notes = _prepare_candidates(g, routes, probs, candidates)
-    baseline = _Objective(g, weights).value(routes)
+    baseline = _certain_count(g.report_nodes, routes)
 
     best_subset, best_value = (), baseline
     scores: dict[tuple[int, ...], float] = {}
     for size in range(0, len(pool) + 1):
         if size > _MAX_EXACT_MEASUREMENTS:
-            notes.append(
-                f"subsets larger than {_MAX_EXACT_MEASUREMENTS} not evaluated "
-                f"(exact-mode guard)"
-            )
+            # no larger subset is affordable unless the cheapest one is
+            if sum(sorted(costs.get(n, 1.0) for n in pool)[:size]) <= budget:
+                notes.append(
+                    f"subsets larger than {_MAX_EXACT_MEASUREMENTS} not evaluated "
+                    f"(exact-mode guard)"
+                )
             break
         for subset in itertools.combinations(pool, size):
-            if sum(weights.cost(n) for n in subset) > budget:
+            if sum(costs.get(n, 1.0) for n in subset) > budget:
                 continue
-            value = scores[subset] = expected_nc(
-                g, routes, probs, subset,
-                mode="exact", weights=weights,
-            )
+            value = scores[subset] = expected_nc(g, routes, probs, subset, mode="exact")
             if value > best_value + 1e-12 or (
                 abs(value - best_value) <= 1e-12
                 and (len(subset), subset) < (len(best_subset), best_subset)
@@ -451,7 +392,6 @@ def random_plan_values(
     seed: int = 0,
     *,
     mode: str = "exact",
-    weights: ObjectiveWeights | None = None,
 ) -> list[float]:
     """Expected objective of ``count`` uniformly drawn budget-sized plans.
 
@@ -460,22 +400,19 @@ def random_plan_values(
     from one shared initial branch, so the call makes one forward pass.
     """
     _check_budget(budget)
-    weights = weights or ObjectiveWeights()
     pool, _ = _prepare_candidates(g, routes, probs, candidates)
     rng = random.Random(seed)
     size = int(min(budget, len(pool)))
     if mode == "approx":
-        objective = _Objective(g, weights)
-        initial = _initial_branches(g, routes, probs, objective)
+        report = frozenset(g.report_nodes)
+        initial = _initial_branches(g, routes, probs, report)
     values = []
     for _ in range(count):
         subset = rng.sample(pool, size) if size else []
         if mode == "approx":
-            values.append(_replay(g, initial, sorted(subset), objective))
+            values.append(_replay(g, initial, sorted(subset), report))
         else:
-            values.append(
-                expected_nc(g, routes, probs, subset, mode=mode, weights=weights)
-            )
+            values.append(expected_nc(g, routes, probs, subset, mode=mode))
     return values
 
 

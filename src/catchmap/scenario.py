@@ -55,6 +55,9 @@ from .topology import (
 
 logger = logging.getLogger(__name__)
 
+_MODES = ("certain", "probabilistic")
+
+
 @dataclass
 class ScenarioConfig:
     """Everything needed to reproduce one catchment analysis."""
@@ -112,8 +115,9 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
     ``prepend <ingress> <k>``, ``mode certain|probabilistic``, ``sp on|off``,
     ``oracles <path>``, ``posterior exact`` / ``posterior monte-carlo [trials]``,
     ``plan budget <B>``, ``plan candidates <node>...|uncertain``,
-    ``seed <n>``. Comments follow ``topology._data_lines``. Paths are
-    resolved against ``base_dir``.
+    ``seed <n>``. Comments follow ``topology._data_lines``. A path is the
+    rest of the line's content after the directive words, whitespace
+    included, and is resolved against ``base_dir``.
     """
     cfg = ScenarioConfig()
     base = Path(base_dir) if base_dir is not None else None
@@ -129,7 +133,7 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
         key = parts[0]
         try:
             if key == "topology" and len(parts) >= 3 and parts[1] == "file":
-                cfg.topology_file = resolve(" ".join(parts[2:]))
+                cfg.topology_file = resolve(line.split(None, 2)[2])
             elif key == "topology" and len(parts) >= 2 and parts[1] == "generate":
                 params: dict = {}
                 for token in parts[2:]:
@@ -173,13 +177,13 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
             elif key == "prepend" and len(parts) == 3:
                 cfg.prepends = cfg.prepends + ((parts[1], int(parts[2])),)
             elif key == "mode" and len(parts) == 2:
-                if parts[1] not in ("certain", "probabilistic"):
+                if parts[1] not in _MODES:
                     raise TopologyParseError(f"unknown mode {parts[1]!r}", line_no)
                 cfg.mode = parts[1]
             elif key == "sp" and len(parts) == 2 and parts[1] in ("on", "off"):
                 cfg.sp = parts[1] == "on"
             elif key == "oracles" and len(parts) >= 2:
-                cfg.oracle_file = resolve(" ".join(parts[1:]))
+                cfg.oracle_file = resolve(line.split(None, 1)[1])
             elif key == "posterior" and len(parts) in (2, 3):
                 if parts[1] not in ("exact", "monte-carlo"):
                     raise TopologyParseError(

@@ -50,7 +50,7 @@ from catchmap.inference import (
     probabilistic_inference,
 )
 from catchmap.oracles import _check_observed, apply_oracles
-from catchmap.planner import MeasurementPlan, ObjectiveWeights, _prepare_candidates
+from catchmap.planner import MeasurementPlan, _prepare_candidates
 from catchmap.rgraph import RGraph, exact_limit, topological_order
 from catchmap.scenario import ScenarioReport
 
@@ -152,12 +152,11 @@ def conditional_nc(
     routes: RoutingFunction,
     probs: RouteProbabilities,
     observations: Mapping[int, str],
-    weights: ObjectiveWeights | None = None,
 ) -> float:
-    """The objective after folding in one concrete set of outcomes: the total
-    weight of the reporting nodes the observations leave pinned."""
+    """The objective after folding in one concrete set of outcomes: the number
+    of reporting nodes the observations leave pinned."""
     applied = apply_oracles(g, routes, probs, observations)
-    return _certain_value(_scored_nodes(g, weights or ObjectiveWeights()), applied.routes)
+    return _certain_value(_scored_nodes(g), applied.routes)
 
 
 def degree_attached_instance(
@@ -292,10 +291,11 @@ def forward_mix(g: RGraph, given: RouteProbabilities) -> RouteProbabilities:
 
 
 # Exact enumeration as it was written before the chooser form: one dict of
-# every node per outcome. Kept verbatim, but for their names and the
-# enumeration they call, as the oracles for ``enumerate_route_outcomes``,
-# ``exact_conditional_distribution`` and ``expected_nc(mode="exact")``,
-# which must give the same floats, in the same per-node key order.
+# every node per outcome. Kept verbatim, but for their names, the
+# enumeration they call and every reporting node weighing 1, as the oracles
+# for ``enumerate_route_outcomes``, ``exact_conditional_distribution`` and
+# ``expected_nc(mode="exact")``, which must give the same floats, in the
+# same per-node key order.
 def reference_route_outcomes(g: RGraph) -> Iterator[tuple[float, dict[int, "str | None"]]]:
     """Yield (probability, node-to-ingress map) for every tie-break choice.
 
@@ -370,12 +370,10 @@ def reference_exact_nc(
     g: RGraph,
     routes: RoutingFunction,
     measured: Iterable[int],
-    weights: ObjectiveWeights | None = None,
 ) -> float:
-    """``expected_nc(g, routes, probs, measured, mode="exact", weights=weights)``
-    by the dict-per-outcome loop: the expected objective after measuring the
-    given nodes, conditioned on the already-pinned routes."""
-    weights = weights or ObjectiveWeights()
+    """``expected_nc(g, routes, probs, measured, mode="exact")`` by the
+    dict-per-outcome loop: the expected objective after measuring the given
+    nodes, conditioned on the already-pinned routes."""
     measured = sorted(set(measured))
     pinned = [(n, m) for n, m in sorted(routes.items()) if m is not None]
 
@@ -403,7 +401,7 @@ def reference_exact_nc(
     value = 0.0
     for entry in signatures.values():
         nc = sum(
-            weights.weight(n)
+            1.0
             for n, v in entry["values"].items()
             if v is not None and v is not _CONFLICT
         )
@@ -417,9 +415,10 @@ _CONFLICT = object()
 # The greedy planner as it was written before each branch carried its value:
 # every branch priced by an ordered scan of all reporting nodes, and the
 # initial forward pass always computed. Kept verbatim, but for the names of
-# ``reference_greedy_plan`` and its cone update, as the oracle for ``greedy_plan``,
-# ``expected_nc(mode="approx")`` and ``random_plan_values(mode="approx")``,
-# which must give the same floats for every weighting. ``_replay`` with
+# ``reference_greedy_plan`` and its cone update and for every reporting node
+# weighing 1, as the oracle for ``greedy_plan``, ``expected_nc(mode="approx")``
+# and ``random_plan_values(mode="approx")``, which must give the same floats
+# for every instance, with or without measurement costs. ``_replay`` with
 # ``_initial_branches`` is the approximate ``expected_nc``. Each branch holds
 # whole maps: ``apply_oracles``' full ``routes`` and the full forward pass of
 # ``reference_update_probabilistic_inference``, the package's cone update as
@@ -445,9 +444,9 @@ def reference_update_probabilistic_inference(
     return out
 
 
-def _scored_nodes(g: RGraph, weights: ObjectiveWeights) -> list[tuple[int, float]]:
-    """``(node, weight)`` for every reporting node, in ``report_nodes`` order."""
-    return [(n, weights.weight(n)) for n in g.report_nodes]
+def _scored_nodes(g: RGraph) -> list[tuple[int, float]]:
+    """``(node, 1.0)`` for every reporting node, in ``report_nodes`` order."""
+    return [(n, 1.0) for n in g.report_nodes]
 
 
 def _certain_value(
@@ -534,7 +533,7 @@ def reference_greedy_plan(
     candidates: Iterable[int],
     budget: float,
     *,
-    weights: ObjectiveWeights | None = None,
+    costs: Mapping[int, float] | None = None,
 ) -> MeasurementPlan:
     """Pick measurements one at a time, each maximizing the expected objective.
 
@@ -544,9 +543,9 @@ def reference_greedy_plan(
     """
     if budget < 0:
         raise InputError(f"budget must be non-negative, got {budget}")
-    weights = weights or ObjectiveWeights()
+    costs = costs or {}
     pool, notes = _prepare_candidates(g, routes, probs, candidates)
-    scored = _scored_nodes(g, weights)
+    scored = _scored_nodes(g)
     baseline = _certain_value(scored, routes)
     if not pool and budget > 0:
         notes.append("no measurable candidates; empty plan")
@@ -556,7 +555,7 @@ def reference_greedy_plan(
     step_values: list[float] = []
     remaining = float(budget)
     while True:
-        affordable = [n for n in pool if n not in selected and weights.cost(n) <= remaining]
+        affordable = [n for n in pool if n not in selected and costs.get(n, 1.0) <= remaining]
         if not affordable:
             break
         best_node, best_value, best_branches = None, -math.inf, None
@@ -568,7 +567,7 @@ def reference_greedy_plan(
         selected.append(best_node)
         step_values.append(best_value)
         branches = best_branches
-        remaining -= weights.cost(best_node)
+        remaining -= costs.get(best_node, 1.0)
     return MeasurementPlan(
         selected=tuple(selected),
         step_values=tuple(step_values),
@@ -584,11 +583,10 @@ def reference_approx_nc(
     routes: RoutingFunction,
     probs: RouteProbabilities,
     measured: Iterable[int],
-    weights: ObjectiveWeights | None = None,
 ) -> float:
-    """``expected_nc(g, routes, probs, measured, mode="approx", weights=weights)``
-    by the scan-priced branches above."""
-    scored = _scored_nodes(g, weights or ObjectiveWeights())
+    """``expected_nc(g, routes, probs, measured, mode="approx")`` by the
+    scan-priced branches above."""
+    scored = _scored_nodes(g)
     initial = _initial_branches(g, routes, probs)
     return _replay(g, initial, sorted(set(measured)), scored)
 

@@ -108,6 +108,12 @@ class TestIngest:
 
 
 class TestRun:
+    def test_unknown_mode_override_rejected(self, tmp_path):
+        scenario = write_scenario(tmp_path)
+        with pytest.raises(InputError, match="^unknown mode 'bogus'$"):
+            cli.cmd_run(scenario, tmp_path / "out", mode="bogus")
+        assert not (tmp_path / "out").exists()
+
     def test_writes_report_matching_routing_table(self, runner, tmp_path):
         scenario = write_scenario(tmp_path)
         out = tmp_path / "out"

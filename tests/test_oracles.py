@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from catchmap import (
     DestinationSpec,
-    ObjectiveWeights,
     RGraph,
     apply_oracles,
     build_rgraph,
@@ -706,8 +705,7 @@ class TestAgainstExactConditioning:
 
 def chooser_form_instance(idx):
     """A random graph of 6–14 nodes, unequal tie weights on every other one,
-    0–2 observations read off one sampled outcome, 0–3 measured nodes, and
-    fractional objective weights on every third."""
+    0–2 observations read off one sampled outcome, and 0–3 measured nodes."""
     g = build_rgraph(helpers.random_instance(
         idx, num_nodes=5 + idx % 9, avg_degree=2.6 + 0.3 * (idx % 5), seed_base=11_000,
     ))
@@ -716,12 +714,7 @@ def chooser_form_instance(idx):
         g = g.with_tie_probs(helpers.random_tie_probs(g, rng))
     oracles = feasible_observations(g, idx % 3, seed=idx)
     measured = rng.sample(g.report_nodes, rng.randrange(4))
-    weights = None
-    if idx % 3 == 0:
-        weights = ObjectiveWeights(
-            weights={n: rng.choice((0.1, 0.3, 0.7, 1.9, 2.25)) for n in g.report_nodes}
-        )
-    return g, oracles, measured, weights
+    return g, oracles, measured
 
 
 class TestChooserFormSameAsReference:
@@ -729,7 +722,7 @@ class TestChooserFormSameAsReference:
     outcome loops give: equal floats, in the same per-node key order."""
 
     @staticmethod
-    def assert_same_as_reference(g, oracles, measured, weights=None):
+    def assert_same_as_reference(g, oracles, measured):
         form = g.chooser_form
         for (weight, picks), (ref_weight, ingress_of) in itertools.zip_longest(
             enumerate_route_outcomes(g), helpers.reference_route_outcomes(g)
@@ -746,15 +739,15 @@ class TestChooserFormSameAsReference:
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
         routes = apply_oracles(g, routes, probs, oracles).routes
-        value = expected_nc(g, routes, probs, measured, mode="exact", weights=weights)
-        assert value == helpers.reference_exact_nc(g, routes, measured, weights)
+        value = expected_nc(g, routes, probs, measured, mode="exact")
+        assert value == helpers.reference_exact_nc(g, routes, measured)
 
     @pytest.mark.parametrize("chunk", range(4))
     def test_random_instances(self, chunk):
         for idx in range(55 * chunk, 55 * (chunk + 1)):
-            g, oracles, measured, weights = chooser_form_instance(idx)
+            g, oracles, measured = chooser_form_instance(idx)
             assert 6 <= len(g.nodes) <= 14 and exact_limit(g) is None
-            self.assert_same_as_reference(g, oracles, measured, weights)
+            self.assert_same_as_reference(g, oracles, measured)
 
     @pytest.mark.parametrize("edges", [ROOT_ATTACHED_WITH_PARENT, PARENTLESS_FEEDER])
     def test_fixtures_with_zero_weights(self, edges):

@@ -13,7 +13,6 @@ from collections.abc import Mapping
 import pytest
 
 from catchmap import (
-    ObjectiveWeights,
     apply_prepending,
     build_rgraph,
     certain_inference,
@@ -49,30 +48,19 @@ class TestConditionalCount:
         )
         assert got == 8
 
-    def test_weighted_count(self, example_graph, example_routes, example_probs):
-        weights = ObjectiveWeights(weights={n: 2.0 for n in range(1, 9)})
-        got = helpers.conditional_nc(
-            example_graph, example_routes, example_probs, {}, weights=weights
-        )
-        assert got == 2.0 * helpers.CERTAIN_COUNT
+    def test_nonpositive_cost_rejected(
+        self, example_graph, example_routes, example_probs
+    ):
+        for plan in (greedy_plan, exhaustive_plan):
+            with pytest.raises(InputError, match="cost for node 1 must be positive"):
+                plan(example_graph, example_routes, example_probs, (4, 6, 8), 2,
+                     costs={1: 0.0})
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(InputError):
-            ObjectiveWeights(weights={1: -1.0})
-
-    def test_nonpositive_cost_rejected(self):
-        with pytest.raises(InputError):
-            ObjectiveWeights(costs={1: 0.0})
-
-    @pytest.mark.parametrize("w", [math.nan, math.inf])
-    def test_non_finite_weight_rejected(self, w):
-        # a NaN weight once made the greedy plan select None at -inf
-        with pytest.raises(InputError):
-            ObjectiveWeights(weights={4: w})
-
-    def test_nan_cost_rejected(self):
-        with pytest.raises(InputError):
-            ObjectiveWeights(costs={4: math.nan})
+    def test_nan_cost_rejected(self, example_graph, example_routes, example_probs):
+        for plan in (greedy_plan, exhaustive_plan):
+            with pytest.raises(InputError, match="cost for node 4 must be positive"):
+                plan(example_graph, example_routes, example_probs, (4, 6, 8), 2,
+                     costs={4: math.nan})
 
     @pytest.mark.parametrize("plan", [
         lambda *args: greedy_plan(*args),
@@ -230,16 +218,15 @@ class TestGreedyPlan:
         with pytest.raises(InputError):
             greedy_plan(example_graph, example_routes, example_probs, (4,), -1)
 
-    @pytest.mark.parametrize("fractional", [False, True])
+    @pytest.mark.parametrize("given_forward", [False, True])
     def test_plan_facts_are_logged(
-        self, fractional, caplog, example_graph, example_routes, example_probs
+        self, given_forward, caplog, example_graph, example_routes, example_probs
     ):
-        weights = ObjectiveWeights(weights={8: 0.5} if fractional else {})
-        forward = example_probs if fractional else None
+        forward = example_probs if given_forward else None
         with caplog.at_level(logging.DEBUG, logger="catchmap.planner"):
             greedy_plan(
                 example_graph, example_routes, example_probs, (4, 6, 8), 2,
-                weights=weights, forward=forward,
+                forward=forward,
             )
         # step 1: two outcomes for each of 4, 6, 8, whose cones are 3, 3, 3,
         # 3, 3 and 1 nodes and which pin 2, 3, 2, 3, 3 and 1 nodes; step 2
@@ -247,9 +234,8 @@ class TestGreedyPlan:
         # after 4=m1 (each pins 8, cones 1, 1), one after 4=m2 (nothing)
         assert [r.getMessage() for r in caplog.records] == [
             "greedy plan: 3 candidates, 2 steps, 11 branches evaluated, "
-            "18 cone nodes recomputed, 16 nodes pinned, "
-            + ("ordered scan scoring, forward pass reused" if fractional
-               else "carried scoring, forward pass computed")
+            "18 cone nodes recomputed, 16 nodes pinned, forward pass "
+            + ("reused" if given_forward else "computed")
         ]
 
     def test_plan_facts_cost_nothing_without_debug_logging(
@@ -277,17 +263,20 @@ class TestGreedyPlan:
             assert len(walks) == 11, level  # the branches the worked example evaluates
 
     def test_costs_limit_selection(self, example_graph, example_routes, example_probs):
-        weights = ObjectiveWeights(costs={4: 3.0, 6: 3.0, 8: 3.0})
-        plan = greedy_plan(
-            example_graph, example_routes, example_probs, (4, 6, 8), 4, weights=weights
-        )
-        assert len(plan.selected) == 1
+        # unpriced, both plans pick the pair (4, 8) at budget 4
+        costs = {4: 3.0, 6: 3.0, 8: 3.0}
+        for plan in (greedy_plan, exhaustive_plan):
+            got = plan(
+                example_graph, example_routes, example_probs, (4, 6, 8), 4, costs=costs
+            )
+            assert got.selected == (4,), plan.__name__
 
 
 def _reference_instances():
     """Small planning instances: a third with a prepending chain, half with
-    unequal tie weights, and half starting from routes with nothing pinned,
-    where observations pin virtual chain nodes too."""
+    unequal tie weights, half starting from routes with nothing pinned,
+    where observations pin virtual chain nodes too, and a third with
+    measurement costs."""
     for idx in range(40):
         rng = random.Random(idx)
         aug = helpers.random_instance(idx, seed_base=8100)
@@ -299,51 +288,38 @@ def _reference_instances():
         routes = certain_inference(g) if idx % 4 < 2 else dict.fromkeys(g.nodes)
         probs = probabilistic_inference(g, routes)
         candidates = [n for n in g.nodes if n != g.root and routes[n] is None and probs[n]]
-        weightings = {
-            "default": ObjectiveWeights(),
-            "integer": ObjectiveWeights(weights={
-                n: rng.choice([2.0, 3.0]) for n in g.report_nodes if rng.random() < 0.5
-            }),
-            "fractional": ObjectiveWeights(weights={
-                n: rng.choice([0.1, 0.3, 0.7, 1.9]) for n in g.report_nodes
-            }),
-            # past 2**53 float sums round, so the value must be scanned in order
-            "huge": ObjectiveWeights(weights={rng.choice(g.report_nodes): 2.0**53}),
-        }
-        for kind, weights in weightings.items():
-            yield f"{idx}-{kind}", g, routes, probs, candidates, weights, rng
+        costs = {n: rng.choice([0.5, 1.0, 1.5]) for n in candidates} if idx % 3 == 1 else None
+        yield idx, g, routes, probs, candidates, costs, rng
 
 
 class TestAgainstReferencePlanner:
     """Carried branch values give the scan-priced planner's floats."""
 
     def test_greedy_plan(self):
-        for label, g, routes, probs, candidates, weights, rng in _reference_instances():
+        for label, g, routes, probs, candidates, costs, rng in _reference_instances():
             budget = rng.choice([2, 3])
             want = helpers.reference_greedy_plan(
-                g, routes, probs, candidates, budget, weights=weights
+                g, routes, probs, candidates, budget, costs=costs
             )
-            got = greedy_plan(g, routes, probs, candidates, budget, weights=weights)
+            got = greedy_plan(g, routes, probs, candidates, budget, costs=costs)
             assert repr(got) == repr(want), label
 
     def test_approx_values(self):
-        for label, g, routes, probs, candidates, weights, rng in _reference_instances():
+        for label, g, routes, probs, candidates, _, rng in _reference_instances():
             measured = rng.sample(candidates, min(3, len(candidates)))
             assert repr(expected_nc(
-                g, routes, probs, measured, mode="approx", weights=weights
-            )) == repr(helpers.reference_approx_nc(g, routes, probs, measured, weights)), label
+                g, routes, probs, measured, mode="approx"
+            )) == repr(helpers.reference_approx_nc(g, routes, probs, measured)), label
 
             size = min(2, len(candidates))
             draws = random.Random(9)
             want = [
                 helpers.reference_approx_nc(
-                    g, routes, probs, draws.sample(sorted(candidates), size), weights
+                    g, routes, probs, draws.sample(sorted(candidates), size)
                 )
                 for _ in range(4)
             ]
-            got = random_plan_values(
-                g, routes, probs, candidates, 2, 4, seed=9, mode="approx", weights=weights
-            )
+            got = random_plan_values(g, routes, probs, candidates, 2, 4, seed=9, mode="approx")
             assert repr(got) == repr(want), label
 
     def test_given_forward_pass_changes_nothing(self, monkeypatch):
@@ -355,12 +331,12 @@ class TestAgainstReferencePlanner:
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(planner, "probabilistic_inference", counted)
-        for label, g, routes, probs, candidates, weights, _ in _reference_instances():
-            want = greedy_plan(g, routes, probs, candidates, 2, weights=weights)
+        for label, g, routes, probs, candidates, costs, _ in _reference_instances():
+            want = greedy_plan(g, routes, probs, candidates, 2, costs=costs)
             del calls[:]
             got = greedy_plan(
                 g, routes, probs, candidates, 2,
-                weights=weights, forward=forward(g, routes),
+                costs=costs, forward=forward(g, routes),
             )
             assert repr(got) == repr(want), label
             assert not calls, label
@@ -403,23 +379,21 @@ class _CountingMapping(Mapping):
 
 
 def test_branches_never_copy_or_scan_the_base():
-    for label, g, routes, probs, candidates, weights, rng in _reference_instances():
+    for label, g, routes, probs, candidates, costs, rng in _reference_instances():
         forward = probabilistic_inference(g, routes)
         before = copy.deepcopy((routes, probs, forward))
         measured = sorted(rng.sample(candidates, min(3, len(candidates))))
         want = (
-            greedy_plan(g, routes, probs, candidates, 2, weights=weights, forward=forward),
-            expected_nc(g, routes, probs, measured, mode="approx", weights=weights),
-            random_plan_values(
-                g, routes, probs, candidates, 2, 3, seed=4, mode="approx", weights=weights
-            ),
+            greedy_plan(g, routes, probs, candidates, 2, costs=costs, forward=forward),
+            expected_nc(g, routes, probs, measured, mode="approx"),
+            random_plan_values(g, routes, probs, candidates, 2, 3, seed=4, mode="approx"),
         )
         wrapped = [_CountingMapping(m) for m in (routes, probs, forward)]
         r, p, f = wrapped
         got = (
-            greedy_plan(g, r, p, candidates, 2, weights=weights, forward=f),
-            expected_nc(g, r, p, measured, mode="approx", weights=weights),
-            random_plan_values(g, r, p, candidates, 2, 3, seed=4, mode="approx", weights=weights),
+            greedy_plan(g, r, p, candidates, 2, costs=costs, forward=f),
+            expected_nc(g, r, p, measured, mode="approx"),
+            random_plan_values(g, r, p, candidates, 2, 3, seed=4, mode="approx"),
         )
         assert repr(got) == repr(want), label
         assert [m.scans for m in wrapped] == [Counter()] * 3, label
@@ -468,6 +442,28 @@ class TestExhaustivePlan:
         assert plan.selected == (4, 8)
         assert [round(v, 9) for v in plan.step_values] == [7.5, 8.0]
         assert len(passes) == 7
+
+    def test_costs_change_the_optimum(
+        self, example_graph, example_routes, example_probs
+    ):
+        # with 4 priced at 2, no pair holding it fits budget 2, and {6, 8}
+        # takes the place of {4, 8}
+        plan = exhaustive_plan(
+            example_graph, example_routes, example_probs, (4, 6, 8), 2, costs={4: 2.0}
+        )
+        assert plan.selected == (6, 8)
+        assert [round(v, 9) for v in plan.step_values] == [7.5, 8.0]
+
+    def test_size_guard_noted_only_when_a_larger_subset_fits(
+        self, example_graph, example_routes, example_probs
+    ):
+        # eight candidates: no subset of 7 fits budget 1, and one fits budget 7
+        guard = "subsets larger than 6 not evaluated (exact-mode guard)"
+        for budget, noted in ((1, False), (7, True)):
+            plan = exhaustive_plan(
+                example_graph, example_routes, example_probs, range(1, 9), budget
+            )
+            assert (guard in plan.notes) is noted, budget
 
     def test_never_below_greedy(self):
         for idx in range(12):

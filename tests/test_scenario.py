@@ -95,6 +95,16 @@ class TestScenarioParsing:
         cfg = parse_scenario_file("topology generate n=50 avg_degree=2.5 seed=3\n")
         assert cfg.generate == {"n": 50, "avg_degree": 2.5, "seed": 3}
 
+    def test_paths_keep_their_whitespace(self, tmp_path):
+        # a path runs to the end of the line's content: only a comment and
+        # the whitespace around the content are cut
+        cfg = parse_scenario_file(
+            "topology file my  topo\t.txt\noracles  obs  1.csv   # observed\n",
+            base_dir=tmp_path,
+        )
+        assert cfg.topology_file == str(tmp_path / "my  topo\t.txt")
+        assert cfg.oracle_file == str(tmp_path / "obs  1.csv")
+
     def test_unknown_directive_reports_line(self):
         # a plan line takes exactly its own tokens, a topology file line a
         # path, an exact posterior no trial count and a sampled one at least
