@@ -123,8 +123,6 @@ def cmd_run(
     sp: bool | None = None,
 ):
     """Run a scenario file end-to-end and write its report files."""
-    if mode is not None and mode not in _MODES:
-        raise InputError(f"unknown mode {mode!r}")
     path = _resolve_data_path(scenario)
     cfg = parse_scenario_file(path.read_text(), base_dir=path.parent)
     if seed is not None:
@@ -158,6 +156,8 @@ def cmd_plan(
     made from. When exact mode refuses the graph (``exact_limit``) or the
     selection, ``exhaustive_skipped`` records why instead.
     """
+    if baselines < 0:
+        raise InputError(f"baselines must be >= 0, got {baselines}")
     path = _resolve_data_path(scenario)
     cfg = parse_scenario_file(path.read_text(), base_dir=path.parent)
     if seed is not None:

@@ -1,10 +1,10 @@
 """Catchment inference on a forwarding graph.
 
-Two passes over the same DAG: a certainty pass that labels a node with an
-ingress only when every possible next hop already carries that label, and a
-probabilistic pass that mixes parent distributions with per-edge tie-break
-probabilities. Each makes its own topological sweep. When more nodes get
-pinned later, the probabilistic pass is redone on the cone below them only.
+Two passes over the same DAG, both reading its chooser form: a certainty
+pass that labels a chooser only when all its parents' routes are one
+ingress, and a probabilistic pass that mixes parent distributions with
+per-edge tie-break probabilities. When more nodes get pinned later, the
+probabilistic pass is redone on the cone below them only.
 
 The shortest-path transform prunes edges that cannot lie on a
 minimum-length route, for scenarios where routers break preference ties by
@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 from typing import Iterable, Mapping
 
-from .errors import CatchmapError, InputError
+from .errors import InputError
 from .rgraph import RGraph, topological_order
 
 logger = logging.getLogger(__name__)
@@ -27,29 +27,16 @@ RouteProbabilities = dict[int, dict[str, float]]
 def certain_inference(g: RGraph) -> RoutingFunction:
     """Assign an ingress to every node forced to it; None where uncertain.
 
-    Nodes adjacent to the root are ground truth: they enter through their
-    own attachment. Every other node inherits a label only when all of its
-    parents share it. Unreachable nodes stay uncertain.
+    Reads ``g.chooser_form``: a chooser is certain when all its parents'
+    routes are one ingress, and every other node takes its fixed ingress or
+    its chooser's route. Unreachable nodes stay uncertain.
     """
-    routes: RoutingFunction = {node: None for node in g.nodes}
-    seeded = set()
-    for child in g.children[g.root]:
-        try:
-            routes[child] = g.ingress_map[child]
-        except KeyError:
-            raise CatchmapError(
-                f"node {child} is attached to the root but has no ingress label"
-            ) from None
-        seeded.add(child)
-    for node in topological_order(g):
-        if node == g.root or node in seeded:
-            continue
-        parent_routes = {routes[p] for p in g.parents[node]}
-        if len(parent_routes) == 1:
-            (only,) = parent_routes
-            if only is not None:
-                routes[node] = only
-    return routes
+    form = g.chooser_form
+    picks: list[str | None] = []
+    for chooser in form.choosers:
+        routes = {form.ingress(picks, p) for p in g.parents[chooser]}
+        picks.append(routes.pop() if len(routes) == 1 else None)
+    return {n: form.ingress(picks, n) for n in g.nodes}
 
 
 def mixed_distribution(
@@ -59,19 +46,20 @@ def mixed_distribution(
     node: int,
 ) -> dict[str, float]:
     """One node's distribution, from its parents' entries already in ``out``:
-    the mixing rule of every forward pass."""
+    the mixing rule of every forward pass. A node that ``routes`` pins, or
+    that ``g.chooser_form`` fixes, gets all its mass on that ingress, and an
+    unreachable node none; ``routes`` must agree with every fixed ingress.
+    Every other node mixes its parents' entries by ``g.tie_weights``."""
     if node == g.root:
         return {}
     assigned = routes.get(node)
     if assigned is not None:
         return {assigned: 1.0}
-    parents = g.parents[node]
-    if g.root in parents:
-        # attached to the root: enters through its own attachment, as in
-        # every exact pass (``RGraph.chooser_form``)
-        return {g.ingress_map[node]: 1.0}
+    fixed = g.chooser_form.fixed
+    if node in fixed:
+        return {} if fixed[node] is None else {fixed[node]: 1.0}
     mixed: dict[str, float] = {}
-    for parent, weight in zip(parents, g.tie_weights(node)):
+    for parent, weight in zip(g.parents[node], g.tie_weights(node)):
         if weight == 0.0:
             continue
         for ingress, p in out[parent].items():
@@ -82,13 +70,8 @@ def mixed_distribution(
 
 
 def probabilistic_inference(g: RGraph, routes: RoutingFunction) -> RouteProbabilities:
-    """Per-node distribution over ingress points.
-
-    Nodes the certainty pass already pinned get probability one on their
-    ingress. Every other node mixes its parents' distributions, weighted by
-    the graph's tie weights (``RGraph.tie_weights``). Unreachable nodes get
-    an empty distribution.
-    """
+    """Per-node distribution over ingress points: ``mixed_distribution`` of
+    every node in ``topological_order(g)``."""
     out: RouteProbabilities = {}
     for node in topological_order(g):
         out[node] = mixed_distribution(g, routes, out, node)
@@ -143,16 +126,22 @@ class _Overlay:
         return delta[key] if key in delta else self.base.get(key, default)
 
 
-def _cone_order(g: RGraph, sources: Iterable[int]) -> list[int]:
-    """``sources`` and every node below them, in ``g.order``."""
-    cone: set[int] = set()
+def _reach(links: Mapping[int, tuple[int, ...]], sources: Iterable[int]) -> set[int]:
+    """``sources`` and every node they reach along ``links``: ``g.children``
+    for the nodes below them, ``g.parents`` for their ancestors."""
+    reached: set[int] = set()
     stack = list(sources)
     while stack:
         node = stack.pop()
-        if node not in cone:
-            cone.add(node)
-            stack.extend(g.children[node])
-    return sorted(cone, key=g.order_index.__getitem__)
+        if node not in reached:
+            reached.add(node)
+            stack.extend(links[node])
+    return reached
+
+
+def _cone_order(g: RGraph, sources: Iterable[int]) -> list[int]:
+    """``sources`` and every node below them, in ``g.order``."""
+    return sorted(_reach(g.children, sources), key=g.order_index.__getitem__)
 
 
 def shortest_path_transform(g: RGraph) -> RGraph:

@@ -32,6 +32,7 @@ from .errors import (
 from .inference import (
     RouteProbabilities,
     RoutingFunction,
+    _reach,
     certain_inference,
     probabilistic_inference,
     update_probabilistic_inference,
@@ -351,7 +352,7 @@ def monte_carlo_inference(
         raise InputError(f"need at least one trial, got {trials}")
     observed = _check_observed(g, oracles)
     form = g.chooser_form
-    closure = _ancestor_closure(g, [x for x, _ in observed])
+    closure = _reach(g.parents, [x for x, _ in observed])
     # a node of A that copies a chooser copies one in A, its ancestor
     sampled = sorted({form.follows[n] for n in closure if n in form.follows})
     draws = []
@@ -399,16 +400,3 @@ def monte_carlo_inference(
         ancestors=len(closure),
         draws_per_trial=len(sampled),
     )
-
-
-def _ancestor_closure(g: RGraph, nodes: list[int]) -> set[int]:
-    """``nodes`` and every node with a path to one of them."""
-    closure: set[int] = set()
-    stack = list(nodes)
-    while stack:
-        n = stack.pop()
-        if n not in closure:
-            closure.add(n)
-            stack.extend(g.parents[n])
-    return closure
-

@@ -26,7 +26,8 @@ from typing import Iterable, Iterator, Mapping
 
 from .bgpsim import Path, run_bgp
 from .errors import (
-    CapacityError, ConvergenceError, CycleError, InputError, PolicyError, UnknownNodeError,
+    CapacityError, ConvergenceError, CycleError, DestinationSpecError, InputError, PolicyError,
+    UnknownNodeError,
 )
 from .topology import AugmentedTopology, Relationship, _check_hierarchy, _check_ingress_name
 
@@ -40,9 +41,9 @@ class RGraph:
     """Directed acyclic graph of possible next hops, rooted at the destination.
 
     An edge parent -> child means the child may forward through the parent.
-    ``ingress_map`` names the ingress point of each node directly attached to
-    the root, each name obeying the rule ``DestinationSpec`` checks;
-    ``report_nodes`` is the accounting universe (real nodes only,
+    ``ingress_map`` must name the ingress point of each node directly
+    attached to the root, each name obeying the rule ``DestinationSpec``
+    checks; ``report_nodes`` is the accounting universe (real nodes only,
     no root, no virtual chain nodes). ``order`` lists every node parents
     first; it is derived on first read and then kept. Every ``RGraph`` is
     acyclic: ``from_parent_map`` and ``from_edges`` order the graph before
@@ -108,10 +109,10 @@ class RGraph:
         every node of ``nodes`` to a sorted tuple of distinct parents, and
         ``nodes`` and ``report_nodes`` are sorted. Walking the nodes in
         ascending order appends each child list in sorted order. Still
-        checks the ingress names and the overrides, but not for a cycle:
-        the input must be acyclic, as the builder's route classes and the
-        shortest-path transform's levels make it. A cycle would raise
-        CycleError only when ``order`` is first read."""
+        checks the ingress labels and names and the overrides, but not for
+        a cycle: the input must be acyclic, as the builder's route classes
+        and the shortest-path transform's levels make it. A cycle would
+        raise CycleError only when ``order`` is first read."""
         if parents[root]:
             raise CycleError(f"root {root} cannot have parents")
         for name in dict.fromkeys(ingress_map.values()):
@@ -120,6 +121,11 @@ class RGraph:
         for child in nodes:
             for p in parents[child]:
                 children[p].append(child)
+        for child in children[root]:
+            if child not in ingress_map:
+                raise DestinationSpecError(
+                    f"node {child} is attached to the root but has no ingress label"
+                )
         frozen_children = {n: tuple(c) for n, c in children.items()}
         return cls(
             root=root,

@@ -56,6 +56,7 @@ from .topology import (
 logger = logging.getLogger(__name__)
 
 _MODES = ("certain", "probabilistic")
+_POSTERIORS = ("exact", "monte-carlo")
 
 
 @dataclass
@@ -185,7 +186,7 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
             elif key == "oracles" and len(parts) >= 2:
                 cfg.oracle_file = resolve(line.split(None, 1)[1])
             elif key == "posterior" and len(parts) in (2, 3):
-                if parts[1] not in ("exact", "monte-carlo"):
+                if parts[1] not in _POSTERIORS:
                     raise TopologyParseError(
                         f"unknown posterior method {parts[1]!r}", line_no
                     )
@@ -203,6 +204,10 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
                         )
             elif key == "plan" and len(parts) == 3 and parts[1] == "budget":
                 cfg.plan_budget = int(parts[2])
+                if cfg.plan_budget < 0:
+                    raise TopologyParseError(
+                        f"plan budget must be >= 0, got {cfg.plan_budget}", line_no
+                    )
             elif key == "plan" and len(parts) >= 3 and parts[1] == "candidates":
                 if parts[2:] == ["uncertain"]:
                     cfg.plan_candidates = None
@@ -424,7 +429,16 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
     Returns the report plus the forwarding graph it was computed on (after
     any shortest-path pruning), so callers can chain further analyses.
     """
+    _check_methods(cfg)
     return _run_augmented(cfg, build_augmented(cfg))
+
+
+def _check_methods(cfg: ScenarioConfig) -> None:
+    """Raise InputError for a mode or posterior method no stage knows."""
+    if cfg.mode not in _MODES:
+        raise InputError(f"unknown mode {cfg.mode!r}")
+    if cfg.posterior is not None and cfg.posterior not in _POSTERIORS:
+        raise InputError(f"unknown posterior method {cfg.posterior!r}")
 
 
 def _run_augmented(
@@ -592,6 +606,7 @@ def prepending_sweep(
     options, so all entries match k=0 there (lengths do not matter to
     eligibility).
     """
+    _check_methods(cfg)
     if k_max < 0:
         raise InputError(f"k_max must be >= 0, got {k_max}")
     aug = build_augmented(cfg)

@@ -40,14 +40,16 @@ from catchmap.cli import (  # noqa: F401  (re-exported)
     example_base_topology,
     random_instance,
 )
-from catchmap.errors import CapacityError, GenerationError, InfeasibleOracleError, InputError
+from catchmap.errors import (
+    CapacityError, CatchmapError, GenerationError, InfeasibleOracleError, InputError,
+)
 from catchmap.inference import (
     RouteProbabilities,
     RoutingFunction,
     _cone_order,
     certain_inference,
-    mixed_distribution,
     probabilistic_inference,
+    shortest_path_transform,
 )
 from catchmap.oracles import _check_observed, apply_oracles
 from catchmap.planner import MeasurementPlan, _prepare_candidates
@@ -183,6 +185,114 @@ def random_tie_probs(g, rng) -> dict[int, dict[int, float]]:
             raw = [rng.uniform(0.1, 1.0) for _ in parents]
             ties[node] = {p: r / sum(raw) for p, r in zip(parents, raw)}
     return ties
+
+
+# The two forward-pass rules as they were written before both read the
+# chooser form: ``certain_inference`` with its own sweep and
+# ``mixed_distribution`` with its own root-attached rule. Kept verbatim, but
+# for their names, as the oracles for ``certain_inference``,
+# ``probabilistic_inference`` and ``update_probabilistic_inference``, which
+# must give the same floats in the same key order.
+def reference_certain_inference(g: RGraph) -> RoutingFunction:
+    """Assign an ingress to every node forced to it; None where uncertain.
+
+    Nodes adjacent to the root are ground truth: they enter through their
+    own attachment. Every other node inherits a label only when all of its
+    parents share it. Unreachable nodes stay uncertain.
+    """
+    routes: RoutingFunction = {node: None for node in g.nodes}
+    seeded = set()
+    for child in g.children[g.root]:
+        try:
+            routes[child] = g.ingress_map[child]
+        except KeyError:
+            raise CatchmapError(
+                f"node {child} is attached to the root but has no ingress label"
+            ) from None
+        seeded.add(child)
+    for node in topological_order(g):
+        if node == g.root or node in seeded:
+            continue
+        parent_routes = {routes[p] for p in g.parents[node]}
+        if len(parent_routes) == 1:
+            (only,) = parent_routes
+            if only is not None:
+                routes[node] = only
+    return routes
+
+
+def reference_mixed_distribution(
+    g: RGraph,
+    routes: Mapping[int, "str | None"],
+    out: Mapping[int, dict[str, float]],
+    node: int,
+) -> dict[str, float]:
+    """One node's distribution, from its parents' entries already in ``out``:
+    the mixing rule of every forward pass."""
+    if node == g.root:
+        return {}
+    assigned = routes.get(node)
+    if assigned is not None:
+        return {assigned: 1.0}
+    parents = g.parents[node]
+    if g.root in parents:
+        # attached to the root: enters through its own attachment, as in
+        # every exact pass (``RGraph.chooser_form``)
+        return {g.ingress_map[node]: 1.0}
+    mixed: dict[str, float] = {}
+    for parent, weight in zip(parents, g.tie_weights(node)):
+        if weight == 0.0:
+            continue
+        for ingress, p in out[parent].items():
+            if p == 0.0:
+                continue
+            mixed[ingress] = mixed.get(ingress, 0.0) + weight * p
+    return mixed
+
+
+def reference_probabilistic_inference(g: RGraph, routes: RoutingFunction) -> RouteProbabilities:
+    """The forward pass, one ``reference_mixed_distribution`` per node in
+    ``topological_order(g)``."""
+    out: RouteProbabilities = {}
+    for node in topological_order(g):
+        out[node] = reference_mixed_distribution(g, routes, out, node)
+    return out
+
+
+def random_dag(rng: random.Random) -> RGraph:
+    """A random forwarding graph of 3–14 nodes rooted at 0, node ids shuffled
+    against the topological order. About one node in five has no parent,
+    although later nodes may still hear it; the others hear 1–3 earlier
+    nodes, so a node attached to the root may hear other nodes too. Half the
+    graphs are pruned to shortest paths, and then half get unequal tie
+    weights."""
+    size = rng.randint(3, 14)
+    order = [0, *rng.sample(range(1, 3 * size), size - 1)]
+    parents = {}
+    for i, node in enumerate(order[1:], 1):
+        if rng.random() >= 0.2:
+            parents[node] = rng.sample(order[:i], rng.randint(1, min(3, i)))
+    ingress = {n: rng.choice("abc") for n, ps in parents.items() if 0 in ps}
+    g = RGraph.from_parent_map(0, ingress, parents, nodes=order)
+    if rng.random() < 0.5:
+        g = shortest_path_transform(g)
+    if rng.random() < 0.5:
+        g = g.with_tie_probs(random_tie_probs(g, rng))
+    return g
+
+
+def sampled_outcome(g: RGraph, rng: random.Random) -> dict[int, "str | None"]:
+    """Every node's ingress under one tie-break drawn parent by parent, each
+    parent equally likely: a node attached to the root enters through its
+    own attachment, and a node without parents has no route."""
+    outcome: dict[int, str | None] = {}
+    for node in topological_order(g):
+        parents = g.parents[node]
+        if g.root in parents:
+            outcome[node] = g.ingress_map[node]
+        else:
+            outcome[node] = outcome[rng.choice(parents)] if parents else None
+    return outcome
 
 
 # The rejection sampler as it was written before it drew each trial's
@@ -440,7 +550,7 @@ def reference_update_probabilistic_inference(
     """
     out = dict(probs)
     for node in _cone_order(g, pinned):
-        out[node] = mixed_distribution(g, routes, out, node)
+        out[node] = reference_mixed_distribution(g, routes, out, node)
     return out
 
 

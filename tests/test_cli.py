@@ -189,6 +189,16 @@ class TestPlan:
         header = (out / "plan.csv").read_text().splitlines()[0]
         assert header == "rank,node,expected_nc_after"
 
+    def test_negative_baselines_rejected(self, runner, tmp_path):
+        scenario = write_scenario(tmp_path, "plan budget 1\n")
+        out = tmp_path / "out"
+        with pytest.raises(InputError, match="^baselines must be >= 0, got -3$"):
+            cli.cmd_plan(scenario, out, baselines=-3)
+        result = runner.invoke(main, ["plan", scenario, "--out", str(out), "--baselines", "-3"])
+        assert result.exit_code != 0
+        assert "baselines must be >= 0, got -3" in result.output
+        assert not out.exists()
+
     def test_baselines_and_exact_guard(self, runner, tmp_path):
         scenario = write_scenario(tmp_path, "plan budget 1\n")
         out = tmp_path / "out"

@@ -134,6 +134,42 @@ def test_tie_probabilities_validated(example_graph):
                           tie_probs={3: {1: 0.5, 2: 0.4}})
 
 
+class TestSameAsBeforeTheChooserForm:
+    """Certain inference and both forward passes read ``g.chooser_form``,
+    and give what their own sweeps gave before, key order included."""
+
+    def assert_same(self, g, rng):
+        routes = certain_inference(g)
+        assert repr(routes) == repr(helpers.reference_certain_inference(g))
+        for given in (routes, dict.fromkeys(g.nodes)):
+            assert repr(probabilistic_inference(g, given)) == repr(
+                helpers.reference_probabilistic_inference(g, given)
+            )
+        probs = probabilistic_inference(g, routes)
+        outcome = helpers.sampled_outcome(g, rng)
+        routed = [n for n in g.report_nodes if outcome[n] is not None]
+        batch = rng.sample(routed, min(len(routed), rng.randint(1, 3)))
+        applied = apply_oracles(g, routes, probs, {n: outcome[n] for n in batch})
+        cone = update_probabilistic_inference(g, probs, applied.routes, applied.pins)
+        full = helpers.reference_update_probabilistic_inference(
+            g, probs, applied.routes, applied.pins
+        )
+        assert repr(cone) == repr({n: full[n] for n in cone})
+        assert {**probs, **cone} == full
+
+    def test_random_dags(self):
+        rng = random.Random(27)
+        for _ in range(1500):
+            self.assert_same(helpers.random_dag(rng), rng)
+
+    @pytest.mark.parametrize("sp", [False, True])
+    def test_random_instances(self, sp):
+        rng = random.Random(sp)
+        for idx in range(60):
+            g = build_rgraph(helpers.random_instance(idx))
+            self.assert_same(shortest_path_transform(g) if sp else g, rng)
+
+
 def _items(probs):
     return [(node, list(dist.items())) for node, dist in probs.items()]
 

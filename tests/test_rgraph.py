@@ -27,7 +27,9 @@ from catchmap import (
     topological_order,
 )
 from catchmap.cli import main, path_mismatches
-from catchmap.errors import CapacityError, CycleError, InputError, PolicyError
+from catchmap.errors import (
+    CapacityError, CycleError, DestinationSpecError, InputError, PolicyError,
+)
 from catchmap.oracles import enumerate_route_outcomes
 from catchmap.rgraph import (
     MAX_EXACT_NODES,
@@ -419,6 +421,13 @@ class TestChooserForm:
         assert form.fixed == {0: None, 1: "a", 2: "b", 9: None, 4: None, 5: None}
         assert form.follows == {3: 0, 6: 0}
 
+    def test_unlabeled_root_attached_node_rejected_when_made(self):
+        message = "^node 2 is attached to the root but has no ingress label$"
+        with pytest.raises(DestinationSpecError, match=message):
+            RGraph.from_edges(0, [(0, 1), (0, 2), (1, 3), (2, 3)], {1: "a"})
+        with pytest.raises(DestinationSpecError, match=message):
+            RGraph.from_parent_map(0, {1: "a", 3: "b"}, {1: [0], 2: [0, 1]})
+
     def test_derived_once_per_graph(self, example_graph):
         assert example_graph.chooser_form is example_graph.chooser_form
         assert "chooser_form" not in vars(build_rgraph(helpers.example_aug()))
@@ -506,7 +515,7 @@ def parent_maps(draw):
 @settings(max_examples=80, deadline=None)
 @given(parents=parent_maps())
 def test_topological_order_respects_random_dags(parents):
-    ingress = {c: f"m{c}" for c, ps in parents.items() if ps == [0]}
+    ingress = {c: f"m{c}" for c, ps in parents.items() if 0 in ps}
     g = RGraph.from_parent_map(0, ingress, parents)
     order = topological_order(g)
     assert sorted(order) == sorted(g.nodes)

@@ -32,6 +32,7 @@ from catchmap import (
     write_report_files,
 )
 from catchmap import rgraph as rgraph_module
+from catchmap import scenario as scenario_module
 from catchmap.planner import MeasurementPlan
 from catchmap.rgraph import MAX_EXACT_NODES
 from catchmap.scenario import ScenarioReport, build_augmented
@@ -124,6 +125,7 @@ class TestScenarioParsing:
         ("posterior monte-carlo 0", "needs at least one trial, got 0"),
         ("posterior monte-carlo -5", "needs at least one trial, got -5"),
         ("posterior monte-carlo many", "bad number in 'posterior monte-carlo many'"),
+        ("plan budget -1", "plan budget must be >= 0, got -1"),
     ])
     def test_named_errors_keep_their_message(self, line, message):
         with pytest.raises(TopologyParseError, match=f"^line 1: .*{message}$"):
@@ -132,6 +134,22 @@ class TestScenarioParsing:
     def test_bad_mode_rejected(self):
         with pytest.raises(TopologyParseError):
             parse_scenario_file("mode speculative\n")
+
+    @pytest.mark.parametrize("field, message", [
+        ("mode", "unknown mode 'bogus'"),
+        ("posterior", "unknown posterior method 'bogus'"),
+    ])
+    def test_unknown_method_rejected_before_anything_is_built(
+        self, monkeypatch, field, message
+    ):
+        # a config made in Python skips the directive's check
+        cfg = example_config(mode="probabilistic", oracle_text="8,m1\n")
+        setattr(cfg, field, "bogus")
+        monkeypatch.setattr(scenario_module, "build_augmented", None)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            run_scenario(cfg)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            prepending_sweep(cfg, "m2", 1)
 
     def test_double_attachment_rejected(self):
         with pytest.raises(TopologyParseError):
