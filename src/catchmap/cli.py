@@ -456,17 +456,16 @@ def certainty_violations(
     return moved, outside
 
 
-def propagation_findings(cases: list[tuple]) -> tuple[int, list, list, list]:
+def propagation_findings(cases: list[tuple]) -> tuple[int, list, list]:
     """Observation propagation against exact conditioning, per ``(label,
     graph, observations)`` case; jointly impossible observations are skipped.
 
-    Returns the number of cases compared, the labels whose propagation made
-    more calls than the graph has nodes, ``(label, node)`` for each pin the
+    Returns the number of cases compared, ``(label, node)`` for each pin the
     exact conditional leaves open, and ``(label, node, ingress)`` for each
     node left open although its exact conditional is degenerate.
     """
     tested = 0
-    over_budget, unsound, gaps = [], [], []
+    unsound, gaps = [], []
     for label, g, observations in cases:
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
@@ -476,8 +475,6 @@ def propagation_findings(cases: list[tuple]) -> tuple[int, list, list, list]:
         except (ContradictionError, InfeasibleOracleError):
             continue
         tested += 1
-        if applied.set_route_calls > len(g.nodes):
-            over_budget.append(label)
         for node in g.report_nodes:
             post = posterior[node]
             got = applied.routes[node]
@@ -486,7 +483,7 @@ def propagation_findings(cases: list[tuple]) -> tuple[int, list, list, list]:
                     unsound.append((label, node))
             elif post and max(post.values()) > 1.0 - 1e-9:
                 gaps.append((label, node, max(post, key=post.get)))
-    return tested, over_budget, unsound, gaps
+    return tested, unsound, gaps
 
 
 def sp_regressions(instances: list[AugmentedTopology]) -> list[tuple]:
@@ -550,13 +547,12 @@ def _full_checks(seed: int) -> list[tuple[str, bool, str]]:
         if uncertain:
             target = rng.choice(uncertain)
             cases.append((idx, g, {target: rng.choice(sorted(probs[target]))}))
-    _, over_budget, unsound, gaps = propagation_findings(cases)
-    flagged = [(idx, "call bound") for idx in over_budget] + unsound
+    _, unsound, gaps = propagation_findings(cases)
     checks.append((
         "observation propagation is sound (15 instances)",
-        not flagged,
-        f"violations at {flagged[:5]}"
-        if flagged
+        not unsound,
+        f"violations at {unsound[:5]}"
+        if unsound
         else f"{len(gaps)} completeness gap(s) left open, as expected",
     ))
 

@@ -1,10 +1,10 @@
 """Catchment inference on a forwarding graph.
 
 Two passes over the same DAG, both reading its chooser form: a certainty
-pass that labels a chooser only when all its parents' routes are one
-ingress, and a probabilistic pass that mixes parent distributions with
-per-edge tie-break probabilities. When more nodes get pinned later, the
-probabilistic pass is redone on the cone below them only.
+pass that reads the form's fixed ingresses, and a probabilistic pass that
+mixes parent distributions with per-edge tie-break probabilities. When
+more nodes get pinned later, the probabilistic pass is redone on the cone
+below them only.
 
 The shortest-path transform prunes edges that cannot lie on a
 minimum-length route, for scenarios where routers break preference ties by
@@ -27,16 +27,11 @@ RouteProbabilities = dict[int, dict[str, float]]
 def certain_inference(g: RGraph) -> RoutingFunction:
     """Assign an ingress to every node forced to it; None where uncertain.
 
-    Reads ``g.chooser_form``: a chooser is certain when all its parents'
-    routes are one ingress, and every other node takes its fixed ingress or
-    its chooser's route. Unreachable nodes stay uncertain.
+    Reads ``g.chooser_form``: a node is certain exactly when the form fixes
+    it to an ingress, since a chooser can end up at two, or at one and none.
     """
-    form = g.chooser_form
-    picks: list[str | None] = []
-    for chooser in form.choosers:
-        routes = {form.ingress(picks, p) for p in g.parents[chooser]}
-        picks.append(routes.pop() if len(routes) == 1 else None)
-    return {n: form.ingress(picks, n) for n in g.nodes}
+    fixed = g.chooser_form.fixed
+    return {n: fixed.get(n) for n in g.nodes}
 
 
 def mixed_distribution(

@@ -7,10 +7,11 @@ possible next hops all became certain and agree). The propagation touches
 each node at most once per application.
 
 For posterior distributions conditioned on a set of observations there are
-two routes: exact enumeration of every tie-break combination (small graphs
-only) and Monte Carlo. Monte Carlo samples only the observed nodes and
-their ancestors and mixes every other node exactly; without observations it
-is the forward pass.
+two routes, both rolling ties only at the choosers of ``RGraph.chooser_form``:
+exact enumeration of their combinations (small graphs only) and Monte
+Carlo, which samples only those among the observed nodes and their
+ancestors and mixes every other node exactly; without observations it is
+the forward pass.
 """
 from __future__ import annotations
 

@@ -173,10 +173,11 @@ def expected_nc(
     """Expected number of certain reporting nodes after measuring the given nodes.
 
     ``approx`` replays the planner's own branch bookkeeping (measurements
-    applied in ascending node order). ``exact`` enumerates the full
-    tie-break outcome space, conditions it on already-pinned routes, and
-    scores each joint measurement outcome by which nodes are forced to a
-    single ingress; guarded by ``exact_limit`` and to 6 measured nodes.
+    applied in ascending node order). ``exact`` enumerates the choosers'
+    tie-breaks (``g.chooser_form``), conditions them on already-pinned
+    routes, and scores each joint measurement outcome by which nodes are
+    forced to a single ingress; guarded by ``exact_limit`` and to 6
+    measured nodes.
     """
     measured = sorted(set(measured))
     for node in measured:

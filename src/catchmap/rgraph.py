@@ -198,9 +198,9 @@ class RGraph:
     @functools.cached_property
     def chooser_form(self) -> "ChooserForm":
         """Each node's ingress as a fixed value or a copy of one chooser's,
-        derived on first use and then kept. A chooser, a node with two or more
-        parents and none of them the root, is the only kind of node whose
-        ingress depends on a tie-break."""
+        derived on first use and then kept. Past the root-attached and the
+        parentless nodes, a node takes its parents' common source, one fixed
+        ingress or one chooser, and is a chooser only when they disagree."""
         choosers: list[int] = []
         fixed: dict[int, str | None] = {}
         follows: dict[int, int] = {}
@@ -210,7 +210,10 @@ class RGraph:
                 fixed[n] = None
             elif self.root in parents:
                 fixed[n] = self.ingress_map[n]
-            elif len(parents) > 1:
+            # a source is an ingress (str or None) or a chooser's position (int)
+            elif len(parents) > 1 and len(
+                {fixed[p] if p in fixed else follows[p] for p in parents}
+            ) > 1:
                 follows[n] = len(choosers)
                 choosers.append(n)
             elif parents[0] in fixed:
@@ -222,10 +225,10 @@ class RGraph:
 
 @dataclass(frozen=True)
 class ChooserForm:
-    """The choosers in topological order. ``fixed`` holds the ingress (None:
-    no route) of the root, of parentless and root-attached nodes, and of
-    single-parent chains below them; ``follows`` maps every other node to the
-    position of the chooser it copies. An outcome is one ingress per chooser."""
+    """The choosers, the nodes whose parents disagree, in topological order.
+    ``fixed`` maps each node no tie-break decides to its ingress (None: no
+    route); ``follows`` maps each chooser and each node that copies one to
+    that chooser's position. An outcome is one ingress per chooser."""
 
     choosers: tuple[int, ...]
     fixed: Mapping[int, str | None]

@@ -192,7 +192,8 @@ def random_tie_probs(g, rng) -> dict[int, dict[int, float]]:
 # ``mixed_distribution`` with its own root-attached rule. Kept verbatim, but
 # for their names, as the oracles for ``certain_inference``,
 # ``probabilistic_inference`` and ``update_probabilistic_inference``, which
-# must give the same floats in the same key order.
+# must give the same floats in the same key order. With no route pinned,
+# the forward pass is compared on ``collapse_to_choosers(g)``.
 def reference_certain_inference(g: RGraph) -> RoutingFunction:
     """Assign an ingress to every node forced to it; None where uncertain.
 
@@ -299,9 +300,10 @@ def sampled_outcome(g: RGraph, rng: random.Random) -> dict[int, "str | None"]:
 # numbers up front and rejected on the observations' ancestors first: one
 # dict per trial, every node sampled before the check. Kept verbatim, but
 # for its return value, as the oracle for ``monte_carlo_inference``: run on
-# ``ancestor_subgraph(g, observed)`` with the same seed, it must give the
-# observed nodes and their ancestors the same floats, in the same per-node
-# key order, and every other node must get ``forward_mix`` of those values.
+# ``ancestor_subgraph(collapse_to_choosers(g), observed)`` with the same
+# seed, it must give the nodes of that sub-graph the same floats, in the same
+# per-node key order, and every other node must get ``forward_mix`` of those
+# values.
 def reference_monte_carlo(
     g: RGraph,
     trials: int = 10_000,
@@ -378,6 +380,32 @@ def ancestor_subgraph(g: RGraph, nodes: Iterable[int]) -> RGraph:
     )
 
 
+def collapse_to_choosers(g: RGraph) -> RGraph:
+    """``g`` with every node of two or more parents, none of them the root,
+    that ``g.chooser_form`` does not make a chooser cut down to its parent
+    latest in ``g.order``, its tie override dropped. Each cut node then
+    becomes ready at the same step, so the collapsed graph has the same
+    ``order``, and it has the same form: the oracles written before the
+    form, which roll a tie-break for every node of two or more parents, run
+    on it must give the floats the package gives on ``g``."""
+    choosers = set(g.chooser_form.choosers)
+    index = g.order_index
+    cut = {
+        n for n, ps in g.parents.items()
+        if len(ps) > 1 and g.root not in ps and n not in choosers
+    }
+    parents = {
+        n: (max(ps, key=index.__getitem__),) if n in cut else ps
+        for n, ps in g.parents.items()
+    }
+    collapsed = RGraph.from_parent_map(
+        g.root, g.ingress_map, parents, nodes=g.nodes, report_nodes=g.report_nodes,
+        tie_probs={n: ties for n, ties in g.tie_probs.items() if n not in cut},
+    )
+    assert collapsed.order == g.order and collapsed.chooser_form == g.chooser_form
+    return collapsed
+
+
 def forward_mix(g: RGraph, given: RouteProbabilities) -> RouteProbabilities:
     """The forward pass with each entry of ``given`` taken as it is. Every
     other node the certainty pass pins gets all its mass on that ingress;
@@ -404,8 +432,8 @@ def forward_mix(g: RGraph, given: RouteProbabilities) -> RouteProbabilities:
 # every node per outcome. Kept verbatim, but for their names, the
 # enumeration they call and every reporting node weighing 1, as the oracles
 # for ``enumerate_route_outcomes``, ``exact_conditional_distribution`` and
-# ``expected_nc(mode="exact")``, which must give the same floats, in the
-# same per-node key order.
+# ``expected_nc(mode="exact")``: run on ``collapse_to_choosers(g)``, they
+# must give the package's floats on ``g``, in the same per-node key order.
 def reference_route_outcomes(g: RGraph) -> Iterator[tuple[float, dict[int, "str | None"]]]:
     """Yield (probability, node-to-ingress map) for every tie-break choice.
 

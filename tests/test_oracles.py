@@ -472,7 +472,7 @@ def assert_same_as_reference(g, trials, seed, oracles=None):
     key order. Passing the prior routes and forward pass gives the same
     estimate, key order included. Returns the estimate, None if both raised."""
     observed = dict(oracles or {})
-    sub = helpers.ancestor_subgraph(g, observed)
+    sub = helpers.ancestor_subgraph(helpers.collapse_to_choosers(g), observed)
     try:
         ref_probs, ref_trials, ref_accepted = helpers.reference_monte_carlo(
             sub, trials, seed, oracles
@@ -495,7 +495,11 @@ def assert_same_as_reference(g, trials, seed, oracles=None):
     assert set(est.probs) == set(g.nodes)
     for node in g.nodes:
         assert list(est.probs[node].items()) == list(expected[node].items()), node
-    assert est.ancestors == len(closure)
+    # the ancestors in ``g`` itself, through the parents the collapse cut
+    whole = helpers.ancestor_subgraph(g, observed)
+    assert est.ancestors == len(whole.nodes) - (
+        g.root not in observed and not whole.children[g.root]
+    )
     assert est.draws_per_trial == len(sub.chooser_form.choosers)
     return est
 
@@ -676,16 +680,22 @@ class TestWithoutObservations:
 
 class TestAgainstExactConditioning:
     """Every (node, ingress) cell lies within four standard errors of the
-    exact posterior, the error taken from the accepted trials."""
+    exact posterior, the error taken from the accepted trials, on the first
+    20 instances that have a chooser to observe."""
 
     @pytest.mark.parametrize("weights", ["uniform", "unequal", "zeros"])
     def test_random_instances(self, weights):
-        for idx in range(20):
-            g = build_rgraph(helpers.random_instance(
-                idx, num_nodes=7 + idx % 7, avg_degree=3.0 + 0.3 * (idx % 4),
-                seed_base=12_000,
-            ))
-            assert 8 <= len(g.nodes) <= 14 and exact_limit(g) is None
+        def instances():
+            for idx in itertools.count():
+                g = build_rgraph(helpers.random_instance(
+                    idx, num_nodes=7 + idx % 7, avg_degree=3.0 + 0.3 * (idx % 4),
+                    seed_base=12_000,
+                ))
+                assert 8 <= len(g.nodes) <= 14 and exact_limit(g) is None
+                if g.chooser_form.choosers:
+                    yield idx, g
+
+        for idx, g in itertools.islice(instances(), 20):
             g = weighted(g, weights, random.Random(idx))
             oracles = feasible_observations(g, 1 + idx % 3, seed=idx, uncertain=True)
             assert oracles
@@ -724,14 +734,15 @@ class TestChooserFormSameAsReference:
     @staticmethod
     def assert_same_as_reference(g, oracles, measured):
         form = g.chooser_form
+        collapsed = helpers.collapse_to_choosers(g)
         for (weight, picks), (ref_weight, ingress_of) in itertools.zip_longest(
-            enumerate_route_outcomes(g), helpers.reference_route_outcomes(g)
+            enumerate_route_outcomes(g), helpers.reference_route_outcomes(collapsed)
         ):
             assert weight == ref_weight
             assert {n: form.ingress(picks, n) for n in g.nodes} == ingress_of
 
         post = exact_conditional_distribution(g, oracles)
-        ref = helpers.reference_exact_posterior(g, oracles)
+        ref = helpers.reference_exact_posterior(collapsed, oracles)
         assert [(n, list(d.items())) for n, d in post.items()] == [
             (n, list(d.items())) for n, d in ref.items()
         ]
@@ -740,7 +751,7 @@ class TestChooserFormSameAsReference:
         probs = probabilistic_inference(g, routes)
         routes = apply_oracles(g, routes, probs, oracles).routes
         value = expected_nc(g, routes, probs, measured, mode="exact")
-        assert value == helpers.reference_exact_nc(g, routes, measured)
+        assert value == helpers.reference_exact_nc(collapsed, routes, measured)
 
     @pytest.mark.parametrize("chunk", range(4))
     def test_random_instances(self, chunk):
@@ -775,6 +786,96 @@ class TestChooserFormSameAsReference:
                 helpers.reference_exact_nc(g, {**routes, **pins}, [3])
             with pytest.raises(InputError, match=str(caught.value)):
                 expected_nc(g, {**routes, **pins}, {}, [3], mode="exact")
+
+
+def parent_sources(g, node):
+    """Where each parent of ``node`` takes its ingress from, by the form:
+    ``("fixed", ingress)`` or ``("copies", chooser position)``."""
+    form = g.chooser_form
+    return {
+        ("fixed", form.fixed[p]) if p in form.fixed else ("copies", form.follows[p])
+        for p in g.parents[node]
+    }
+
+
+def rule_instances():
+    """Small graphs with their observations: random DAGs, random instances
+    and both hand-drawn fixtures under each kind of tie weight."""
+    rng = random.Random(29)
+    for seed in range(300):
+        g = helpers.random_dag(rng)
+        yield g, feasible_observations(g, seed % 3, seed=seed)
+    for idx in range(220):
+        g, oracles, _ = chooser_form_instance(idx)
+        yield g, oracles
+    for edges in (ROOT_ATTACHED_WITH_PARENT, PARENTLESS_FEEDER):
+        for weights in ("uniform", "unequal", "zeros"):
+            g = weighted(RGraph.from_edges(0, edges, {1: "a", 2: "b"}), weights, rng)
+            for k in range(3):
+                yield g, feasible_observations(g, k, seed=k)
+
+
+class TestChooserFormRule:
+    """A node is a chooser exactly when its parents disagree: checked on the
+    form itself, and against the outcomes and posteriors of the verbatim
+    references run on the graph as it is, not collapsed."""
+
+    @staticmethod
+    def assert_minimal(g):
+        form = g.chooser_form
+        for i, c in enumerate(form.choosers):
+            assert form.follows[c] == i
+            assert len(parent_sources(g, c)) > 1, c
+        for n, parents in g.parents.items():
+            if len(parents) > 1 and g.root not in parents and n not in form.choosers:
+                assert len(parent_sources(g, n)) == 1, n
+
+    def test_random_dags(self):
+        rng = random.Random(31)
+        for _ in range(1500):
+            self.assert_minimal(helpers.random_dag(rng))
+
+    @pytest.mark.parametrize("weights", ["uniform", "unequal", "zeros"])
+    @pytest.mark.parametrize("sp", [False, True])
+    def test_random_instances(self, sp, weights):
+        for idx in range(40):
+            g = build_rgraph(helpers.random_instance(idx))
+            if sp:
+                g = shortest_path_transform(g)
+            self.assert_minimal(weighted(g, weights, random.Random(idx)))
+
+    @pytest.mark.parametrize("weights", ["uniform", "unequal", "zeros"])
+    @pytest.mark.parametrize("edges", [ROOT_ATTACHED_WITH_PARENT, PARENTLESS_FEEDER])
+    def test_fixtures(self, edges, weights):
+        g = RGraph.from_edges(0, edges, {1: "a", 2: "b"})
+        self.assert_minimal(weighted(g, weights, random.Random(3)))
+
+    def test_every_outcome_obeys_the_form(self):
+        for g, _ in rule_instances():
+            form = g.chooser_form
+            values = [set() for _ in form.choosers]
+            for _, ingress_of in helpers.reference_route_outcomes(g):
+                for n in g.nodes:
+                    if n in form.fixed:
+                        assert ingress_of[n] == form.fixed[n], n
+                    else:
+                        assert ingress_of[n] == ingress_of[form.choosers[form.follows[n]]], n
+                for seen, c in zip(values, form.choosers):
+                    seen.add(ingress_of[c])
+            # without a zero weight every outcome is enumerated, and every
+            # chooser ends up at two ingresses, or at one and at none
+            if all(w > 0 for ties in g.tie_probs.values() for w in ties.values()):
+                assert all(len(seen) > 1 for seen in values)
+
+    def test_exact_posterior_matches_the_uncollapsed_reference(self):
+        for g, oracles in rule_instances():
+            post = exact_conditional_distribution(g, oracles)
+            ref = helpers.reference_exact_posterior(g, oracles)
+            assert set(post) == set(ref)
+            for n, dist in ref.items():
+                assert set(post[n]) == set(dist), n
+                for m, p in dist.items():
+                    assert abs(post[n][m] - p) <= 1e-12, (n, m)
 
 
 def test_every_node_gets_its_own_posterior_dict():

@@ -38,6 +38,7 @@ from catchmap.rgraph import (
     rgraph_dot,
     rgraph_edgelist,
 )
+from catchmap.scenario import build_augmented, parse_scenario_file
 
 import helpers
 
@@ -403,12 +404,13 @@ class TestBruteForceEligiblePaths:
 class TestChooserForm:
     def test_example_form(self, example_graph):
         form = example_graph.chooser_form
-        # 4 hears 1 and 2, 7 hears 1 and 3, 8 hears 5 and 6; 6 copies 4
-        assert form.choosers == (4, 7, 8)
-        assert form.fixed == {helpers.DST: None, 1: "m1", 2: "m2", 3: "m1", 5: "m2"}
-        assert form.follows == {4: 0, 6: 0, 7: 1, 8: 2}
-        assert form.ingress(("m2", "m1", "m1"), 6) == "m2"
-        assert form.ingress(("m2", "m1", "m1"), 3) == "m1"
+        # 4 hears 1 and 2, 8 hears 5 and 6; 6 copies 4; 7 hears 1 and 3,
+        # which both enter at m1, so 7 makes no choice of its own
+        assert form.choosers == (4, 8)
+        assert form.fixed == {helpers.DST: None, 1: "m1", 2: "m2", 3: "m1", 5: "m2", 7: "m1"}
+        assert form.follows == {4: 0, 6: 0, 8: 1}
+        assert form.ingress(("m2", "m1"), 6) == "m2"
+        assert form.ingress(("m2", "m1"), 7) == "m1"
 
     def test_root_attached_and_parentless_nodes_are_fixed(self):
         # 2 is attached to the root and also hears 1; 9 has no parent
@@ -420,6 +422,21 @@ class TestChooserForm:
         assert form.choosers == (3,)
         assert form.fixed == {0: None, 1: "a", 2: "b", 9: None, 4: None, 5: None}
         assert form.follows == {3: 0, 6: 0}
+
+    def test_parents_that_agree_make_no_chooser(self):
+        # 3 hears 1 and 2; 4 and 5 copy 3, so 6, which hears both, copies 3
+        # too. 7 and 8 have no parent, so 9, which hears both, has no route.
+        # 10 hears 1 (ingress a) and 7 (no route): its parents disagree.
+        g = RGraph.from_edges(
+            0,
+            [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6),
+             (7, 9), (8, 9), (1, 10), (7, 10)],
+            {1: "a", 2: "b"},
+        )
+        form = g.chooser_form
+        assert form.choosers == (3, 10)
+        assert form.follows == {3: 0, 4: 0, 5: 0, 6: 0, 10: 1}
+        assert form.fixed == {0: None, 1: "a", 2: "b", 7: None, 8: None, 9: None}
 
     def test_unlabeled_root_attached_node_rejected_when_made(self):
         message = "^node 2 is attached to the root but has no ingress label$"
@@ -458,6 +475,16 @@ class TestExactLimit:
             assert reason.startswith(f"{outcomes} tie-break combinations")
             with pytest.raises(CapacityError, match=reason):
                 next(enumerate_route_outcomes(g))
+
+    def test_only_choosers_multiply(self):
+        # 14 nodes; a node whose parents all share one source rolls nothing
+        cfg = parse_scenario_file(
+            "topology generate n=13 avg_degree=8 seed=1\nattach 3 m0\nattach 2 m1\n"
+        )
+        g = build_rgraph(build_augmented(cfg))
+        assert len(g.nodes) == 14 and len(g.chooser_form.choosers) == 6
+        assert exact_limit(g) is None
+        assert sum(1 for _ in enumerate_route_outcomes(g)) == 21_600
 
     def test_node_limit(self):
         def chain(count):
