@@ -166,9 +166,7 @@ def shortest_path_transform(g: RGraph) -> RGraph:
     if logger.isEnabledFor(logging.DEBUG):
         kept = sum(len(p) for p in pruned.values())
         logger.debug("shortest-path pruning kept %d of %d edges", kept, g.num_edges)
-    return RGraph._from_sorted(
-        g.root, g.ingress_map, pruned, g.nodes, g.report_nodes, g.tie_probs
-    )
+    return RGraph(g.root, g.ingress_map, pruned, g.report_nodes, g.tie_probs)
 
 
 def expected_load(

@@ -41,29 +41,49 @@ class RGraph:
     """Directed acyclic graph of possible next hops, rooted at the destination.
 
     An edge parent -> child means the child may forward through the parent.
-    ``ingress_map`` must name the ingress point of each node directly
+    ``parents`` is the one stored adjacency: every node, ascending, mapped
+    to a sorted tuple of distinct parents. ``nodes``, ``children`` and
+    ``order`` (parents first) are derived from it on first read and then
+    kept. ``ingress_map`` must name the ingress point of each node directly
     attached to the root, each name obeying the rule ``DestinationSpec``
-    checks; ``report_nodes`` is the accounting universe (real nodes only,
-    no root, no virtual chain nodes). ``order`` lists every node parents
-    first; it is derived on first read and then kept. Every ``RGraph`` is
-    acyclic: ``from_parent_map`` and ``from_edges`` order the graph before
-    they return, which rejects any directed cycle, and the builder and the
-    shortest-path transform make only acyclic graphs.
+    checks; ``report_nodes`` is the sorted accounting universe (real nodes
+    only, no root, no virtual chain nodes).
 
     ``tie_probs`` holds the tie-break weights that differ from uniform:
     node -> parent -> probability of forwarding through that parent. Each
     entry covers exactly the node's parents and sums to one (tolerance
-    1e-9); that is checked whenever a graph is made. ``tie_weights`` gives
-    any node's weights, and every probabilistic pass reads them there.
+    1e-9). ``tie_weights`` gives any node's weights, and every
+    probabilistic pass reads them there.
+
+    The constructor checks every graph: the root has no parents, each
+    ingress name is valid, each root-attached node is labeled and each
+    override is valid; it copies the labels and the overrides. It trusts
+    the form of ``parents`` and finds a cycle only when ``order`` is first
+    read. ``from_parent_map`` and ``from_edges`` normalise outside input
+    and read ``order`` before they return; the builder and the
+    shortest-path transform make only acyclic graphs.
     """
 
     root: int
     ingress_map: Mapping[int, str]
     parents: Mapping[int, tuple[int, ...]]
-    children: Mapping[int, tuple[int, ...]]
-    nodes: tuple[int, ...]
     report_nodes: tuple[int, ...]
     tie_probs: Mapping[int, Mapping[int, float]]
+
+    def __post_init__(self) -> None:
+        if self.parents[self.root]:
+            raise CycleError(f"root {self.root} cannot have parents")
+        for name in dict.fromkeys(self.ingress_map.values()):
+            _check_ingress_name(name)
+        for child in self.children[self.root]:
+            if child not in self.ingress_map:
+                raise DestinationSpecError(
+                    f"node {child} is attached to the root but has no ingress label"
+                )
+        object.__setattr__(self, "ingress_map", dict(self.ingress_map))
+        object.__setattr__(
+            self, "tie_probs", _validated_tie_probs(self.parents, self.tie_probs)
+        )
 
     @classmethod
     def from_parent_map(
@@ -76,66 +96,21 @@ class RGraph:
         report_nodes: Iterable[int] | None = None,
         tie_probs: Mapping[int, Mapping[int, float]] | None = None,
     ) -> "RGraph":
-        all_nodes = {root}
-        all_nodes.update(nodes)
-        norm_parents: dict[int, tuple[int, ...]] = {}
-        for child, ps in parents.items():
-            ps = tuple(sorted(set(ps)))
-            all_nodes.add(child)
+        given = {child: tuple(sorted(set(ps))) for child, ps in parents.items()}
+        all_nodes = {root, *nodes, *given}
+        for ps in given.values():
             all_nodes.update(ps)
-            norm_parents[child] = ps
-        for node in all_nodes:
-            norm_parents.setdefault(node, ())
-        node_tuple = tuple(sorted(all_nodes))
+        norm_parents = {n: given.get(n, ()) for n in sorted(all_nodes)}
         if report_nodes is None:
-            report = tuple(n for n in node_tuple if n != root)
+            report = tuple(n for n in norm_parents if n != root)
         else:
             report = tuple(sorted(report_nodes))
-        g = cls._from_sorted(root, ingress_map, norm_parents, node_tuple, report, tie_probs)
+        g = cls(
+            root=root, ingress_map=ingress_map, parents=norm_parents,
+            report_nodes=report, tie_probs=tie_probs,
+        )
         g.order  # arbitrary input: reject a cycle here, not at first use
         return g
-
-    @classmethod
-    def _from_sorted(
-        cls,
-        root: int,
-        ingress_map: Mapping[int, str],
-        parents: dict[int, tuple[int, ...]],
-        nodes: tuple[int, ...],
-        report_nodes: tuple[int, ...],
-        tie_probs: Mapping[int, Mapping[int, float]] | None,
-    ) -> "RGraph":
-        """The graph of input that is already normalised: ``parents`` maps
-        every node of ``nodes`` to a sorted tuple of distinct parents, and
-        ``nodes`` and ``report_nodes`` are sorted. Walking the nodes in
-        ascending order appends each child list in sorted order. Still
-        checks the ingress labels and names and the overrides, but not for
-        a cycle: the input must be acyclic, as the builder's route classes
-        and the shortest-path transform's levels make it. A cycle would
-        raise CycleError only when ``order`` is first read."""
-        if parents[root]:
-            raise CycleError(f"root {root} cannot have parents")
-        for name in dict.fromkeys(ingress_map.values()):
-            _check_ingress_name(name)
-        children: dict[int, list[int]] = {node: [] for node in nodes}
-        for child in nodes:
-            for p in parents[child]:
-                children[p].append(child)
-        for child in children[root]:
-            if child not in ingress_map:
-                raise DestinationSpecError(
-                    f"node {child} is attached to the root but has no ingress label"
-                )
-        frozen_children = {n: tuple(c) for n, c in children.items()}
-        return cls(
-            root=root,
-            ingress_map=dict(ingress_map),
-            parents=parents,
-            children=frozen_children,
-            nodes=nodes,
-            report_nodes=report_nodes,
-            tie_probs=_validated_tie_probs(parents, tie_probs),
-        )
 
     @classmethod
     def from_edges(
@@ -170,7 +145,22 @@ class RGraph:
 
     def with_tie_probs(self, tie_probs: Mapping[int, Mapping[int, float]]) -> "RGraph":
         """Same graph with ``tie_probs`` as its overrides, replacing any old ones."""
-        return replace(self, tie_probs=_validated_tie_probs(self.parents, tie_probs))
+        return replace(self, tie_probs=tie_probs)
+
+    @functools.cached_property
+    def nodes(self) -> tuple[int, ...]:
+        """Every node, ascending."""
+        return tuple(self.parents)
+
+    @functools.cached_property
+    def children(self) -> dict[int, tuple[int, ...]]:
+        """Each node's children, sorted: the parents read in ascending node
+        order append each child list in order."""
+        children: dict[int, list[int]] = {node: [] for node in self.parents}
+        for child, ps in self.parents.items():
+            for p in ps:
+                children[p].append(child)
+        return {n: tuple(c) for n, c in children.items()}
 
     @functools.cached_property
     def ingress_points(self) -> tuple[str, ...]:
@@ -347,15 +337,16 @@ def build_rgraph(aug: AugmentedTopology) -> RGraph:
                 elif c == _PROVIDER:
                     offerers[j].append(n)
 
-    # neighbors are dict keys, so each sorted offerer list is already
-    # distinct; the root's entry goes last, where a normalising build puts it
-    parents: dict[int, tuple[int, ...]] = {
-        n: tuple(sorted(offerers[n])) if n in offerers else ()
-        for n in topology.nodes() if n != root
-    }
-    parents[root] = ()
-    g = RGraph._from_sorted(
-        root, aug.ingress_map, parents, tuple(sorted(parents)), aug.real_nodes, None,
+    # neighbors are dict keys, so each sorted offerer list is already distinct
+    g = RGraph(
+        root=root,
+        ingress_map=aug.ingress_map,
+        parents={
+            n: tuple(sorted(offerers[n])) if n in offerers else ()
+            for n in sorted(topology.nodes())
+        },
+        report_nodes=aug.real_nodes,
+        tie_probs={},
     )
     if logger.isEnabledFor(logging.DEBUG):
         counts = collections.Counter(cls.values())

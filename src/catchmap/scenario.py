@@ -112,11 +112,12 @@ def parse_scenario_file(text: str, base_dir: str | Path | None = None) -> Scenar
     """Parse the line-oriented scenario format.
 
     Directives: ``topology file <path>`` / ``topology generate k=v ...``,
-    ``attach <node> <ingress> [rel]``, ``moas <node>...``, ``dst_id <n>``,
-    ``prepend <ingress> <k>``, ``mode certain|probabilistic``, ``sp on|off``,
-    ``oracles <path>``, ``posterior exact`` / ``posterior monte-carlo [trials]``,
-    ``plan budget <B>``, ``plan candidates <node>...|uncertain``,
-    ``seed <n>``. Comments follow ``topology._data_lines``. A path is the
+    ``attach <node> <ingress> [rel]``, ``remove_ingress <ingress>`` (drops
+    every attachment made so far with that ingress), ``moas <node>...``,
+    ``dst_id <n>``, ``prepend <ingress> <k>``, ``mode certain|probabilistic``,
+    ``sp on|off``, ``oracles <path>``, ``posterior exact`` / ``posterior
+    monte-carlo [trials]``, ``plan budget <B>``, ``plan candidates
+    <node>...|uncertain``, ``seed <n>``. Comments follow ``topology._data_lines``. A path is the
     rest of the line's content after the directive words, whitespace
     included, and is resolved against ``base_dir``.
     """

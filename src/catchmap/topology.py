@@ -490,7 +490,7 @@ def apply_prepending(aug: AugmentedTopology, ingress: str, k: int) -> AugmentedT
 def generate_random_topology(
     num_nodes: int,
     *,
-    avg_degree: float = 2.5,
+    avg_degree: float | None = None,
     peer_fraction: float = 0.15,
     seed: int = 0,
 ) -> Topology:
@@ -500,12 +500,16 @@ def generate_random_topology(
     from lower to higher rank, so the provider relation stays acyclic. A
     random spanning tree guarantees connectivity; extra edges are added up
     to ``avg_degree * num_nodes / 2`` total. Each edge is a peering with
-    probability ``peer_fraction``, customer/provider otherwise.
+    probability ``peer_fraction``, customer/provider otherwise. Without
+    ``avg_degree`` the degree is 2.5, or ``num_nodes - 1`` (every pair an
+    edge) when that is smaller.
     """
     if num_nodes <= 0:
         raise GenerationError(f"need at least one node, got {num_nodes}")
     if not 0 <= peer_fraction <= 1:
         raise GenerationError(f"peer_fraction must be in [0,1], got {peer_fraction}")
+    if avg_degree is None:
+        avg_degree = min(2.5, num_nodes - 1)
     if not math.isfinite(avg_degree):
         raise GenerationError(f"avg_degree must be finite, got {avg_degree}")
     if num_nodes == 1:

@@ -265,8 +265,11 @@ def test_observations_apply_one_at_a_time_in_node_order(idx, count, seed):
 def test_propagation_call_budget(idx, count, seed):
     g, routes, probs, obs = _simulation_backed_observations(idx, count, seed)
     applied = apply_oracles(g, routes, probs, obs)
-    assert applied.set_route_calls <= len(g.nodes)
-    # every newly pinned node really is new
+    # each pin is one step: the node was open and its prior allowed the ingress
+    for node, m in applied.pins.items():
+        assert routes[node] is None, node
+        assert probs[node].get(m, 0.0) > 0.0, node
+    # every node that was certain keeps its ingress
     for node, m in applied.routes.items():
         if routes[node] is not None:
             assert m == routes[node]

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import random
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -523,6 +525,86 @@ class TestGraphValue:
         dot = rgraph_dot(example_graph)
         for parent, child in example_graph.edges():
             assert f'"{parent}" -> "{child}"' in dot
+
+
+def _stored_nodes_and_children(g: RGraph) -> tuple[tuple[int, ...], dict]:
+    """``nodes`` and ``children`` as the graph stored them before they were
+    derived: the sorted node tuple, then the child-building loop verbatim."""
+    nodes = tuple(sorted(g.parents))
+    children: dict[int, list[int]] = {node: [] for node in nodes}
+    for child in nodes:
+        for p in g.parents[child]:
+            children[p].append(child)
+    frozen_children = {n: tuple(c) for n, c in children.items()}
+    return nodes, frozen_children
+
+
+class TestOneConstructor:
+    """Every graph, the raw dataclass call included, goes through one checked
+    constructor, and ``parents`` is the only adjacency it stores."""
+
+    PARENTS = {0: (), 1: (0,), 2: (0,), 3: (1, 2)}
+
+    def _raw(self, **fields) -> RGraph:
+        given = dict(
+            root=0, ingress_map={1: "a", 2: "b"}, parents=self.PARENTS,
+            report_nodes=(1, 2, 3), tie_probs={},
+        )
+        return RGraph(**{**given, **fields})
+
+    def test_stores_one_adjacency(self):
+        assert [f.name for f in dataclasses.fields(RGraph)] == [
+            "root", "ingress_map", "parents", "report_nodes", "tie_probs"
+        ]
+        g = self._raw()
+        assert g == RGraph.from_edges(0, [(0, 1), (0, 2), (1, 3), (2, 3)], {1: "a", 2: "b"})
+        assert (g.nodes, g.children) == ((0, 1, 2, 3), {0: (1, 2), 1: (3,), 2: (3,), 3: ()})
+        # the root-label check reads the children, so they are built once, here
+        assert "children" in vars(g) and "order" not in vars(g)
+
+    def test_raw_graph_is_checked(self):
+        with pytest.raises(
+            DestinationSpecError,
+            match="^node 2 is attached to the root but has no ingress label$",
+        ):
+            self._raw(ingress_map={1: "a"})
+        with pytest.raises(DestinationSpecError, match="^ingress name 'a b' holds ' '$"):
+            self._raw(ingress_map={1: "a b", 2: "b"})
+        with pytest.raises(CycleError, match="^root 0 cannot have parents$"):
+            self._raw(parents={**self.PARENTS, 0: (3,)})
+
+    @pytest.mark.parametrize("ties, message", [
+        ({3: {1: 1.0}}, "must cover exactly its parents [1, 2], got [1]"),
+        ({3: {1: 1.5, 2: -0.5}}, "negative tie probability at node 3"),
+        ({3: {1: 0.5, 2: 0.6}}, "tie probabilities of node 3 sum to"),
+        ({9: {1: 1.0}}, "tie probabilities for unknown node 9"),
+    ])
+    def test_raw_overrides_are_checked(self, ties, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            self._raw(tie_probs=ties)
+        with pytest.raises(InputError, match=re.escape(message)):
+            self._raw().with_tie_probs(ties)
+
+    def test_labels_and_overrides_are_copied(self):
+        labels, ties = {1: "a", 2: "b"}, {3: {1: 0.25, 2: 0.75}}
+        g = self._raw(ingress_map=labels, tie_probs=ties)
+        labels[1], ties[3][1] = "z", 0.5
+        assert g.ingress_map == {1: "a", 2: "b"}
+        assert g.tie_weights(3) == [0.25, 0.75]
+
+    def test_nodes_and_children_match_the_stored_fields(self):
+        rng = random.Random(30)
+        graphs = [helpers.random_dag(rng) for _ in range(500)]
+        for idx in range(40):
+            g = build_rgraph(helpers.random_instance(idx))
+            graphs += [g, shortest_path_transform(g)]
+        g = build_rgraph(helpers.random_instance(0, num_nodes=2000))
+        graphs += [g, shortest_path_transform(g)]
+        for g in graphs:
+            nodes, children = _stored_nodes_and_children(g)
+            assert list(g.parents) == list(nodes)
+            assert g.nodes == nodes
+            assert list(g.children.items()) == list(children.items())
 
 
 @st.composite

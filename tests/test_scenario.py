@@ -155,6 +155,49 @@ class TestScenarioParsing:
         with pytest.raises(TopologyParseError):
             parse_scenario_file("attach 1 m1\nattach 1 m2\n")
 
+    def test_remove_ingress_drops_every_attachment_of_it(self):
+        cfg = parse_scenario_file(
+            "attach 1 m1 c2p\nattach 2 m2 p2p\nattach 3 m1\nattach 4 m3 p2c\n"
+            "attach 5 m1 p2p\nremove_ingress m1\n"
+        )
+        assert cfg.attachments == {2: "m2", 4: "m3"}
+        assert cfg.attachment_rels == {2: Relationship.P2P, 4: Relationship.P2C}
+        echo = cfg.echo()
+        assert echo["attachments"] == {"2": "m2", "4": "m3"}
+        assert echo["attachment_rels"] == {"2": "p2p", "4": "p2c"}
+        # a removed node may be attached again
+        again = parse_scenario_file("attach 1 m1\nremove_ingress m1\nattach 1 m2\n")
+        assert again.attachments == {1: "m2"}
+
+    @pytest.mark.parametrize("text, line_no, name", [
+        ("remove_ingress m1\n", 1, "m1"),
+        ("attach 1 m1\n\nremove_ingress m2\n", 3, "m2"),
+        ("attach 1 m1\nattach 2 m2\nremove_ingress m1\nremove_ingress m1\n", 4, "m1"),
+    ])
+    def test_remove_ingress_needs_an_attachment_of_it(self, text, line_no, name):
+        message = f"^line {line_no}: no attachment uses ingress '{name}'$"
+        with pytest.raises(TopologyParseError, match=message):
+            parse_scenario_file(text)
+
+    def test_remove_ingress_runs_end_to_end(self, tmp_path):
+        # the worked example with a third ingress attached and then removed
+        # writes the worked example's files, config echo included
+        (tmp_path / "topo.txt").write_text(example_topology_text())
+        head = "topology file topo.txt\nattach 1 m1\nattach 2 m2\n"
+        tail = "dst_id 9\nmode probabilistic\noracles obs.csv\n"
+        (tmp_path / "obs.csv").write_text("8,m1\n")
+        written = []
+        for extra in ("", "attach 5 m3 p2c\nattach 7 m3\nremove_ingress m3\n"):
+            cfg = parse_scenario_file(head + extra + tail, base_dir=tmp_path)
+            report, g = run_scenario(cfg)
+            assert report.ingress_points == ("m1", "m2")
+            out = tmp_path / f"out{len(written)}"
+            written.append({p.name: p.read_bytes() for p in write_report_files(report, g, out)})
+        assert written[0] == written[1]
+        assert json.loads(written[1]["report.json"])["config"]["attachments"] == {
+            "1": "m1", "2": "m2"
+        }
+
     def test_prepend_directive(self):
         cfg = parse_scenario_file("prepend m2 3\nprepend m1 1\n")
         assert cfg.prepends == (("m2", 3), ("m1", 1))

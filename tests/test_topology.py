@@ -35,7 +35,7 @@ from catchmap.errors import (
     TopologyParseError,
     UnknownNodeError,
 )
-from catchmap.scenario import parse_topology_text
+from catchmap.scenario import build_augmented, parse_topology_text
 
 import helpers
 
@@ -406,8 +406,29 @@ class TestGenerator:
 
     def test_single_node(self):
         topo = generate_random_topology(1, seed=0)
-        assert sorted(topo.nodes()) == [0] or topo.num_nodes == 1
+        assert sorted(topo.nodes()) == [1]
         assert topo.num_edges == 0
+
+    @pytest.mark.parametrize("n, needed", [(2, 2), (3, 4)])
+    def test_small_graphs_take_the_default_degree(self, n, needed):
+        # without avg_degree the degree is n - 1: one edge, then a triangle
+        for seed in range(5):
+            topo = generate_random_topology(n, seed=seed)
+            assert sorted(topo.nodes()) == list(range(1, n + 1))
+            assert topo.num_edges == n * (n - 1) // 2
+            same = generate_random_topology(n, avg_degree=n - 1, seed=seed)
+            assert serialize_topology(topo) == serialize_topology(same)
+        # an explicit degree the nodes cannot hold still fails
+        with pytest.raises(GenerationError, match=f"^avg_degree 2.5 needs {needed} edges"):
+            generate_random_topology(n, avg_degree=2.5, seed=0)
+        aug = build_augmented(parse_scenario_file(f"topology generate n={n}\nattach 1 m1\n"))
+        assert aug.topology.num_edges == n * (n - 1) // 2 + 1
+
+    @pytest.mark.parametrize("n", [4, 5, 13, 200])
+    def test_default_degree_from_four_nodes_is_unchanged(self, n):
+        for seed in range(3):
+            got = generate_random_topology(n, seed=seed)
+            assert _state(got) == _state(helpers.reference_generate_random_topology(n, seed=seed))
 
     def test_impossible_density_rejected(self):
         with pytest.raises(GenerationError):
