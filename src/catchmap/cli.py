@@ -131,9 +131,9 @@ def cmd_run(
         cfg.mode = mode
     if sp is not None:
         cfg.sp = sp
-    report, g = run_scenario(cfg)
-    written = write_report_files(report, g, out)
-    return report, written
+    scenario = run_scenario(cfg)
+    written = write_report_files(scenario.report, scenario.graph, out)
+    return scenario.report, written
 
 
 @_collector_paused()
@@ -166,8 +166,8 @@ def cmd_plan(
         cfg.plan_budget = budget
     if cfg.plan_budget is None:
         raise InputError("no budget: pass --budget or a 'plan budget' directive")
-    report, g = run_scenario(cfg)
-    plan = report.plan
+    scenario = run_scenario(cfg)
+    g, plan, post = scenario.graph, scenario.plan, scenario.posterior
     assert plan is not None
 
     out_dir = Path(out)
@@ -180,7 +180,7 @@ def cmd_plan(
         "baseline_value": plan.baseline_value,
         "notes": list(plan.notes),
     }
-    routes, probs, candidates = report.plan_inputs
+    routes, probs, candidates = post.routes, post.probs, scenario.candidates
     if baselines > 0:
         values = random_plan_values(
             g, routes, probs, candidates, cfg.plan_budget,

@@ -45,8 +45,6 @@ def mixed_distribution(
     that ``g.chooser_form`` fixes, gets all its mass on that ingress, and an
     unreachable node none; ``routes`` must agree with every fixed ingress.
     Every other node mixes its parents' entries by ``g.tie_weights``."""
-    if node == g.root:
-        return {}
     assigned = routes.get(node)
     if assigned is not None:
         return {assigned: 1.0}

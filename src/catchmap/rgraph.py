@@ -55,12 +55,13 @@ class RGraph:
     1e-9). ``tie_weights`` gives any node's weights, and every
     probabilistic pass reads them there.
 
-    The constructor checks every graph: the root has no parents, each
-    ingress name is valid, each root-attached node is labeled and each
+    The constructor checks every graph: the root is a node without parents,
+    the nodes are ascending, each parent is a node listed once per child,
+    each ingress name is valid, each root-attached node is labeled and each
     override is valid; it copies the labels and the overrides. It trusts
-    the form of ``parents`` and finds a cycle only when ``order`` is first
-    read. ``from_parent_map`` and ``from_edges`` normalise outside input
-    and read ``order`` before they return; the builder and the
+    that each parent tuple is sorted and finds a cycle only when ``order``
+    is first read. ``from_parent_map`` and ``from_edges`` normalise outside
+    input and read ``order`` before they return; the builder and the
     shortest-path transform make only acyclic graphs.
     """
 
@@ -71,6 +72,10 @@ class RGraph:
     tie_probs: Mapping[int, Mapping[int, float]]
 
     def __post_init__(self) -> None:
+        if self.root not in self.parents:
+            raise InputError(f"root {self.root} is not a node")
+        if list(self.nodes) != sorted(self.nodes):
+            raise InputError("the parents map must list the nodes in ascending order")
         if self.parents[self.root]:
             raise CycleError(f"root {self.root} cannot have parents")
         for name in dict.fromkeys(self.ingress_map.values()):
@@ -155,11 +160,21 @@ class RGraph:
     @functools.cached_property
     def children(self) -> dict[int, tuple[int, ...]]:
         """Each node's children, sorted: the parents read in ascending node
-        order append each child list in order."""
+        order append each child list in order. Raises InputError for a parent
+        that is not a node or one listed twice, which would end its child
+        list with the same child already."""
         children: dict[int, list[int]] = {node: [] for node in self.parents}
-        for child, ps in self.parents.items():
-            for p in ps:
-                children[p].append(child)
+        try:
+            for child, ps in self.parents.items():
+                for p in ps:
+                    kids = children[p]
+                    if kids and kids[-1] == child:
+                        raise InputError(f"node {child} lists parent {p} twice")
+                    kids.append(child)
+        except KeyError as exc:
+            raise InputError(
+                f"node {child} has parent {exc.args[0]}, which is not a node"
+            ) from None
         return {n: tuple(c) for n, c in children.items()}
 
     @functools.cached_property

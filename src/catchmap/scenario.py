@@ -9,12 +9,13 @@ bounds and expected loads, and is byte-for-byte reproducible.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
 import random
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -259,14 +260,6 @@ def build_augmented(cfg: ScenarioConfig) -> AugmentedTopology:
     return aug
 
 
-def _load_oracles(cfg: ScenarioConfig) -> dict[int, str] | None:
-    if cfg.oracle_text is not None:
-        return parse_oracle_file(cfg.oracle_text)
-    if cfg.oracle_file is not None:
-        return parse_oracle_file(Path(cfg.oracle_file).read_text())
-    return None
-
-
 @dataclass
 class ScenarioReport:
     """Outcome of one scenario run; JSON- and CSV-exportable."""
@@ -288,9 +281,6 @@ class ScenarioReport:
     rgraph_nodes: int
     rgraph_edges: int
     seed: int
-    # (routes, probs, candidates) the plan was made from, for scoring other
-    # plans on the same inputs; not exported
-    plan_inputs: tuple | None = field(default=None, repr=False)
 
     def to_json(self) -> str:
         """The report as ``json.dumps(doc, sort_keys=True, indent=2)`` lays it
@@ -424,147 +414,163 @@ def _json_rows(rows: list[str], depth: int) -> str:
     return "{" + pad + ("," + pad).join(rows) + "\n" + "  " * depth + "}"
 
 
-def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, RGraph]:
-    """Execute the full pipeline for one scenario.
-
-    Returns the report plus the forwarding graph it was computed on (after
-    any shortest-path pruning), so callers can chain further analyses.
-    """
-    _check_methods(cfg)
-    return _run_augmented(cfg, build_augmented(cfg))
+def run_scenario(cfg: ScenarioConfig) -> "Scenario":
+    """Execute the full pipeline for one scenario and return its ``Scenario``."""
+    scenario = Scenario(cfg)
+    scenario.report  # runs every stage the report reads
+    return scenario
 
 
-def _check_methods(cfg: ScenarioConfig) -> None:
-    """Raise InputError for a mode or posterior method no stage knows."""
-    if cfg.mode not in _MODES:
-        raise InputError(f"unknown mode {cfg.mode!r}")
-    if cfg.posterior is not None and cfg.posterior not in _POSTERIORS:
-        raise InputError(f"unknown posterior method {cfg.posterior!r}")
+@dataclass(frozen=True)
+class Posterior:
+    """What the report and the plan read once the observations are applied:
+    routes, distributions, each report node's status and the stages that ran."""
 
-
-def _run_augmented(
-    cfg: ScenarioConfig, aug: AugmentedTopology
-) -> tuple[ScenarioReport, RGraph]:
-    """``run_scenario`` from the augmented topology on."""
-    stages = ["attach-destination"]
-    g = build_rgraph(aug)
-    stages.append("forwarding-graph")
-    if cfg.sp:
-        g = shortest_path_transform(g)
-        stages.append("shortest-path-pruning")
-
-    routes = certain_inference(g)
-    stages.append("certain-inference")
-
-    oracles = _load_oracles(cfg)
-    want_probs = (
-        cfg.mode == "probabilistic" or bool(oracles) or cfg.plan_budget is not None
-    )
+    routes: RoutingFunction
     probs: RouteProbabilities | None = None
-    prob_status: dict[int, str] | None = None
+    status: dict[int, str] | None = None
     set_route_calls: int | None = None
+    stages: tuple[str, ...] = ()
 
-    if want_probs:
-        probs = probabilistic_inference(g, routes)
-        stages.append("probabilistic-inference")
 
-    if oracles:
+class Scenario:
+    """One scenario run: stages over one forwarding graph, each computed on first
+    read and then kept. ``aug`` is built from the config unless given. An
+    unknown mode or posterior method fails here, before anything is built."""
+
+    def __init__(self, cfg: ScenarioConfig, aug: AugmentedTopology | None = None) -> None:
+        if cfg.mode not in _MODES:
+            raise InputError(f"unknown mode {cfg.mode!r}")
+        if cfg.posterior is not None and cfg.posterior not in _POSTERIORS:
+            raise InputError(f"unknown posterior method {cfg.posterior!r}")
+        self.cfg = cfg
+        self.aug = build_augmented(cfg) if aug is None else aug
+
+    @functools.cached_property
+    def graph(self) -> RGraph:
+        g = build_rgraph(self.aug)
+        return shortest_path_transform(g) if self.cfg.sp else g
+
+    @functools.cached_property
+    def certain(self) -> RoutingFunction:
+        return certain_inference(self.graph)
+
+    @functools.cached_property
+    def forward(self) -> RouteProbabilities:
+        return probabilistic_inference(self.graph, self.certain)
+
+    @functools.cached_property
+    def posterior(self) -> Posterior:
+        """Apply the observations and, in ``mode probabilistic``, condition on
+        them. Distributions are read only in that mode or for observations or a plan."""
+        cfg, g, routes = self.cfg, self.graph, self.certain
+        text = cfg.oracle_text
+        if text is None and cfg.oracle_file is not None:
+            text = Path(cfg.oracle_file).read_text()
+        oracles = parse_oracle_file(text) if text is not None else None
+        if not (cfg.mode == "probabilistic" or oracles or cfg.plan_budget is not None):
+            return Posterior(routes)
+        probs, stages = self.forward, ("probabilistic-inference",)
+        if not oracles:
+            return Posterior(routes, probs, dict.fromkeys(g.report_nodes, "exact"), stages=stages)
         applied = apply_oracles(g, routes, probs, oracles)
-        set_route_calls = applied.set_route_calls
-        stages.append("observation-propagation")
-        if cfg.mode == "probabilistic":
-            method = cfg.posterior
-            if method is None:
-                method = "exact" if exact_limit(g) is None else "monte-carlo"
-            if method == "exact":
-                probs = exact_conditional_distribution(g, oracles)
-                stages.append("posterior-exact")
-                status = "posterior-exact"
-            else:
-                estimate = monte_carlo_inference(
-                    g, cfg.posterior_trials, cfg.seed, oracles, prior=(routes, probs)
-                )
-                probs = estimate.probs
-                logger.debug(
-                    "monte carlo posterior: %d trials, %d accepted, "
-                    "%d of %d nodes in the observations' ancestor closure, "
-                    "%d choosers sampled, %d nodes mixed exactly",
-                    estimate.trials, estimate.accepted, estimate.ancestors,
-                    len(g.nodes), estimate.draws_per_trial,
-                    len(g.nodes) - estimate.ancestors,
-                )
-                stages.append("posterior-sampling")
-                status = "posterior-sampled"
-            routes = applied.routes
-            prob_status = dict.fromkeys(g.report_nodes, status)
-        else:
+        stages += ("observation-propagation",)
+        if cfg.mode == "certain":
             # a node still uncertain keeps its distribution from before the
             # observations, which does not condition on them
-            routes, probs = applied
-            prob_status = {
-                n: "exact" if routes[n] is not None else "pre-observation"
+            status = {
+                n: "exact" if applied.routes[n] is not None else "pre-observation"
                 for n in g.report_nodes
             }
-    elif probs is not None:
-        prob_status = dict.fromkeys(g.report_nodes, "exact")
+            return Posterior(applied.routes, applied.probs, status, applied.set_route_calls, stages)
+        if cfg.posterior == "exact" or (cfg.posterior is None and exact_limit(g) is None):
+            probs = exact_conditional_distribution(g, oracles)
+            stage = status = "posterior-exact"
+        else:
+            estimate = monte_carlo_inference(
+                g, cfg.posterior_trials, cfg.seed, oracles, prior=(routes, probs)
+            )
+            probs = estimate.probs
+            logger.debug(
+                "monte carlo posterior: %d trials, %d accepted, "
+                "%d of %d nodes in the observations' ancestor closure, "
+                "%d choosers sampled, %d nodes mixed exactly",
+                estimate.trials, estimate.accepted, estimate.ancestors,
+                len(g.nodes), estimate.draws_per_trial,
+                len(g.nodes) - estimate.ancestors,
+            )
+            stage, status = "posterior-sampling", "posterior-sampled"
+        status = dict.fromkeys(g.report_nodes, status)
+        return Posterior(applied.routes, probs, status, applied.set_route_calls, (*stages, stage))
 
-    universe = g.report_nodes
-    routes_view = {n: routes[n] for n in universe}
-    probs_view = {n: probs.get(n, {}) for n in universe} if probs is not None else None
+    @functools.cached_property
+    def candidates(self) -> tuple[int, ...]:
+        """The configured candidates, else each report node left uncertain with a distribution."""
+        if self.cfg.plan_candidates is not None:
+            return self.cfg.plan_candidates
+        routes, probs = self.posterior.routes, self.posterior.probs or {}
+        return tuple(
+            n for n in self.graph.report_nodes if routes.get(n) is None and probs.get(n)
+        )
 
-    bounds = catchment_bounds(routes_view, g.ingress_points)
-    certain_counts = {m: lower for m, (lower, _) in bounds.items()}
-    uncertain = len(universe) - sum(certain_counts.values())
+    @functools.cached_property
+    def plan(self) -> MeasurementPlan | None:
+        if self.cfg.plan_budget is None:
+            return None
+        post = self.posterior
+        # with no observation applied, probs is the forward pass of routes
+        return greedy_plan(
+            self.graph, post.routes, post.probs, self.candidates, self.cfg.plan_budget,
+            forward=post.probs if post.set_route_calls is None else None,
+        )
 
-    loads = None
-    deficit: dict[int, float] = {}
-    if probs_view is not None:
-        # an ingress point no node can reach still gets its (zero) load
-        loads = dict.fromkeys(g.ingress_points, 0.0)
-        loads.update(expected_load(probs_view, {n: 1.0 for n in universe}))
-        for n in universe:
-            mass = sum(probs_view[n].values())
+    @functools.cached_property
+    def report(self) -> ScenarioReport:
+        cfg, g, post = self.cfg, self.graph, self.posterior
+        figures = _catchments(g, post.routes, post.probs)
+        deficit: dict[int, float] = {}
+        for n, dist in (figures["probs"] or {}).items():
+            mass = sum(dist.values())
             if mass < 1.0 - 1e-9:
                 deficit[n] = mass
-
-    plan: MeasurementPlan | None = None
-    plan_inputs = None
-    if cfg.plan_budget is not None:
-        if cfg.plan_candidates is not None:
-            candidates: tuple[int, ...] = cfg.plan_candidates
-        else:
-            candidates = tuple(
-                n for n in universe if routes.get(n) is None and probs.get(n)
-            )
-        # with no observation applied, probs is the forward pass of routes
-        plan = greedy_plan(
-            g, routes, probs, candidates, cfg.plan_budget,
-            forward=None if oracles else probs,
+        pruning = ("shortest-path-pruning",) if cfg.sp else ()
+        planning = ("measurement-planning",) if self.plan is not None else ()
+        return ScenarioReport(
+            config=cfg.echo(),
+            stages=(
+                "attach-destination", "forwarding-graph", *pruning,
+                "certain-inference", *post.stages, *planning,
+            ),
+            ingress_points=g.ingress_points,
+            nodes=g.report_nodes,
+            prob_status=post.status,
+            probability_mass_deficit=deficit,
+            set_route_calls=post.set_route_calls,
+            plan=self.plan,
+            rgraph_nodes=len(g.nodes),
+            rgraph_edges=g.num_edges,
+            seed=cfg.seed,
+            **figures,
         )
-        plan_inputs = (routes, probs, candidates)
-        stages.append("measurement-planning")
 
-    report = ScenarioReport(
-        config=cfg.echo(),
-        stages=tuple(stages),
-        ingress_points=g.ingress_points,
-        nodes=universe,
-        routes=routes_view,
-        probs=probs_view,
-        prob_status=prob_status,
-        certain_counts=certain_counts,
-        uncertain_count=uncertain,
-        bounds=bounds,
-        expected_loads=loads,
-        probability_mass_deficit=deficit,
-        set_route_calls=set_route_calls,
-        plan=plan,
-        rgraph_nodes=len(g.nodes),
-        rgraph_edges=g.num_edges,
-        seed=cfg.seed,
-        plan_inputs=plan_inputs,
-    )
-    return report, g
+
+def _catchments(g: RGraph, routes: RoutingFunction, probs: RouteProbabilities | None) -> dict:
+    """The ``ScenarioReport`` fields that the routes and the distributions
+    (None: there are none) decide over the report universe."""
+    universe = g.report_nodes
+    view = {n: routes[n] for n in universe}
+    bounds = catchment_bounds(view, g.ingress_points)
+    certain_counts = {m: lower for m, (lower, _) in bounds.items()}
+    dists = loads = None
+    if probs is not None:
+        dists = {n: probs.get(n, {}) for n in universe}
+        # an ingress point no node can reach still gets its (zero) load
+        loads = dict.fromkeys(g.ingress_points, 0.0)
+        loads.update(expected_load(dists, {n: 1.0 for n in universe}))
+    return {
+        "routes": view, "probs": dists, "bounds": bounds, "certain_counts": certain_counts,
+        "uncertain_count": len(universe) - sum(certain_counts.values()), "expected_loads": loads,
+    }
 
 
 def write_report_files(
@@ -602,28 +608,29 @@ def prepending_sweep(
     Entry k holds what ``run_scenario`` reports once ``prepend <ingress> <k>``
     is added to the config, with its observations and plan left out. The
     augmented topology is built once; each k pads it with
-    ``apply_prepending`` and runs the rest of the pipeline. Without
-    shortest-path preference the chain cannot change any original node's
-    options, so all entries match k=0 there (lengths do not matter to
-    eligibility).
+    ``apply_prepending`` and reads that scenario's certain routes and, in
+    ``mode probabilistic``, its forward pass, so no observation is loaded.
+    Without shortest-path preference the chain cannot change any original
+    node's options, so all entries match k=0 there (lengths do not matter
+    to eligibility).
     """
-    _check_methods(cfg)
     if k_max < 0:
         raise InputError(f"k_max must be >= 0, got {k_max}")
-    aug = build_augmented(cfg)
-    plain = replace(cfg, oracle_file=None, oracle_text=None, plan_budget=None)
+    aug = Scenario(cfg).aug
     entries = []
     for k in range(k_max + 1):
-        report, _ = _run_augmented(plain, apply_prepending(aug, ingress, k))
+        s = Scenario(cfg, apply_prepending(aug, ingress, k))
+        probs = s.forward if cfg.mode == "probabilistic" else None
+        figures = _catchments(s.graph, s.certain, probs)
         entry: dict = {
             "k": k,
-            "certain_counts": report.certain_counts,
-            "uncertain": report.uncertain_count,
-            "bounds": {m: list(b) for m, b in report.bounds.items()},
+            "certain_counts": figures["certain_counts"],
+            "uncertain": figures["uncertain_count"],
+            "bounds": {m: list(b) for m, b in figures["bounds"].items()},
         }
-        if report.expected_loads is not None:
-            entry["expected_sizes"] = report.expected_loads
-        entry["routes"] = {str(n): r for n, r in report.routes.items()}
+        if figures["expected_loads"] is not None:
+            entry["expected_sizes"] = figures["expected_loads"]
+        entry["routes"] = {str(n): r for n, r in figures["routes"].items()}
         entries.append(entry)
     return entries
 
@@ -664,8 +671,7 @@ def compare_with_simulation(
     if runs < 1:
         raise InputError(f"need at least one run, got {runs}")
     universe = g.report_nodes
-    routes_view = {n: routes[n] for n in universe}
-    bounds = catchment_bounds(routes_view, g.ingress_points)
+    bounds = _catchments(g, routes, None)["bounds"]
     predicted = {
         m: sum(probs.get(n, {}).get(m, 0.0) for n in universe)
         for m in g.ingress_points

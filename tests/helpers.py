@@ -14,7 +14,8 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from catchmap import (
@@ -22,6 +23,7 @@ from catchmap import (
     DestinationSpec,
     Relationship,
     Topology,
+    apply_prepending,
     attach_destination,
     derive_vf_policies,
     generate_random_topology,
@@ -47,14 +49,24 @@ from catchmap.inference import (
     RouteProbabilities,
     RoutingFunction,
     _cone_order,
+    catchment_bounds,
     certain_inference,
+    expected_load,
     probabilistic_inference,
     shortest_path_transform,
 )
-from catchmap.oracles import _check_observed, apply_oracles
-from catchmap.planner import MeasurementPlan, _prepare_candidates
-from catchmap.rgraph import RGraph, exact_limit, topological_order
-from catchmap.scenario import ScenarioReport
+from catchmap.oracles import (
+    _check_observed,
+    apply_oracles,
+    exact_conditional_distribution,
+    monte_carlo_inference,
+    parse_oracle_file,
+)
+from catchmap.planner import MeasurementPlan, _prepare_candidates, greedy_plan
+from catchmap.rgraph import RGraph, build_rgraph, exact_limit, topological_order
+from catchmap.scenario import (
+    _MODES, _POSTERIORS, ScenarioConfig, ScenarioReport, build_augmented,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -856,3 +868,185 @@ def assert_same_graph(got: RGraph, want: RGraph) -> None:
         want.root, want.ingress_map, want.nodes, want.report_nodes, want.order
     )
     assert got.tie_probs == want.tie_probs
+
+
+# The scenario pipeline as it was written before it became ``Scenario``, a
+# chain of stages computed once: one function from the augmented topology to
+# the report, a sweep that ran it on a config with its observations and plan
+# removed, and their helpers. Kept verbatim, as the oracles for
+# ``run_scenario`` and ``prepending_sweep``, but for their names, for the plan
+# inputs, which the function returns instead of storing them on the report,
+# and for reading the applied observations' routes and distributions by
+# name, since ``OracleApplication`` no longer unpacks.
+def reference_load_oracles(cfg: ScenarioConfig) -> dict[int, str] | None:
+    if cfg.oracle_text is not None:
+        return parse_oracle_file(cfg.oracle_text)
+    if cfg.oracle_file is not None:
+        return parse_oracle_file(Path(cfg.oracle_file).read_text())
+    return None
+
+
+def reference_check_methods(cfg: ScenarioConfig) -> None:
+    """Raise InputError for a mode or posterior method no stage knows."""
+    if cfg.mode not in _MODES:
+        raise InputError(f"unknown mode {cfg.mode!r}")
+    if cfg.posterior is not None and cfg.posterior not in _POSTERIORS:
+        raise InputError(f"unknown posterior method {cfg.posterior!r}")
+
+
+def reference_run_scenario(
+    cfg: ScenarioConfig, aug: AugmentedTopology
+) -> tuple[ScenarioReport, RGraph, tuple | None]:
+    """``run_scenario`` from the augmented topology on."""
+    stages = ["attach-destination"]
+    g = build_rgraph(aug)
+    stages.append("forwarding-graph")
+    if cfg.sp:
+        g = shortest_path_transform(g)
+        stages.append("shortest-path-pruning")
+
+    routes = certain_inference(g)
+    stages.append("certain-inference")
+
+    oracles = reference_load_oracles(cfg)
+    want_probs = (
+        cfg.mode == "probabilistic" or bool(oracles) or cfg.plan_budget is not None
+    )
+    probs: RouteProbabilities | None = None
+    prob_status: dict[int, str] | None = None
+    set_route_calls: int | None = None
+
+    if want_probs:
+        probs = probabilistic_inference(g, routes)
+        stages.append("probabilistic-inference")
+
+    if oracles:
+        applied = apply_oracles(g, routes, probs, oracles)
+        set_route_calls = applied.set_route_calls
+        stages.append("observation-propagation")
+        if cfg.mode == "probabilistic":
+            method = cfg.posterior
+            if method is None:
+                method = "exact" if exact_limit(g) is None else "monte-carlo"
+            if method == "exact":
+                probs = exact_conditional_distribution(g, oracles)
+                stages.append("posterior-exact")
+                status = "posterior-exact"
+            else:
+                estimate = monte_carlo_inference(
+                    g, cfg.posterior_trials, cfg.seed, oracles, prior=(routes, probs)
+                )
+                probs = estimate.probs
+                logger.debug(
+                    "monte carlo posterior: %d trials, %d accepted, "
+                    "%d of %d nodes in the observations' ancestor closure, "
+                    "%d choosers sampled, %d nodes mixed exactly",
+                    estimate.trials, estimate.accepted, estimate.ancestors,
+                    len(g.nodes), estimate.draws_per_trial,
+                    len(g.nodes) - estimate.ancestors,
+                )
+                stages.append("posterior-sampling")
+                status = "posterior-sampled"
+            routes = applied.routes
+            prob_status = dict.fromkeys(g.report_nodes, status)
+        else:
+            # a node still uncertain keeps its distribution from before the
+            # observations, which does not condition on them
+            routes, probs = applied.routes, applied.probs
+            prob_status = {
+                n: "exact" if routes[n] is not None else "pre-observation"
+                for n in g.report_nodes
+            }
+    elif probs is not None:
+        prob_status = dict.fromkeys(g.report_nodes, "exact")
+
+    universe = g.report_nodes
+    routes_view = {n: routes[n] for n in universe}
+    probs_view = {n: probs.get(n, {}) for n in universe} if probs is not None else None
+
+    bounds = catchment_bounds(routes_view, g.ingress_points)
+    certain_counts = {m: lower for m, (lower, _) in bounds.items()}
+    uncertain = len(universe) - sum(certain_counts.values())
+
+    loads = None
+    deficit: dict[int, float] = {}
+    if probs_view is not None:
+        # an ingress point no node can reach still gets its (zero) load
+        loads = dict.fromkeys(g.ingress_points, 0.0)
+        loads.update(expected_load(probs_view, {n: 1.0 for n in universe}))
+        for n in universe:
+            mass = sum(probs_view[n].values())
+            if mass < 1.0 - 1e-9:
+                deficit[n] = mass
+
+    plan: MeasurementPlan | None = None
+    plan_inputs = None
+    if cfg.plan_budget is not None:
+        if cfg.plan_candidates is not None:
+            candidates: tuple[int, ...] = cfg.plan_candidates
+        else:
+            candidates = tuple(
+                n for n in universe if routes.get(n) is None and probs.get(n)
+            )
+        # with no observation applied, probs is the forward pass of routes
+        plan = greedy_plan(
+            g, routes, probs, candidates, cfg.plan_budget,
+            forward=None if oracles else probs,
+        )
+        plan_inputs = (routes, probs, candidates)
+        stages.append("measurement-planning")
+
+    report = ScenarioReport(
+        config=cfg.echo(),
+        stages=tuple(stages),
+        ingress_points=g.ingress_points,
+        nodes=universe,
+        routes=routes_view,
+        probs=probs_view,
+        prob_status=prob_status,
+        certain_counts=certain_counts,
+        uncertain_count=uncertain,
+        bounds=bounds,
+        expected_loads=loads,
+        probability_mass_deficit=deficit,
+        set_route_calls=set_route_calls,
+        plan=plan,
+        rgraph_nodes=len(g.nodes),
+        rgraph_edges=g.num_edges,
+        seed=cfg.seed,
+    )
+    return report, g, plan_inputs
+
+
+def reference_prepending_sweep(
+    cfg: ScenarioConfig, ingress: str, k_max: int
+) -> list[dict]:
+    """Certain catchments for every prepend length 0..k_max at one ingress.
+
+    Entry k holds what ``run_scenario`` reports once ``prepend <ingress> <k>``
+    is added to the config, with its observations and plan left out. The
+    augmented topology is built once; each k pads it with
+    ``apply_prepending`` and runs the rest of the pipeline. Without
+    shortest-path preference the chain cannot change any original node's
+    options, so all entries match k=0 there (lengths do not matter to
+    eligibility).
+    """
+    reference_check_methods(cfg)
+    if k_max < 0:
+        raise InputError(f"k_max must be >= 0, got {k_max}")
+    aug = build_augmented(cfg)
+    plain = replace(cfg, oracle_file=None, oracle_text=None, plan_budget=None)
+    entries = []
+    for k in range(k_max + 1):
+        report, _, _ = reference_run_scenario(plain, apply_prepending(aug, ingress, k))
+        entry: dict = {
+            "k": k,
+            "certain_counts": report.certain_counts,
+            "uncertain": report.uncertain_count,
+            "bounds": {m: list(b) for m, b in report.bounds.items()},
+        }
+        if report.expected_loads is not None:
+            entry["expected_sizes"] = report.expected_loads
+        entry["routes"] = {str(n): r for n, r in report.routes.items()}
+        entries.append(entry)
+    return entries

@@ -167,7 +167,7 @@ class TestRun:
         assert report["stages"][-1] == "posterior-sampling"
         assert set(report["prob_status"].values()) == {"posterior-sampled"}
         # the node count alone would have allowed exact conditioning
-        _, g = run_scenario(parse_scenario_file(DENSE, base_dir=tmp_path))
+        g = run_scenario(parse_scenario_file(DENSE, base_dir=tmp_path)).graph
         assert len(g.nodes) == MAX_EXACT_NODES
         with pytest.raises(CapacityError, match="tie-break combinations"):
             exact_conditional_distribution(g, {1: "m0"})

@@ -15,9 +15,12 @@ from catchmap import (
     DestinationSpec,
     RGraph,
     apply_oracles,
+    attach_destination,
     build_rgraph,
     certain_inference,
+    derive_vf_policies,
     expected_nc,
+    generate_random_topology,
     monte_carlo_inference,
     nonsupermodularity_witness,
     parse_oracle_file,
@@ -249,7 +252,7 @@ def test_observations_apply_one_at_a_time_in_node_order(idx, count, seed):
     pins = []
     for node in sorted(obs):
         step = apply_oracles(g, routes, probs, {node: obs[node]})
-        routes, probs = step
+        routes, probs = step.routes, step.probs
         pins.extend(step.pins.items())
     assert list(together.routes.items()) == list(routes.items())
     assert list(together.probs.items()) == list(probs.items())
@@ -265,14 +268,65 @@ def test_observations_apply_one_at_a_time_in_node_order(idx, count, seed):
 def test_propagation_call_budget(idx, count, seed):
     g, routes, probs, obs = _simulation_backed_observations(idx, count, seed)
     applied = apply_oracles(g, routes, probs, obs)
-    # each pin is one step: the node was open and its prior allowed the ingress
-    for node, m in applied.pins.items():
+    # each pin is one step: the node was open
+    for node in applied.pins:
         assert routes[node] is None, node
-        assert probs[node].get(m, 0.0) > 0.0, node
     # every node that was certain keeps its ingress
     for node, m in applied.routes.items():
         if routes[node] is not None:
             assert m == routes[node]
+
+
+def _three_ingress_observations(idx: int, count: int, seed: int):
+    """A graph with three ingresses whose tie weights include zeros, an
+    outcome drawn with those weights, and observations read off it. With two
+    ingresses and positive weights, every open node that has a route could
+    take either ingress, so no pin could leave its prior's support."""
+    rng = random.Random(f"three-ingress/{idx}/{seed}")
+    topo = derive_vf_policies(generate_random_topology(6 + idx % 8, avg_degree=2.6, seed=idx))
+    picks = rng.sample(sorted(topo.nodes()), 3)
+    g = build_rgraph(attach_destination(
+        topo, DestinationSpec(attachments=dict(zip(picks, ("m1", "m2", "m3"))))
+    ))
+    if idx % 2:
+        g = shortest_path_transform(g)
+    ties = {}
+    for node, parents in g.parents.items():
+        if len(parents) > 1:
+            raw = [rng.choice((0.0, rng.uniform(0.1, 1.0))) for _ in parents]
+            raw[rng.randrange(len(raw))] += 0.5  # at least one parent is taken
+            ties[node] = {p: r / sum(raw) for p, r in zip(parents, raw)}
+    g = g.with_tie_probs(ties)
+    outcome: dict[int, str | None] = {}
+    for node in g.order:
+        parents = g.parents[node]
+        if not parents:
+            outcome[node] = None
+        elif g.root in parents:
+            outcome[node] = g.ingress_map[node]
+        else:
+            outcome[node] = outcome[rng.choices(parents, g.tie_weights(node))[0]]
+    routed = [n for n in g.report_nodes if outcome[n] is not None]
+    observed = rng.sample(routed, min(count, len(routed)))
+    return g, outcome, {n: outcome[n] for n in observed}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    idx=st.integers(min_value=0, max_value=39),
+    count=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=200),
+)
+def test_pins_stay_in_the_prior_support(idx, count, seed):
+    """Each pin is an ingress the node's prior allows, and the ingress the
+    node has in the outcome the observations were read off."""
+    g, outcome, obs = _three_ingress_observations(idx, count, seed)
+    routes = certain_inference(g)
+    probs = probabilistic_inference(g, routes)
+    applied = apply_oracles(g, routes, probs, obs)
+    for node, m in applied.pins.items():
+        assert probs[node].get(m, 0.0) > 0.0, node
+        assert outcome[node] == m, node
 
 
 class TestExactConditioning:

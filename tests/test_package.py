@@ -31,12 +31,18 @@ def test_star_import_leaves_pathlib_path_alone():
     assert catchmap.Path == tuple[int, ...]
 
 
-def test_every_traced_binding_resolves_to_a_callable(monkeypatch):
+def load_spans(monkeypatch):
+    """The benchmark's span table and tracer, ``perfbench/spans.py``."""
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_FILE)
     spans = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while being defined
     monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_binding_resolves_to_a_callable(monkeypatch):
+    spans = load_spans(monkeypatch)
     missing = []
     for name, sites in spans.SPANS.items():
         for site in sites:
@@ -46,6 +52,40 @@ def test_every_traced_binding_resolves_to_a_callable(monkeypatch):
             if not callable(owner):
                 missing.append((name, site))
     assert not missing, f"bindings that no longer resolve: {missing}"
+
+
+def test_a_traced_run_records_each_stage_under_its_span(monkeypatch, tmp_path):
+    """Every stage makes its call through the binding the tracer wraps: one
+    that bypassed it would read as a missing span here, and as an empty
+    per-layer metric in a traced benchmark run."""
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    for name, sites in spans.SPANS.items():
+        for site in sites:
+            path, _, attr = site.rpartition(".")
+            owner = catchmap
+            for part in path.split("."):
+                owner = getattr(owner, part)
+            # restored when the test ends
+            monkeypatch.setattr(owner, attr, tracer.wrap(name, getattr(owner, attr)))
+    (tmp_path / "obs.csv").write_text("7,m2\n")
+    (tmp_path / "scenario.txt").write_text(
+        "topology generate n=40 avg_degree=3.0 seed=3\nattach 1 m1\nattach 2 m2\n"
+        "attach 3 m3\nmode probabilistic\noracles obs.csv\nposterior monte-carlo 200\n"
+        "plan budget 1\n"
+    )
+    report, _ = catchmap.cli.cmd_run(tmp_path / "scenario.txt", tmp_path / "out")
+    assert report.plan.selected == (4,)
+    # the forward pass is made twice: once by the scenario, and once by the
+    # plan after the observation; the scenario applies the observation once
+    # and the plan once for each of the 39 branches it evaluates
+    assert Counter(span.name for span in tracer.spans) == {
+        "topology.generate": 1, "topology.policies": 1, "topology.attach": 1,
+        "rgraph.build": 1, "rgraph.topo_order": 3, "inference.certain": 1,
+        "inference.probabilistic": 2, "oracles.apply": 40, "oracles.mc": 1,
+        "planner.greedy": 1, "scenario.run_self": 1, "scenario.to_json": 1,
+        "scenario.write": 1, "rgraph.edgelist": 1, "rgraph.dot": 1,
+    }
 
 
 def unused_imports(source: str) -> list[str]:

@@ -573,6 +573,28 @@ class TestOneConstructor:
         with pytest.raises(CycleError, match="^root 0 cannot have parents$"):
             self._raw(parents={**self.PARENTS, 0: (3,)})
 
+    def test_a_parent_that_is_not_a_node_is_named(self):
+        with pytest.raises(InputError, match="^node 3 has parent 7, which is not a node$"):
+            self._raw(parents={**self.PARENTS, 3: (1, 7)})
+
+    def test_a_root_that_is_not_a_node_is_named(self):
+        with pytest.raises(InputError, match="^root 9 is not a node$"):
+            self._raw(root=9)
+
+    def test_nodes_out_of_order_are_named(self):
+        # accepted, this map would give g.nodes == (0, 1, 3, 2)
+        unordered = {0: (), 1: (0,), 3: (1, 2), 2: (0,)}
+        message = "^the parents map must list the nodes in ascending order$"
+        with pytest.raises(InputError, match=message):
+            self._raw(parents=unordered)
+
+    @pytest.mark.parametrize("parents", [(1, 1), (1, 2, 1)], ids=["next", "apart"])
+    def test_a_repeated_parent_is_named(self, parents):
+        # accepted, node 1's child list would be (3, 3) and the edge list
+        # would hold "1 3" twice
+        with pytest.raises(InputError, match="^node 3 lists parent 1 twice$"):
+            self._raw(parents={**self.PARENTS, 3: parents})
+
     @pytest.mark.parametrize("ties, message", [
         ({3: {1: 1.0}}, "must cover exactly its parents [1, 2], got [1]"),
         ({3: {1: 1.5, 2: -0.5}}, "negative tie probability at node 3"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -35,10 +36,11 @@ from catchmap import rgraph as rgraph_module
 from catchmap import scenario as scenario_module
 from catchmap.planner import MeasurementPlan
 from catchmap.rgraph import MAX_EXACT_NODES
-from catchmap.scenario import ScenarioReport, build_augmented
+from catchmap.scenario import Scenario, ScenarioReport, build_augmented
 from catchmap.errors import (
     CapacityError,
     DestinationSpecError,
+    InfeasibleOracleError,
     InputError,
     TopologyParseError,
     UnknownNodeError,
@@ -189,7 +191,8 @@ class TestScenarioParsing:
         written = []
         for extra in ("", "attach 5 m3 p2c\nattach 7 m3\nremove_ingress m3\n"):
             cfg = parse_scenario_file(head + extra + tail, base_dir=tmp_path)
-            report, g = run_scenario(cfg)
+            scenario = run_scenario(cfg)
+            report, g = scenario.report, scenario.graph
             assert report.ingress_points == ("m1", "m2")
             out = tmp_path / f"out{len(written)}"
             written.append({p.name: p.read_bytes() for p in write_report_files(report, g, out)})
@@ -226,7 +229,7 @@ class TestScenarioParsing:
                 "mode probabilistic\n",
                 base_dir=tmp_path,
             )
-            reports.append(run_scenario(cfg)[0])
+            reports.append(run_scenario(cfg).report)
         caida, canonical = reports
         assert caida.routes == canonical.routes == helpers.EXPECTED_ROUTES
         assert caida.probs == canonical.probs
@@ -234,7 +237,7 @@ class TestScenarioParsing:
 
 class TestRunScenario:
     def test_certain_row_reproduces_routing_table(self):
-        report, _ = run_scenario(example_config())
+        report = run_scenario(example_config()).report
         assert report.routes == helpers.EXPECTED_ROUTES
         assert report.certain_counts == {"m1": 3, "m2": 2}
         assert report.uncertain_count == 3
@@ -245,7 +248,7 @@ class TestRunScenario:
         assert "probabilistic-inference" not in report.stages
 
     def test_probabilistic_row_adds_probabilities_and_loads(self):
-        report, _ = run_scenario(example_config(mode="probabilistic"))
+        report = run_scenario(example_config(mode="probabilistic")).report
         assert report.probs is not None
         for node, expected in helpers.EXPECTED_PROBS.items():
             for m, p in expected.items():
@@ -258,7 +261,7 @@ class TestRunScenario:
         )
 
     def test_observation_row_reproduces_propagation(self):
-        report, _ = run_scenario(example_config(oracle_text="4,m1\n"))
+        report = run_scenario(example_config(oracle_text="4,m1\n")).report
         assert report.routes[4] == "m1"
         assert report.routes[6] == "m1"
         assert report.routes[8] is None
@@ -266,9 +269,9 @@ class TestRunScenario:
         assert "observation-propagation" in report.stages
 
     def test_posterior_row_collapses_correlations(self):
-        report, _ = run_scenario(
+        report = run_scenario(
             example_config(mode="probabilistic", oracle_text="8,m1\n", posterior="exact")
-        )
+        ).report
         assert report.probs[4] == {"m1": 1.0}
         assert report.probs[6] == {"m1": 1.0}
         assert "posterior-exact" in report.stages
@@ -277,7 +280,8 @@ class TestRunScenario:
     def test_observation_statuses(self):
         # certain mode: the nodes the observation leaves uncertain keep the
         # forward pass from before it, and only they say so
-        report, g = run_scenario(example_config(oracle_text="8,m2\n"))
+        scenario = run_scenario(example_config(oracle_text="8,m2\n"))
+        report, g = scenario.report, scenario.graph
         forward = probabilistic_inference(g, certain_inference(g))
         open_nodes = {n for n in report.nodes if report.routes[n] is None}
         assert open_nodes == {4, 6}
@@ -290,7 +294,7 @@ class TestRunScenario:
             for n in report.nodes if n not in open_nodes
         )
 
-        report, _ = run_scenario(example_config(oracle_text="8,m1\n4,m1\n"))
+        report = run_scenario(example_config(oracle_text="8,m1\n4,m1\n")).report
         assert set(report.prob_status.values()) == {"exact"}
 
         for posterior, status in [
@@ -298,31 +302,32 @@ class TestRunScenario:
             ("monte-carlo", "posterior-sampled"),
             (None, "posterior-exact"),
         ]:
-            report, _ = run_scenario(
+            report = run_scenario(
                 example_config(
                     mode="probabilistic",
                     oracle_text="8,m2\n",
                     posterior=posterior,
                     posterior_trials=500,
                 )
-            )
+            ).report
             assert set(report.prob_status.values()) == {status}
 
     def test_sp_mode_prunes_and_repins(self):
-        report, g = run_scenario(example_config(sp=True))
+        scenario = run_scenario(example_config(sp=True))
+        report, g = scenario.report, scenario.graph
         assert "shortest-path-pruning" in report.stages
         assert report.routes[8] == "m2"
         assert (3, 7) not in set(g.edges())
 
     def test_monte_carlo_posterior(self):
-        report, _ = run_scenario(
+        report = run_scenario(
             example_config(
                 mode="probabilistic",
                 oracle_text="8,m1\n",
                 posterior="monte-carlo",
                 posterior_trials=4000,
             )
-        )
+        ).report
         assert "posterior-sampling" in report.stages
         assert report.probs[4]["m1"] == 1.0
 
@@ -334,7 +339,8 @@ class TestRunScenario:
             posterior_trials=500,
         )
         with caplog.at_level(logging.DEBUG, logger="catchmap.scenario"):
-            report, g = run_scenario(cfg)
+            scenario = run_scenario(cfg)
+            report, g = scenario.report, scenario.graph
         estimate = monte_carlo_inference(g, 500, cfg.seed, {8: "m1"})
         assert 0 < estimate.accepted < 500
         # 8 and its ancestors 1, 2, 4, 5, 6 and the root; of the choosers
@@ -358,7 +364,7 @@ class TestRunScenario:
             },
             mode="probabilistic",
         )
-        report, _ = run_scenario(cfg)
+        report = run_scenario(cfg).report
         assert report.bounds["m2"] == (0, 0)
         assert report.expected_loads == {"m1": 12.0, "m2": 0.0}
         assert json.loads(report.to_json())["expected_loads"] == {"m1": 12.0, "m2": 0.0}
@@ -376,7 +382,8 @@ class TestRunScenario:
                 oracle_text="8,m1\n",
                 posterior_trials=500,
             )
-            report, g = run_scenario(cfg)
+            scenario = run_scenario(cfg)
+            report, g = scenario.report, scenario.graph
             assert len(g.nodes) == count
             return report, g
 
@@ -391,7 +398,7 @@ class TestRunScenario:
             exact_conditional_distribution(g, {8: "m1"})
 
     def test_plan_stage(self):
-        report, _ = run_scenario(example_config(plan_budget=1))
+        report = run_scenario(example_config(plan_budget=1)).report
         assert report.plan is not None
         assert report.plan.selected == (4,)
         assert "measurement-planning" in report.stages
@@ -411,24 +418,26 @@ class TestRunScenario:
             plan_budget=2,
         )
         with caplog.at_level(logging.DEBUG, logger="catchmap.planner"):
-            report, g = run_scenario(cfg)
-        routes, probs, candidates = report.plan_inputs
+            scenario = run_scenario(cfg)
+            report, g = scenario.report, scenario.graph
+        post = scenario.posterior
+        routes, probs, candidates = post.routes, post.probs, scenario.candidates
         assert report.plan == greedy_plan(g, routes, probs, candidates, 2)
         (line,) = [r.getMessage() for r in caplog.records if "greedy plan" in r.getMessage()]
         assert line.endswith("computed" if oracle_text else "reused")
 
     def test_json_report_deterministic(self):
-        a, _ = run_scenario(example_config(mode="probabilistic"))
-        b, _ = run_scenario(example_config(mode="probabilistic"))
+        a = run_scenario(example_config(mode="probabilistic")).report
+        b = run_scenario(example_config(mode="probabilistic")).report
         assert a.to_json() == b.to_json()
         doc = json.loads(a.to_json())
         assert doc["routes"]["3"] == "m1"
         assert doc["node_count"] == 8
 
     def test_report_json_top_level_keys(self):
-        report, _ = run_scenario(example_config(
+        report = run_scenario(example_config(
             mode="probabilistic", oracle_text="8,m1\n", plan_budget=1,
-        ))
+        )).report
         assert list(json.loads(report.to_json())) == [
             "bounds", "certain_counts", "config", "expected_loads",
             "ingress_points", "node_count", "plan", "prob_status",
@@ -437,13 +446,14 @@ class TestRunScenario:
         ]
 
     def test_node_csv_shape(self):
-        report, _ = run_scenario(example_config(mode="probabilistic"))
+        report = run_scenario(example_config(mode="probabilistic")).report
         lines = report.to_node_csv().strip().splitlines()
         assert lines[0] == "node,route,pi_m1,pi_m2,status"
         assert len(lines) == 9
 
     def test_report_files_written(self, tmp_path):
-        report, g = run_scenario(example_config(mode="probabilistic", plan_budget=1))
+        scenario = run_scenario(example_config(mode="probabilistic", plan_budget=1))
+        report, g = scenario.report, scenario.graph
         written = write_report_files(report, g, tmp_path)
         names = {p.name for p in written}
         assert names == {
@@ -482,7 +492,7 @@ class TestPrependingSweep:
         for ingress in sorted(set(cfg.attachments.values())):
             entries = prepending_sweep(cfg, ingress, 3)
             for k, entry in enumerate(entries):
-                report, _ = run_scenario(dataclasses.replace(cfg, prepends=((ingress, k),)))
+                report = run_scenario(dataclasses.replace(cfg, prepends=((ingress, k),))).report
                 assert entry["k"] == k
                 assert entry["routes"] == {str(n): r for n, r in report.routes.items()}
                 assert entry["certain_counts"] == report.certain_counts
@@ -504,13 +514,32 @@ class TestPrependingSweep:
         cfg = example_config(sp=sp, mode=mode)
         loaded = dataclasses.replace(cfg, oracle_text="4,m1\n", plan_budget=1)
         # the config's own run does apply both
-        report, _ = run_scenario(loaded)
+        report = run_scenario(loaded).report
         assert report.routes[4] == "m1" and report.plan is not None
         assert prepending_sweep(loaded, "m2", 2) == prepending_sweep(cfg, "m2", 2)
 
+    def test_the_sweep_reads_only_certain_routes_and_forward_passes(self, monkeypatch, tmp_path):
+        # the observation file does not exist, and no stage past the forward
+        # pass, nor any report, may run
+        cfg = example_config(
+            mode="probabilistic", oracle_file=str(tmp_path / "missing.csv"), plan_budget=1
+        )
+        want = prepending_sweep(example_config(mode="probabilistic"), "m2", 2)
+        builds = []
+        build = scenario_module.build_augmented
+        monkeypatch.setattr(
+            scenario_module, "build_augmented", lambda c: builds.append(c) or build(c)
+        )
+        for name in ("parse_oracle_file", "apply_oracles", "exact_conditional_distribution",
+                     "monte_carlo_inference", "greedy_plan", "ScenarioReport"):
+            monkeypatch.setattr(scenario_module, name, None)
+        assert prepending_sweep(cfg, "m2", 2) == want
+        # the augmented topology is built once, from the config as given
+        assert builds == [cfg]
+
     def test_zero_matches_baseline(self):
         cfg = example_config()
-        report, _ = run_scenario(cfg)
+        report = run_scenario(cfg).report
         entries = prepending_sweep(cfg, "m2", 0)
         assert len(entries) == 1
         assert entries[0]["k"] == 0
@@ -537,6 +566,100 @@ class TestPrependingSweep:
     def test_negative_range_rejected(self):
         with pytest.raises(InputError):
             prepending_sweep(example_config(), "m2", -1)
+
+
+class TestAgainstTheReferencePipeline:
+    """``Scenario`` and the sweep against the single pipeline function they
+    replaced (``helpers.reference_run_scenario``), output for output."""
+
+    @staticmethod
+    def observation(cfg: ScenarioConfig) -> str:
+        """The likeliest ingress of the middle report node left uncertain,
+        else the route of the middle certain one: an observation line the
+        scenario's graph can take."""
+        s = Scenario(cfg)
+        routes, probs = s.certain, s.forward
+        uncertain = [n for n in s.graph.report_nodes if routes[n] is None and probs[n]]
+        if uncertain:
+            node = uncertain[len(uncertain) // 2]
+            return f"{node},{max(sorted(probs[node]), key=probs[node].get)}\n"
+        certain = [n for n in s.graph.report_nodes if routes[n] is not None]
+        node = certain[len(certain) // 2]
+        return f"{node},{routes[node]}\n"
+
+    @pytest.mark.parametrize("mode", ["certain", "probabilistic"])
+    @pytest.mark.parametrize("sp", [False, True], ids=["sp-off", "sp-on"])
+    @pytest.mark.parametrize("case", range(len(SWEEP_CONFIGS)))
+    def test_run_matches_the_reference(self, case, sp, mode):
+        base = dataclasses.replace(SWEEP_CONFIGS[case], sp=sp, mode=mode, posterior_trials=300)
+        for oracle_text, posterior, budget in itertools.product(
+            [None, self.observation(base)], [None, "exact", "monte-carlo"], [None, 2]
+        ):
+            cfg = dataclasses.replace(
+                base, oracle_text=oracle_text, posterior=posterior, plan_budget=budget
+            )
+            scenario = run_scenario(cfg)
+            report, g, plan_inputs = helpers.reference_run_scenario(cfg, build_augmented(cfg))
+            assert scenario.report.to_json() == report.to_json()
+            assert scenario.report.to_node_csv() == report.to_node_csv()
+            assert scenario.plan == scenario.report.plan == report.plan
+            helpers.assert_same_graph(scenario.graph, g)
+            if budget is None:
+                assert plan_inputs is None
+                continue
+            routes, probs, candidates = plan_inputs
+            post = scenario.posterior
+            assert (post.routes, post.probs, scenario.candidates) == (routes, probs, candidates)
+
+    @pytest.mark.parametrize("mode", ["certain", "probabilistic"])
+    @pytest.mark.parametrize("sp", [False, True], ids=["sp-off", "sp-on"])
+    @pytest.mark.parametrize("case", range(len(SWEEP_CONFIGS)))
+    def test_sweep_matches_the_reference(self, case, sp, mode):
+        plain = dataclasses.replace(SWEEP_CONFIGS[case], sp=sp, mode=mode)
+        for cfg in (plain, dataclasses.replace(
+            plain, oracle_text=self.observation(plain), plan_budget=2
+        )):
+            for ingress in sorted(set(cfg.attachments.values())):
+                entries = prepending_sweep(cfg, ingress, 3)
+                assert entries == helpers.reference_prepending_sweep(cfg, ingress, 3)
+                # the same floats, and the same key order at every level
+                assert json.dumps(entries) == json.dumps(
+                    helpers.reference_prepending_sweep(cfg, ingress, 3)
+                )
+
+    @staticmethod
+    def past_the_exact_limit() -> ScenarioConfig:
+        # the example's eight nodes, the destination and six more nodes
+        topo = helpers.example_base_topology()
+        for extra in range(MAX_EXACT_NODES - 8):
+            topo.add_node(helpers.DST + 1 + extra)
+        return example_config(
+            topology_text=serialize_topology(topo), mode="probabilistic",
+            oracle_text="8,m1\n", posterior="exact",
+        )
+
+    @pytest.mark.parametrize("kind", ["missing-file", "infeasible", "past-the-exact-limit"])
+    def test_errors_match_the_reference(self, tmp_path, kind):
+        cfg = {
+            "missing-file": lambda: example_config(oracle_file=str(tmp_path / "missing.csv")),
+            # node 3 hears the destination from no one, so nothing can be seen there
+            "infeasible": lambda: ScenarioConfig(
+                topology_text="edge 1 2 p2p\nedge 2 3 p2p\n", attachments={1: "m"},
+                mode="probabilistic", oracle_text="3,m\n",
+            ),
+            "past-the-exact-limit": self.past_the_exact_limit,
+        }[kind]()
+        with pytest.raises(Exception) as want:
+            helpers.reference_run_scenario(cfg, build_augmented(cfg))
+        with pytest.raises(want.type) as got:
+            run_scenario(cfg)
+        assert got.type is want.type
+        assert str(got.value) == str(want.value)
+        expected = {
+            "missing-file": FileNotFoundError, "infeasible": InfeasibleOracleError,
+            "past-the-exact-limit": CapacityError,
+        }
+        assert want.type is expected[kind]
 
 
 class TestSimulationComparison:
@@ -595,7 +718,8 @@ def test_moas_scenario_end_to_end():
     cfg = parse_scenario_file(
         "topology generate n=30 avg_degree=2.5 seed=6\nmoas 1 2\nmode probabilistic\n"
     )
-    report, g = run_scenario(cfg)
+    scenario = run_scenario(cfg)
+    report, g = scenario.report, scenario.graph
     assert set(report.ingress_points) == {"1", "2"}
     assert report.routes[1] == "1"
     assert report.routes[2] == "2"
@@ -613,7 +737,7 @@ def test_mass_deficit_flagged_for_unreachable_corners():
     cfg = ScenarioConfig(
         topology_text=text, attachments={1: "m"}, mode="probabilistic"
     )
-    report, _ = run_scenario(cfg)
+    report = run_scenario(cfg).report
     assert report.routes[3] is None
     assert report.probs[3] == {}
     assert report.probability_mass_deficit.get(3) == 0.0
@@ -726,7 +850,7 @@ def _generated_report_configs() -> list[ScenarioConfig]:
 def test_report_json_matches_the_reference_on_generated_scenarios():
     observed = 0
     for cfg in _generated_report_configs():
-        report, _ = run_scenario(cfg)
+        report = run_scenario(cfg).report
         assert report.to_json() == helpers.reference_report_json(report)
         if cfg.mode != "probabilistic":
             continue
@@ -737,10 +861,10 @@ def test_report_json_matches_the_reference_on_generated_scenarios():
             continue
         node = uncertain[len(uncertain) // 2]
         ingress = max(sorted(report.probs[node]), key=report.probs[node].get)
-        report, _ = run_scenario(dataclasses.replace(
+        report = run_scenario(dataclasses.replace(
             cfg, oracle_text=f"{node},{ingress}\n",
             posterior=("exact", "monte-carlo")[observed % 2],
-        ))
+        )).report
         assert report.to_json() == helpers.reference_report_json(report)
         observed += 1
     assert observed >= 10
@@ -762,7 +886,8 @@ def _odd_name_run(tmp_path, names: dict[int, str]):
     text = "topology file topo.txt\n" + "".join(
         f"attach {n} {m}\n" for n, m in names.items()
     ) + "dst_id 9\nmode probabilistic\n"
-    report, g = run_scenario(parse_scenario_file(text, base_dir=tmp_path))
+    scenario = run_scenario(parse_scenario_file(text, base_dir=tmp_path))
+    report, g = scenario.report, scenario.graph
     write_report_files(report, g, tmp_path / "out")
     return report, tmp_path / "out"
 
@@ -818,7 +943,8 @@ def test_attach_and_moas_lines_together_rejected():
 
 
 def test_report_files_log_their_sizes(caplog, tmp_path):
-    report, g = run_scenario(example_config(mode="probabilistic", plan_budget=1))
+    scenario = run_scenario(example_config(mode="probabilistic", plan_budget=1))
+    report, g = scenario.report, scenario.graph
     with caplog.at_level(logging.DEBUG, logger="catchmap.scenario"):
         written = write_report_files(report, g, tmp_path)
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("wrote ")]
