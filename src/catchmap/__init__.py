@@ -34,7 +34,6 @@ from .oracles import (
     MonteCarloEstimate,
     OracleApplication,
     apply_oracles,
-    enumerate_route_outcomes,
     exact_conditional_distribution,
     monte_carlo_inference,
     parse_oracle_file,
@@ -107,7 +106,6 @@ __all__ = [
     # observations
     "OracleApplication", "MonteCarloEstimate", "apply_oracles",
     "parse_oracle_file", "exact_conditional_distribution", "monte_carlo_inference",
-    "enumerate_route_outcomes",
     # planning
     "MeasurementPlan", "expected_nc", "greedy_plan", "exhaustive_plan",
     "random_plan_values", "export_plan_csv",

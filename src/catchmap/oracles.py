@@ -6,12 +6,11 @@ next hop could have produced the observation) and downward (when a node's
 possible next hops all became certain and agree). The propagation touches
 each node at most once per application.
 
-For posterior distributions conditioned on a set of observations there are
-two routes, both rolling ties only at the choosers of ``RGraph.chooser_form``:
-exact enumeration of their combinations (small graphs only) and Monte
-Carlo, which samples only those among the observed nodes and their
-ancestors and mixes every other node exactly; without observations it is
-the forward pass.
+Posterior distributions conditioned on a set of observations come from one
+pass. It rolls ties only at the choosers of ``RGraph.chooser_form`` among
+the observed nodes and their ancestors, weighing every combination of them
+(exact, small graphs only) or seeded draws (Monte Carlo), and mixes every
+other node exactly; without observations it is the forward pass.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     CapacityError,
@@ -228,31 +227,52 @@ def apply_oracles(
 # -- conditional distributions -------------------------------------------------
 
 
-def enumerate_route_outcomes(g: RGraph) -> Iterator[tuple[float, tuple["str | None", ...]]]:
-    """Yield (probability, ingress per chooser) for every tie-break choice.
-
-    Each outcome fixes one parent per chooser of ``g.chooser_form``, in its
-    order; its probability is the product of their tie weights. Every other
-    node's ingress is fixed or copies a chooser's:
-    ``g.chooser_form.ingress(picks, node)`` reads it. Zero-probability
-    outcomes are skipped. Raises CapacityError, before yielding anything,
-    when ``exact_limit`` rejects the graph.
-    """
+def _outcomes(g: RGraph, positions: Iterable[int]) -> Iterator[tuple[float, list]]:
+    """Yield (probability, picks) for every tie-break combination of the
+    choosers at ``positions`` (ascending) of ``g.chooser_form``: ``picks``
+    holds one ingress per chooser in the form's order, and is one list
+    rewritten for every outcome, so a reader that keeps one must copy it.
+    Zero-probability outcomes are skipped. Raises CapacityError, before
+    yielding anything, when ``exact_limit`` rejects the graph."""
     reason = exact_limit(g)
     if reason is not None:
         raise CapacityError(reason)
     form = g.chooser_form
-    domains = [tuple(zip(g.parents[c], g.tie_weights(c))) for c in form.choosers]
+    # each choice carries its chooser's position, to fill ``picks`` in place
+    choosers = [(i, form.choosers[i]) for i in positions]
+    domains = [tuple((i, p, w) for p, w in zip(g.parents[c], g.tie_weights(c))) for i, c in choosers]
+    picks: list[str | None] = [None] * len(form.choosers)
     for combo in itertools.product(*domains):
         weight = 1.0
-        for _, w in combo:
+        for _, _, w in combo:
             weight *= w
         if weight == 0.0:
             continue
-        picks: list[str | None] = []
-        for parent, _ in combo:
-            picks.append(form.ingress(picks, parent))
-        yield weight, tuple(picks)
+        for i, parent, _ in combo:
+            picks[i] = form.ingress(picks, parent)
+        yield weight, picks
+
+
+def _draws(g: RGraph, positions: Iterable[int], trials: int, seed: int) -> Iterator[tuple]:
+    """``trials`` seeded draws of the choosers at ``positions``, each of
+    weight one and yielded as ``_outcomes`` yields: one ``random()`` per
+    chooser, in the form's order."""
+    form = g.chooser_form
+    draws = []
+    for i in positions:
+        c = form.choosers[i]
+        draws.append((i, g.parents[c], list(itertools.accumulate(g.tie_weights(c)))))
+    # a chooser's parents copy only earlier choosers, so each trial
+    # overwrites every entry it reads before reading it
+    picks: list[str | None] = [None] * len(form.choosers)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        for i, parents, cum in draws:
+            # a draw at or past a cumulative total that rounded below 1
+            # takes the last parent
+            parent = parents[min(bisect.bisect_right(cum, rng.random()), len(parents) - 1)]
+            picks[i] = form.ingress(picks, parent)
+        yield 1.0, picks
 
 
 def _check_observed(
@@ -269,38 +289,79 @@ def _check_observed(
     return pairs
 
 
-def exact_conditional_distribution(
-    g: RGraph, oracles: Mapping[int, str] | None = None
-) -> RouteProbabilities:
-    """Exact per-node posterior given the observations, by full enumeration.
-
-    Conditions the tie-break outcome space on agreement with every
-    observation and renormalizes. With no observations this equals the
-    forward probabilistic pass. Guarded by ``exact_limit``.
-    """
-    observed = _check_observed(g, oracles)
-    form = g.chooser_form
-    mass: list[dict[str, float]] = [{} for _ in form.choosers]
-    total = 0.0
-    for weight, picks in outcomes_keeping(g, observed):
-        total += weight
-        for dist, ingress in zip(mass, picks):
-            if ingress is not None:
-                dist[ingress] = dist.get(ingress, 0.0) + weight
-    if total == 0.0:
-        raise InfeasibleOracleError("observations rule out every tie-break outcome")
-    return form.spread([{m: w / total for m, w in dist.items()} for dist in mass], g.nodes)
-
-
-def outcomes_keeping(g: RGraph, pins: list[tuple[int, str]]) -> Iterator[tuple[float, tuple]]:
-    """The outcomes of ``enumerate_route_outcomes`` in which every pinned
-    node has its ``(node, ingress)`` pin's ingress."""
+def outcomes_keeping(
+    g: RGraph, pins: list[tuple[int, str]], outcomes: Iterable[tuple[float, list]]
+) -> Iterator[tuple[float, list]]:
+    """The ``(weight, picks)`` outcomes in which every pinned node has its
+    ``(node, ingress)`` pin's ingress; the outcomes must pick every chooser
+    a pinned node copies."""
     form = g.chooser_form
     broken = any(n in form.fixed and form.fixed[n] != m for n, m in pins)
     checks = [(form.follows[n], m) for n, m in pins if n in form.follows]
-    for weight, picks in enumerate_route_outcomes(g):
+    for weight, picks in outcomes:
         if not broken and all(picks[i] == m for i, m in checks):
             yield weight, picks
+
+
+def _condition(
+    g: RGraph, oracles: Mapping[int, str] | None, feed: Callable[[list[int]], Iterable[tuple]],
+    prior: tuple[RoutingFunction, RouteProbabilities] | None, infeasible: str,
+) -> tuple[RouteProbabilities, float, int, int]:
+    """The posterior given the observations, the weight it keeps, the size
+    of A (the observed nodes and their ancestors) and A's number of choosers.
+
+    ``feed``, called with the positions of A's choosers in
+    ``g.chooser_form``, gives their weighted outcomes; those that contradict
+    an observation are dropped (InfeasibleOracleError, with the message
+    ``infeasible``, when none is kept). A's choosers get the kept weights'
+    shares, keys in first-appearance order. Every other node mixes its
+    parents (``mixed_distribution`` over ``certain_inference``). That is
+    exact, as its choice is independent of the observations
+    (Rao-Blackwellisation), and below none of A's choosers it is the forward
+    pass, so only the cone below them is mixed again
+    (``update_probabilistic_inference``). ``prior``, when given, must be
+    ``(certain_inference(g), probabilistic_inference(g, routes))``; it is
+    computed otherwise. Keys follow ``topological_order(g)``.
+    """
+    observed = _check_observed(g, oracles)
+    form = g.chooser_form
+    closure = _reach(g.parents, [x for x, _ in observed])
+    # a node of A that copies a chooser copies one in A, its ancestor
+    sampled = sorted({form.follows[n] for n in closure if n in form.follows})
+    mass: list[dict[str, float]] = [{} for _ in sampled]
+    total = 0.0
+    for weight, picks in outcomes_keeping(g, observed, feed(sampled)):
+        total += weight
+        for i, dist in zip(sampled, mass):
+            m = picks[i]
+            if m is not None:
+                dist[m] = dist.get(m, 0.0) + weight
+    if total == 0.0:
+        raise InfeasibleOracleError(infeasible)
+    estimated = {
+        form.choosers[i]: {m: w / total for m, w in dist.items()}
+        for i, dist in zip(sampled, mass)
+    }
+    if prior is None:
+        routes = certain_inference(g)
+        prior = routes, probabilistic_inference(g, routes)
+    routes, forward = prior
+    mixed = update_probabilistic_inference(g, forward, routes, estimated, given=estimated)
+    probs = {n: mixed[n] if n in mixed else forward[n] for n in topological_order(g)}
+    return probs, total, len(closure), len(sampled)
+
+
+def exact_conditional_distribution(
+    g: RGraph, oracles: Mapping[int, str] | None = None
+) -> RouteProbabilities:
+    """Exact per-node posterior given the observations: every combination of
+    the choosers among the observed nodes and their ancestors, weighed by
+    its probability and conditioned on the observations, and every other
+    node mixed exactly. Without observations, the forward probabilistic
+    pass. Keys follow ``topological_order(g)``. Guarded by ``exact_limit``
+    on the whole graph."""
+    feed = functools.partial(_outcomes, g)
+    return _condition(g, oracles, feed, None, "observations rule out every tie-break outcome")[0]
 
 
 @dataclass(frozen=True)
@@ -328,72 +389,20 @@ def monte_carlo_inference(
     *,
     prior: tuple[RoutingFunction, RouteProbabilities] | None = None,
 ) -> MonteCarloEstimate:
-    """Sample the observations' ancestors, reject, and mix the rest exactly.
-
-    An observation depends only on the choices in A, the observed nodes and
-    their ancestors. Each trial draws one ``random()`` per chooser of
-    ``g.chooser_form`` in A, in the form's order, and is dropped if it
-    contradicts an observation; A's choosers get the accepted trials'
-    shares, keys in first-appearance order. Every other node mixes its
-    parents (``mixed_distribution`` over ``certain_inference``). That is
-    exact, as its choice is independent of the observations
-    (Rao-Blackwellisation), and below none of the sampled choosers it is
-    the forward pass, so only the cone below them is mixed again
-    (``update_probabilistic_inference``). ``prior``, when given, must be
-    ``(certain_inference(g), probabilistic_inference(g, routes))`` of those
-    routes; it is computed otherwise. Without observations the result is the
-    forward pass. Keys follow ``topological_order(g)``. Deterministic per
-    seed. Raises InfeasibleOracleError when every trial is rejected.
+    """Sample the observations' ancestors, reject, and mix the rest exactly:
+    the pass of ``exact_conditional_distribution``, fed one draw of weight
+    one per trial in place of every combination, with one ``random()`` per
+    chooser of ``g.chooser_form`` among the observed nodes and their
+    ancestors. ``prior``, when given, must be ``(certain_inference(g),
+    probabilistic_inference(g, routes))``. Without observations the result
+    is the forward pass. Keys follow ``topological_order(g)``. Deterministic
+    per seed. Raises InfeasibleOracleError when every trial is rejected.
     """
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
-    observed = _check_observed(g, oracles)
-    form = g.chooser_form
-    closure = _reach(g.parents, [x for x, _ in observed])
-    # a node of A that copies a chooser copies one in A, its ancestor
-    sampled = sorted({form.follows[n] for n in closure if n in form.follows})
-    draws = []
-    for i in sampled:
-        c = form.choosers[i]
-        draws.append((i, g.parents[c], list(itertools.accumulate(g.tie_weights(c)))))
-    # a chooser's parents copy only earlier choosers, so each trial
-    # overwrites every entry it reads before reading it
-    picks: list[str | None] = [None] * len(form.choosers)
-    counts: list[dict[str, int]] = [{} for _ in sampled]
-    rng = random.Random(seed)
-    accepted = 0
-    for _ in range(trials):
-        for i, parents, cum in draws:
-            # a draw at or past a cumulative total that rounded below 1
-            # takes the last parent
-            parent = parents[min(bisect.bisect_right(cum, rng.random()), len(parents) - 1)]
-            picks[i] = form.ingress(picks, parent)
-        if any(form.ingress(picks, x) != m for x, m in observed):
-            continue
-        accepted += 1
-        for i, count in zip(sampled, counts):
-            m = picks[i]
-            if m is not None:
-                count[m] = count.get(m, 0) + 1
-    if accepted == 0:
-        raise InfeasibleOracleError(
-            f"all {trials} sampled outcomes contradict the observations"
-        )
-
-    estimated = {
-        form.choosers[i]: {m: k / accepted for m, k in count.items()}
-        for i, count in zip(sampled, counts)
-    }
-    if prior is None:
-        routes = certain_inference(g)
-        prior = routes, probabilistic_inference(g, routes)
-    routes, forward = prior
-    mixed = update_probabilistic_inference(g, forward, routes, estimated, given=estimated)
-    probs = {n: mixed[n] if n in mixed else forward[n] for n in topological_order(g)}
-    return MonteCarloEstimate(
-        probs=probs,
-        trials=trials,
-        accepted=accepted,
-        ancestors=len(closure),
-        draws_per_trial=len(sampled),
+    feed = functools.partial(_draws, g, trials=trials, seed=seed)
+    # trials of weight 1.0 sum to the count, and divide into its shares
+    probs, accepted, ancestors, draws_per_trial = _condition(
+        g, oracles, feed, prior, f"all {trials} sampled outcomes contradict the observations"
     )
+    return MonteCarloEstimate(probs, trials, int(accepted), ancestors, draws_per_trial)

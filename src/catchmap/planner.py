@@ -29,7 +29,7 @@ from .inference import (
     probabilistic_inference,
     update_probabilistic_inference,
 )
-from .oracles import apply_oracles, outcomes_keeping
+from .oracles import _outcomes, apply_oracles, outcomes_keeping
 from .rgraph import RGraph
 
 logger = logging.getLogger(__name__)
@@ -199,22 +199,23 @@ def expected_nc(
     form = g.chooser_form
     keys = list(dict.fromkeys(form.follows[n] for n in measured if n in form.follows))
 
-    # per joint outcome of the measured nodes' choosers: accumulated mass,
-    # and for every chooser its ingress if the same in every outcome, else None
+    # per joint outcome of the measured nodes' choosers: the masses, and for
+    # every chooser its ingress if the same in every outcome, else None
     signatures: dict[tuple, list] = {}
-    total = 0.0
-    for mass, picks in outcomes_keeping(g, pinned):
-        total += mass
-        entry = signatures.setdefault(tuple(picks[i] for i in keys), [0.0, picks])
-        entry[0] += mass
+    for mass, picks in outcomes_keeping(g, pinned, _outcomes(g, range(len(form.choosers)))):
+        entry = signatures.setdefault(tuple(picks[i] for i in keys), [[], picks])
+        entry[0].append(mass)
         entry[1] = [v if v == c else None for v, c in zip(entry[1], picks)]
+    # each sum rounded once: thousands of ``+=`` drift past the plans' 1e-12 tie rule
+    masses = [math.fsum(entry[0]) for entry in signatures.values()]
+    total = math.fsum(masses)
     if total == 0.0:
         raise InputError("pinned routes are inconsistent with the forwarding graph")
 
     value = 0.0
-    for entry_mass, values in signatures.values():
+    for mass, (_, values) in zip(masses, signatures.values()):
         nc = sum(1.0 for n in g.report_nodes if form.ingress(values, n) is not None)
-        value += (entry_mass / total) * nc
+        value += (mass / total) * nc
     return value
 
 

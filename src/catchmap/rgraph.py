@@ -243,15 +243,6 @@ class ChooserForm:
         """``node``'s ingress in the outcome ``picks``."""
         return self.fixed[node] if node in self.fixed else picks[self.follows[node]]
 
-    def spread(self, per_chooser: list[dict], nodes: Iterable[int]) -> dict[int, dict]:
-        """Each node's distribution: its own copy of its chooser's, else all
-        the mass on its fixed ingress (none without a route)."""
-        return {
-            n: dict(per_chooser[self.follows[n]]) if n in self.follows
-            else {} if self.fixed[n] is None else {self.fixed[n]: 1.0}
-            for n in nodes
-        }
-
 
 def _validated_tie_probs(
     parents: Mapping[int, tuple[int, ...]],

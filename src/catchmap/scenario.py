@@ -610,9 +610,10 @@ def prepending_sweep(
     augmented topology is built once; each k pads it with
     ``apply_prepending`` and reads that scenario's certain routes and, in
     ``mode probabilistic``, its forward pass, so no observation is loaded.
-    Without shortest-path preference the chain cannot change any original
-    node's options, so all entries match k=0 there (lengths do not matter
-    to eligibility).
+    Without shortest-path preference lengths do not matter to eligibility,
+    but a node attached at ``ingress`` can still change: at k=0 its own
+    attachment fixes it, and from k=1 on its parent is the chain's tail,
+    so with another parent it rolls a tie.
     """
     if k_max < 0:
         raise InputError(f"k_max must be >= 0, got {k_max}")

@@ -15,6 +15,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -57,6 +58,7 @@ from catchmap.inference import (
 )
 from catchmap.oracles import (
     _check_observed,
+    _outcomes,
     apply_oracles,
     exact_conditional_distribution,
     monte_carlo_inference,
@@ -440,12 +442,25 @@ def forward_mix(g: RGraph, given: RouteProbabilities) -> RouteProbabilities:
     return out
 
 
+def enumerate_route_outcomes(g: RGraph) -> Iterator[tuple[float, tuple["str | None", ...]]]:
+    """Yield (probability, ingress per chooser of ``g.chooser_form``) for
+    every tie-break combination of every chooser: the package's enumerator,
+    each outcome copied out of the list it rewrites. Raises CapacityError,
+    before yielding anything, when ``exact_limit`` rejects the graph."""
+    for weight, picks in _outcomes(g, range(len(g.chooser_form.choosers))):
+        yield weight, tuple(picks)
+
+
 # Exact enumeration as it was written before the chooser form: one dict of
 # every node per outcome. Kept verbatim, but for their names, the
-# enumeration they call and every reporting node weighing 1, as the oracles
-# for ``enumerate_route_outcomes``, ``exact_conditional_distribution`` and
-# ``expected_nc(mode="exact")``: run on ``collapse_to_choosers(g)``, they
-# must give the package's floats on ``g``, in the same per-node key order.
+# enumeration they call, every reporting node weighing 1 and the exact
+# arithmetic ``reference_exact_nc`` can run in, as the oracles for
+# ``enumerate_route_outcomes``, ``exact_conditional_distribution`` and
+# ``expected_nc(mode="exact")``. Run on ``collapse_to_choosers(g)``, the
+# outcomes must be the package's on ``g``; run on the ancestor sub-graph of
+# the observations in it, the posterior must give the package's floats on
+# ``g`` there, in the same per-node key order, and ``forward_mix`` of them
+# everywhere else; ``expected_nc`` must be within 2 ulps of the exact value.
 def reference_route_outcomes(g: RGraph) -> Iterator[tuple[float, dict[int, "str | None"]]]:
     """Yield (probability, node-to-ingress map) for every tie-break choice.
 
@@ -520,23 +535,29 @@ def reference_exact_nc(
     g: RGraph,
     routes: RoutingFunction,
     measured: Iterable[int],
-) -> float:
+    *,
+    exact: bool = False,
+) -> float | Fraction:
     """``expected_nc(g, routes, probs, measured, mode="exact")`` by the
     dict-per-outcome loop: the expected objective after measuring the given
-    nodes, conditioned on the already-pinned routes."""
+    nodes, conditioned on the already-pinned routes. With ``exact`` each
+    outcome's mass is taken as the Fraction of its float, so every sum,
+    share and product after it is exact."""
+    num = Fraction if exact else float
     measured = sorted(set(measured))
     pinned = [(n, m) for n, m in sorted(routes.items()) if m is not None]
 
     # per joint outcome of the measured nodes: accumulated mass, and for every
     # reporting node either its constant ingress or a conflict marker
     signatures: dict[tuple, dict] = {}
-    total = 0.0
+    total = num(0)
     for mass, ingress_of in reference_route_outcomes(g):
         if any(ingress_of[n] != m for n, m in pinned):
             continue
+        mass = num(mass)
         total += mass
         sig = tuple(ingress_of[n] for n in measured)
-        entry = signatures.setdefault(sig, {"mass": 0.0, "values": {}})
+        entry = signatures.setdefault(sig, {"mass": num(0), "values": {}})
         entry["mass"] += mass
         values = entry["values"]
         for n in g.report_nodes:
@@ -548,10 +569,10 @@ def reference_exact_nc(
     if total == 0.0:
         raise InputError("pinned routes are inconsistent with the forwarding graph")
 
-    value = 0.0
+    value = num(0)
     for entry in signatures.values():
         nc = sum(
-            1.0
+            num(1)
             for n, v in entry["values"].items()
             if v is not None and v is not _CONFLICT
         )

@@ -28,7 +28,6 @@ from catchmap import (
     certain_inference,
     compare_with_simulation,
     derive_vf_policies,
-    enumerate_route_outcomes,
     enumerate_rpaths,
     expected_nc,
     generate_random_topology,
@@ -122,7 +121,7 @@ def test_a04_route_probabilities_exact_and_monte_carlo():
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
         totals: dict[int, dict[str, float]] = {n: {} for n in g.report_nodes}
-        for weight, outcome in enumerate_route_outcomes(g):
+        for weight, outcome in helpers.enumerate_route_outcomes(g):
             for node in g.report_nodes:
                 ingress = g.chooser_form.ingress(outcome, node)
                 if ingress is not None:

@@ -38,10 +38,7 @@ from catchmap.errors import (
     TopologyParseError,
     UnknownNodeError,
 )
-from catchmap.oracles import (
-    enumerate_route_outcomes,
-    exact_conditional_distribution,
-)
+from catchmap.oracles import exact_conditional_distribution
 from catchmap.rgraph import exact_limit
 
 import helpers
@@ -366,7 +363,7 @@ class TestExactConditioning:
     def test_outcome_weights_form_a_distribution(self, example_graph):
         total = 0.0
         form = example_graph.chooser_form
-        for weight, picks in enumerate_route_outcomes(example_graph):
+        for weight, picks in helpers.enumerate_route_outcomes(example_graph):
             assert weight > 0
             assert form.ingress(picks, helpers.DST) is None
             total += weight
@@ -520,6 +517,17 @@ class TestTieOverrides:
             shortest_path_transform(g)
 
 
+def mixed_from_subgraph(g, sub, observed, ref_probs):
+    """``forward_mix`` over ``g``, seeded with a reference's values on
+    ``sub``, the sub-graph induced by the observed nodes and their
+    ancestors."""
+    # the sub-graph always holds the root, an ancestor only of routed nodes
+    closure = set(sub.nodes)
+    if g.root not in observed and not sub.children[g.root]:
+        closure.discard(g.root)
+    return helpers.forward_mix(g, {n: ref_probs[n] for n in closure})
+
+
 def assert_same_as_reference(g, trials, seed, oracles=None):
     """``monte_carlo_inference`` against the sampler that evaluates every node
     in every trial, run on the sub-graph induced by the observed nodes and
@@ -544,11 +552,7 @@ def assert_same_as_reference(g, trials, seed, oracles=None):
     prior = routes, probabilistic_inference(g, routes)
     assert repr(monte_carlo_inference(g, trials, seed, oracles, prior=prior)) == repr(est)
     assert (est.trials, est.accepted) == (ref_trials, ref_accepted)
-    # the sub-graph always holds the root, an ancestor only of routed nodes
-    closure = set(sub.nodes)
-    if g.root not in observed and not sub.children[g.root]:
-        closure.discard(g.root)
-    expected = helpers.forward_mix(g, {n: ref_probs[n] for n in closure})
+    expected = mixed_from_subgraph(g, sub, observed, ref_probs)
     assert set(est.probs) == set(g.nodes)
     for node in g.nodes:
         assert list(est.probs[node].items()) == list(expected[node].items()), node
@@ -786,29 +790,36 @@ def chooser_form_instance(idx):
 
 class TestChooserFormSameAsReference:
     """The exact passes, run on the chooser form, give what the one-dict-per-
-    outcome loops give: equal floats, in the same per-node key order."""
+    outcome loops give. The outcomes are equal. The posterior equals the
+    reference run on the observations' ancestor sub-graph, and the forward
+    mix of those values everywhere else, float for float and in the same
+    per-node key order. The exact objective is within 2 ulps of the
+    reference's loop run on exact fractions."""
 
     @staticmethod
     def assert_same_as_reference(g, oracles, measured):
         form = g.chooser_form
         collapsed = helpers.collapse_to_choosers(g)
         for (weight, picks), (ref_weight, ingress_of) in itertools.zip_longest(
-            enumerate_route_outcomes(g), helpers.reference_route_outcomes(collapsed)
+            helpers.enumerate_route_outcomes(g), helpers.reference_route_outcomes(collapsed)
         ):
             assert weight == ref_weight
             assert {n: form.ingress(picks, n) for n in g.nodes} == ingress_of
 
         post = exact_conditional_distribution(g, oracles)
-        ref = helpers.reference_exact_posterior(collapsed, oracles)
+        sub = helpers.ancestor_subgraph(collapsed, oracles)
+        ref = helpers.reference_exact_posterior(sub, oracles)
+        expected = mixed_from_subgraph(g, sub, oracles, ref)
         assert [(n, list(d.items())) for n, d in post.items()] == [
-            (n, list(d.items())) for n, d in ref.items()
+            (n, list(d.items())) for n, d in expected.items()
         ]
 
         routes = certain_inference(g)
         probs = probabilistic_inference(g, routes)
         routes = apply_oracles(g, routes, probs, oracles).routes
         value = expected_nc(g, routes, probs, measured, mode="exact")
-        assert value == helpers.reference_exact_nc(collapsed, routes, measured)
+        exact = float(helpers.reference_exact_nc(collapsed, routes, measured, exact=True))
+        assert abs(value - exact) <= 2 * math.ulp(exact), (value, exact)
 
     @pytest.mark.parametrize("chunk", range(4))
     def test_random_instances(self, chunk):
@@ -826,6 +837,15 @@ class TestChooserFormSameAsReference:
             for k in range(3):
                 oracles = feasible_observations(h, k, seed=k)
                 self.assert_same_as_reference(h, oracles, [3, 4, 5][k:])
+
+    def test_without_observations_the_posterior_is_the_forward_pass(self):
+        for idx in range(220):
+            g, _, _ = chooser_form_instance(idx)
+            post = exact_conditional_distribution(g)
+            forward = probabilistic_inference(g, certain_inference(g))
+            assert [(n, list(d.items())) for n, d in post.items()] == [
+                (n, list(d.items())) for n, d in forward.items()
+            ]
 
     def test_infeasible_observations_raise_the_same_error(self):
         g = RGraph.from_edges(0, ROOT_ATTACHED_WITH_PARENT, {1: "a", 2: "b"})

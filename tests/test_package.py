@@ -54,10 +54,9 @@ def test_every_traced_binding_resolves_to_a_callable(monkeypatch):
     assert not missing, f"bindings that no longer resolve: {missing}"
 
 
-def test_a_traced_run_records_each_stage_under_its_span(monkeypatch, tmp_path):
-    """Every stage makes its call through the binding the tracer wraps: one
-    that bypassed it would read as a missing span here, and as an empty
-    per-layer metric in a traced benchmark run."""
+def traced(monkeypatch):
+    """A tracer with every ``perfbench/spans.py`` binding wrapped, restored
+    when the test ends."""
     spans = load_spans(monkeypatch)
     tracer = spans.Tracer()
     for name, sites in spans.SPANS.items():
@@ -66,8 +65,15 @@ def test_a_traced_run_records_each_stage_under_its_span(monkeypatch, tmp_path):
             owner = catchmap
             for part in path.split("."):
                 owner = getattr(owner, part)
-            # restored when the test ends
             monkeypatch.setattr(owner, attr, tracer.wrap(name, getattr(owner, attr)))
+    return tracer
+
+
+def test_a_traced_run_records_each_stage_under_its_span(monkeypatch, tmp_path):
+    """Every stage makes its call through the binding the tracer wraps: one
+    that bypassed it would read as a missing span here, and as an empty
+    per-layer metric in a traced benchmark run."""
+    tracer = traced(monkeypatch)
     (tmp_path / "obs.csv").write_text("7,m2\n")
     (tmp_path / "scenario.txt").write_text(
         "topology generate n=40 avg_degree=3.0 seed=3\nattach 1 m1\nattach 2 m2\n"
@@ -85,6 +91,30 @@ def test_a_traced_run_records_each_stage_under_its_span(monkeypatch, tmp_path):
         "inference.probabilistic": 2, "oracles.apply": 40, "oracles.mc": 1,
         "planner.greedy": 1, "scenario.run_self": 1, "scenario.to_json": 1,
         "scenario.write": 1, "rgraph.edgelist": 1, "rgraph.dot": 1,
+    }
+
+
+def test_a_traced_exact_posterior_records_each_stage_under_its_span(monkeypatch, tmp_path):
+    """The same on the exact path: a 12-node scenario, one observation and
+    ``posterior exact``."""
+    tracer = traced(monkeypatch)
+    (tmp_path / "obs.csv").write_text("5,m1\n")
+    (tmp_path / "scenario.txt").write_text(
+        "topology generate n=12 avg_degree=2.8 seed=13\nattach 2 m1\nattach 7 m1\n"
+        "attach 11 m2\nmode probabilistic\noracles obs.csv\nposterior exact\n"
+    )
+    report, _ = catchmap.cli.cmd_run(tmp_path / "scenario.txt", tmp_path / "out")
+    assert report.stages[-1] == "posterior-exact"
+    # ``rgraph.topo_order`` is 3: the scenario's forward pass, and the exact
+    # pass's own forward pass and key order (it takes no prior); before the
+    # exact posterior became the Monte Carlo pass fed every combination, it
+    # was 1
+    assert Counter(span.name for span in tracer.spans) == {
+        "topology.generate": 1, "topology.policies": 1, "topology.attach": 1,
+        "rgraph.build": 1, "rgraph.topo_order": 3, "inference.certain": 1,
+        "inference.probabilistic": 1, "oracles.apply": 1, "oracles.exact": 1,
+        "scenario.run_self": 1, "scenario.to_json": 1, "scenario.write": 1,
+        "rgraph.edgelist": 1, "rgraph.dot": 1,
     }
 
 

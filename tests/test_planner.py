@@ -9,6 +9,7 @@ import random
 import statistics
 from collections import Counter
 from collections.abc import Mapping
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +30,7 @@ from catchmap.planner import (
     nonsubmodularity_witness,
     nonsupermodularity_witness,
 )
+from catchmap.scenario import build_augmented, parse_scenario_file
 
 import helpers
 
@@ -464,6 +466,27 @@ class TestExhaustivePlan:
                 example_graph, example_routes, example_probs, range(1, 9), budget
             )
             assert (guard in plan.notes) is noted, budget
+
+    def test_equal_scores_keep_the_smallest_subset(self):
+        # 14 nodes, 21,600 outcomes: measuring any one of the six pool nodes
+        # is worth exactly 8. Summed with ``+=`` the six scores read
+        # 8.000000000000574 to 8.000000000002013, past the 1e-12 tie rule,
+        # and budget 1 took (7,) instead of (1,).
+        cfg = parse_scenario_file(
+            "topology generate n=13 avg_degree=8 seed=1\nattach 3 m0\nattach 2 m1\n"
+        )
+        g = build_rgraph(build_augmented(cfg))
+        routes = certain_inference(g)
+        probs = probabilistic_inference(g, routes)
+        pool = (1, 6, 7, 9, 12, 13)
+        assert [expected_nc(g, routes, probs, [n], mode="exact") for n in pool] == [8.0] * 6
+        assert exhaustive_plan(g, routes, probs, pool, 1).selected == (1,)
+        # the loop before the chooser form, run on exact fractions
+        collapsed = helpers.collapse_to_choosers(g)
+        assert helpers.reference_exact_nc(collapsed, routes, [1], exact=True) == 8
+        exact = helpers.reference_exact_nc(collapsed, routes, [1, 6], exact=True)
+        assert exact == Fraction(721, 75)
+        assert expected_nc(g, routes, probs, [1, 6], mode="exact") == 721 / 75
 
     def test_never_below_greedy(self):
         for idx in range(12):

@@ -32,7 +32,6 @@ from catchmap.cli import main, path_mismatches
 from catchmap.errors import (
     CapacityError, CycleError, DestinationSpecError, InputError, PolicyError,
 )
-from catchmap.oracles import enumerate_route_outcomes
 from catchmap.rgraph import (
     MAX_EXACT_NODES,
     brute_force_eligible_paths,
@@ -464,11 +463,11 @@ class TestExactLimit:
             {1: "m1", 2: "m2"},
         )
         # nodes 3 and 4 each choose between two parents
-        assert sum(1 for _ in enumerate_route_outcomes(fixture)) == 4
+        assert sum(1 for _ in helpers.enumerate_route_outcomes(fixture)) == 4
         graphs = [fixture] + [
             build_rgraph(helpers.random_instance(idx)) for idx in range(12)
         ]
-        counts = [sum(1 for _ in enumerate_route_outcomes(g)) for g in graphs]
+        counts = [sum(1 for _ in helpers.enumerate_route_outcomes(g)) for g in graphs]
         for g, outcomes in zip(graphs, counts):
             monkeypatch.setattr("catchmap.rgraph.MAX_EXACT_OUTCOMES", outcomes)
             assert exact_limit(g) is None
@@ -476,7 +475,7 @@ class TestExactLimit:
             reason = exact_limit(g)
             assert reason.startswith(f"{outcomes} tie-break combinations")
             with pytest.raises(CapacityError, match=reason):
-                next(enumerate_route_outcomes(g))
+                next(helpers.enumerate_route_outcomes(g))
 
     def test_only_choosers_multiply(self):
         # 14 nodes; a node whose parents all share one source rolls nothing
@@ -486,7 +485,7 @@ class TestExactLimit:
         g = build_rgraph(build_augmented(cfg))
         assert len(g.nodes) == 14 and len(g.chooser_form.choosers) == 6
         assert exact_limit(g) is None
-        assert sum(1 for _ in enumerate_route_outcomes(g)) == 21_600
+        assert sum(1 for _ in helpers.enumerate_route_outcomes(g)) == 21_600
 
     def test_node_limit(self):
         def chain(count):
@@ -498,7 +497,7 @@ class TestExactLimit:
         reason = exact_limit(chain(MAX_EXACT_NODES + 1))
         assert reason == f"{MAX_EXACT_NODES + 1} nodes, over the exact limit of {MAX_EXACT_NODES}"
         with pytest.raises(CapacityError, match=reason):
-            next(enumerate_route_outcomes(chain(MAX_EXACT_NODES + 1)))
+            next(helpers.enumerate_route_outcomes(chain(MAX_EXACT_NODES + 1)))
 
 
 class TestGraphValue:

@@ -553,6 +553,21 @@ class TestPrependingSweep:
             assert entry["routes"] == entries[0]["routes"]
             assert entry["certain_counts"] == entries[0]["certain_counts"]
 
+    @pytest.mark.parametrize("mode", ["certain", "probabilistic"])
+    @pytest.mark.parametrize("case, node", [(3, 11), (4, 8)])
+    def test_without_sp_a_node_attached_at_the_padded_ingress_can_change(self, case, node, mode):
+        # the node is attached at m2 as the destination's customer and has
+        # another provider: at k=0 it is root-attached, so its attachment
+        # fixes it, and from k=1 on its parent is the chain's tail, so it
+        # rolls a tie against the other provider
+        cfg = dataclasses.replace(SWEEP_CONFIGS[case], sp=False, mode=mode)
+        assert cfg.attachments[node] == "m2"
+        entries = prepending_sweep(cfg, "m2", 3)
+        assert [e["routes"][str(node)] for e in entries] == ["m2", None, None, None]
+        first = entries[0]["routes"]
+        changed = {n for e in entries[1:] for n, r in e["routes"].items() if r != first[n]}
+        assert changed == {str(node)}
+
     def test_sp_prepending_shrinks_the_padded_catchment(self):
         entries = prepending_sweep(example_config(sp=True), "m2", 3)
         counts = [e["certain_counts"]["m2"] for e in entries]
