@@ -17,17 +17,11 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .bgpsim import run_bgp, simulated_catchment
+from .bgpsim import run_bgp
 from .errors import (
     CapacityError, CatchmapError, ContradictionError, InfeasibleOracleError, InputError,
 )
-from .inference import (
-    catchment_bounds,
-    certain_inference,
-    expected_load,
-    probabilistic_inference,
-    shortest_path_transform,
-)
+from .inference import certain_inference, probabilistic_inference, shortest_path_transform
 from .oracles import apply_oracles, exact_conditional_distribution
 from .planner import (
     exhaustive_plan,
@@ -42,7 +36,10 @@ from .rgraph import (
     brute_force_eligible_paths, build_rgraph, enumerate_rpaths, simulated_parents,
 )
 from .scenario import (
+    Scenario,
     _MODES,
+    _catchments,
+    _simulated_counts,
     compare_with_simulation,
     parse_scenario_file,
     parse_topology_text,
@@ -166,7 +163,8 @@ def cmd_plan(
         cfg.plan_budget = budget
     if cfg.plan_budget is None:
         raise InputError("no budget: pass --budget or a 'plan budget' directive")
-    scenario = run_scenario(cfg)
+    # no report: the command writes only the plan files
+    scenario = Scenario(cfg)
     g, plan, post = scenario.graph, scenario.plan, scenario.posterior
     assert plan is not None
 
@@ -287,10 +285,8 @@ def _quick_checks(seed: int) -> list[tuple[str, bool, str]]:
     problems = _compare_probs(probs, EXPECTED_PROBS)
     checks.append(("example route probabilities", not problems, "; ".join(problems)))
 
-    view = {n: routes[n] for n in g.report_nodes}
-    bounds = catchment_bounds(view, ("m1", "m2"))
-    loads = expected_load({n: probs[n] for n in g.report_nodes},
-                          {n: 1.0 for n in g.report_nodes})
+    figures = _catchments(g, routes, probs)
+    bounds, loads = figures["bounds"], figures["expected_loads"]
     ok = bounds == EXPECTED_BOUNDS and all(
         _close(loads[m], EXPECTED_LOADS[m]) for m in EXPECTED_LOADS
     )
@@ -336,26 +332,22 @@ def _quick_checks(seed: int) -> list[tuple[str, bool, str]]:
         f"got {sorted(enum.paths)} / {sorted(brute)}",
     ))
 
-    wg = nonsupermodularity_witness()
-    wroutes = certain_inference(wg)
-    wprobs = probabilistic_inference(wg, wroutes)
-    base = expected_nc(wg, wroutes, wprobs, [], mode="exact")
-    with_3 = expected_nc(wg, wroutes, wprobs, [3], mode="exact")
-    with_4 = expected_nc(wg, wroutes, wprobs, [4], mode="exact")
-    with_34 = expected_nc(wg, wroutes, wprobs, [3, 4], mode="exact")
-    gains_ok = _close(with_3 - base, 1.4, 1e-9) and _close(with_34 - with_4, 0.7, 1e-9)
-    g2 = nonsubmodularity_witness()
-    r2 = certain_inference(g2)
-    q2 = probabilistic_inference(g2, r2)
-    b2 = expected_nc(g2, r2, q2, [], mode="exact")
-    w3 = expected_nc(g2, r2, q2, [3], mode="exact")
-    w4 = expected_nc(g2, r2, q2, [4], mode="exact")
-    w34 = expected_nc(g2, r2, q2, [3, 4], mode="exact")
-    gains2_ok = _close(w3 - b2, 1.0, 1e-9) and _close(w34 - w4, 1.5, 1e-9)
+    def gains(wg):
+        # the gain of measuring 3, alone and once 4 is measured
+        wroutes = certain_inference(wg)
+        wprobs = probabilistic_inference(wg, wroutes)
+        base, with_3, with_4, with_34 = (
+            expected_nc(wg, wroutes, wprobs, measured, mode="exact")
+            for measured in ([], [3], [4], [3, 4])
+        )
+        return with_3 - base, with_34 - with_4
+
+    sup, sub = gains(nonsupermodularity_witness()), gains(nonsubmodularity_witness())
     checks.append((
         "objective-shape witnesses",
-        gains_ok and gains2_ok,
-        f"gains {with_3 - base}/{with_34 - with_4} and {w3 - b2}/{w34 - w4}",
+        _close(sup[0], 1.4, 1e-9) and _close(sup[1], 0.7, 1e-9)
+        and _close(sub[0], 1.0, 1e-9) and _close(sub[1], 1.5, 1e-9),
+        f"gains {sup[0]}/{sup[1]} and {sub[0]}/{sub[1]}",
     ))
 
     topo = generate_random_topology(24, seed=seed)
@@ -437,17 +429,14 @@ def certainty_violations(
     for idx, aug in enumerate(instances):
         g = build_rgraph(aug)
         routes = certain_inference(g)
-        view = {n: routes[n] for n in g.report_nodes}
-        bounds = catchment_bounds(view, g.ingress_points)
+        bounds = _catchments(g, routes, None)["bounds"]
         for s in seeds:
-            catchment = simulated_catchment(run_bgp(aug, s), aug)
-            counts = {m: 0 for m in g.ingress_points}
-            for node in g.report_nodes:
-                got = catchment.get(node)
-                if got is not None:
-                    counts[got] += 1
-                if routes[node] is not None and got != routes[node]:
-                    moved.append((idx, s, node))
+            catchment, counts = _simulated_counts(aug, g, s)
+            moved += [
+                (idx, s, node)
+                for node in g.report_nodes
+                if routes[node] is not None and catchment.get(node) != routes[node]
+            ]
             outside += [
                 (idx, s, m)
                 for m in g.ingress_points

@@ -111,15 +111,19 @@ class OracleApplication:
     order it pinned them (at most one step per node); ``set_route_calls`` is
     their number. A pinned node's distribution is ``{ingress: 1.0}``, so the
     pins describe the whole change. ``routes`` and ``probs`` are the inputs
-    with the pins laid over them, built on first read. ``probs`` shares
-    every entry the pins left unchanged with the input distributions, so
-    treat it as read-only: a node still uncertain keeps its distribution
-    from before the observations, which does not condition on them.
+    with the pins laid over them, built on first read; unpacking gives
+    ``(routes, probs)``. ``probs`` shares every entry the pins left
+    unchanged with the input distributions, so treat it as read-only: a node
+    still uncertain keeps its distribution from before the observations,
+    which does not condition on them.
     """
 
     base_routes: Mapping[int, "str | None"] = field(repr=False, compare=False)
     base_probs: Mapping[int, dict[str, float]] = field(repr=False, compare=False)
     pins: dict[int, str] = field(default_factory=dict)
+
+    def __iter__(self) -> Iterator:
+        return iter((self.routes, self.probs))
 
     @property
     def set_route_calls(self) -> int:

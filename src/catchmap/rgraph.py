@@ -306,42 +306,31 @@ def build_rgraph(aug: AugmentedTopology) -> RGraph:
     ):
         _check_hierarchy(topology)
 
-    # each pass reads every offer edge once and records the offering node
-    # under a neighbor that takes the route's class, or already has it
     cls = {root: _ORIGIN}
     offerers: dict[int, list[int]] = {}
-    # the destination and the customer class: every neighbor hears them
+
+    def offer(senders: list[int], rel: Relationship, klass: int, grown: list[int]) -> None:
+        # read every ``rel`` edge of the senders once and record the sender
+        # under a neighbor that takes ``klass``, or already has it; a
+        # neighbor new to the class is appended to ``grown``
+        for n in senders:
+            for j, r in rels(n).items():
+                if r is rel:
+                    c = cls.get(j)
+                    if c is None:
+                        cls[j] = klass
+                        offerers[j] = [n]
+                        grown.append(j)
+                    elif c == klass:
+                        offerers[j].append(n)
+
+    # the destination and the customer class: every neighbor hears them;
+    # ``offering`` grows while it is read, so the pass is breadth-first
     offering = [root]
-    for n in offering:
-        for j, rel in rels(n).items():
-            if rel is Relationship.C2P:
-                c = cls.get(j)
-                if c is None:
-                    cls[j] = _CUSTOMER
-                    offerers[j] = [n]
-                    offering.append(j)
-                elif c == _CUSTOMER:
-                    offerers[j].append(n)
-    for n in offering:
-        for j, rel in rels(n).items():
-            if rel is Relationship.P2P:
-                c = cls.get(j)
-                if c is None:
-                    cls[j] = _PEER
-                    offerers[j] = [n]
-                elif c == _PEER:
-                    offerers[j].append(n)
+    offer(offering, Relationship.C2P, _CUSTOMER, offering)
+    offer(offering, Relationship.P2P, _PEER, [])
     routed = list(cls)  # every routed node exports to its customers
-    for n in routed:
-        for j, rel in rels(n).items():
-            if rel is Relationship.P2C:
-                c = cls.get(j)
-                if c is None:
-                    cls[j] = _PROVIDER
-                    offerers[j] = [n]
-                    routed.append(j)
-                elif c == _PROVIDER:
-                    offerers[j].append(n)
+    offer(routed, Relationship.P2C, _PROVIDER, routed)
 
     # neighbors are dict keys, so each sorted offerer list is already distinct
     g = RGraph(

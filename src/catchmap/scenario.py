@@ -573,6 +573,20 @@ def _catchments(g: RGraph, routes: RoutingFunction, probs: RouteProbabilities | 
     }
 
 
+def _simulated_counts(
+    aug: AugmentedTopology, g: RGraph, seed: int, sp_mode: bool = False
+) -> tuple[dict[int, str], dict[str, int]]:
+    """One seeded propagation run's catchment and its per-ingress count over
+    the report universe."""
+    catchment = simulated_catchment(run_bgp(aug, seed, sp_mode=sp_mode), aug)
+    counts = dict.fromkeys(g.ingress_points, 0)
+    for node in g.report_nodes:
+        ingress = catchment.get(node)
+        if ingress is not None:
+            counts[ingress] += 1
+    return catchment, counts
+
+
 def write_report_files(
     report: ScenarioReport, g: RGraph, out_dir: str | Path
 ) -> list[Path]:
@@ -671,24 +685,13 @@ def compare_with_simulation(
     """
     if runs < 1:
         raise InputError(f"need at least one run, got {runs}")
-    universe = g.report_nodes
-    bounds = _catchments(g, routes, None)["bounds"]
-    predicted = {
-        m: sum(probs.get(n, {}).get(m, 0.0) for n in universe)
-        for m in g.ingress_points
-    }
+    figures = _catchments(g, routes, probs)
+    bounds, predicted = figures["bounds"], figures["expected_loads"]
 
     base_rng = random.Random(seed)
-    all_counts = []
-    for _ in range(runs):
-        result = run_bgp(aug, base_rng.randrange(2**63), sp_mode=sp_mode)
-        catchment = simulated_catchment(result, aug)
-        counts = {m: 0 for m in g.ingress_points}
-        for node in universe:
-            ingress = catchment.get(node)
-            if ingress is not None:
-                counts[ingress] += 1
-        all_counts.append(counts)
+    all_counts = [
+        _simulated_counts(aug, g, base_rng.randrange(2**63), sp_mode)[1] for _ in range(runs)
+    ]
 
     violations = 0
     for counts in all_counts:

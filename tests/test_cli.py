@@ -147,6 +147,12 @@ class TestRun:
         # with shortest-path preference node 8 only hears from node 5
         assert report["routes"]["8"] == "m2"
 
+    def test_seed_override_replaces_the_scenario_seed(self, tmp_path):
+        scenario = write_scenario(tmp_path, "seed 1\n")
+        report, _ = cli.cmd_run(scenario, tmp_path / "out", seed=7)
+        assert report.seed == 7
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["config"]["seed"] == 7
+
     def test_missing_scenario_fails(self, runner, tmp_path):
         result = runner.invoke(main, ["run", str(tmp_path / "nope.txt")])
         assert result.exit_code != 0
@@ -188,6 +194,18 @@ class TestPlan:
         assert summary["baseline_value"] == pytest.approx(5.0)
         header = (out / "plan.csv").read_text().splitlines()[0]
         assert header == "rank,node,expected_nc_after"
+
+    def test_seed_override_draws_the_baselines(self, tmp_path):
+        # the random plans of seed 3 score lower than those of the default seed
+        scenario = write_scenario(tmp_path)
+        (tmp_path / "d").mkdir()
+        directive = write_scenario(tmp_path / "d", "seed 3\n")
+        _, default = cli.cmd_plan(scenario, tmp_path / "a", budget=1, baselines=3)
+        _, override = cli.cmd_plan(scenario, tmp_path / "b", budget=1, baselines=3, seed=3)
+        _, seeded = cli.cmd_plan(directive, tmp_path / "c", budget=1, baselines=3)
+        assert default["random_baseline_mean"] == pytest.approx(7.5)
+        assert override == seeded
+        assert override["random_baseline_mean"] == pytest.approx(41 / 6)
 
     def test_negative_baselines_rejected(self, runner, tmp_path):
         scenario = write_scenario(tmp_path, "plan budget 1\n")
@@ -287,13 +305,14 @@ def test_commands_pause_the_collector_and_restore_it(
 ):
     seen = []
 
-    def run(cfg):
+    # both commands parse their scenario inside the paused region
+    def parse(text, base_dir=None):
         seen.append(gc.isenabled())
         if raises:
             raise InputError("stopped")
-        return run_scenario(cfg)
+        return parse_scenario_file(text, base_dir=base_dir)
 
-    monkeypatch.setattr(cli, "run_scenario", run)
+    monkeypatch.setattr(cli, "parse_scenario_file", parse)
     scenario = write_scenario(tmp_path, "mode probabilistic\n")
     call = {
         "run": lambda: cli.cmd_run(scenario, tmp_path / "o"),
@@ -348,6 +367,24 @@ class TestValidate:
     def test_rejects_unknown_level(self, runner):
         result = runner.invoke(main, ["validate", "--level", "paranoid"])
         assert result.exit_code != 0
+        with pytest.raises(InputError, match="^level must be 'quick' or 'full', got 'paranoid'$"):
+            cli.cmd_validate("paranoid")
+
+    def test_a_failing_check_fails_the_run(self, runner, monkeypatch):
+        quick = cli._quick_checks
+
+        def first_fails(seed):
+            (name, _, _), *rest = quick(seed)
+            return [(name, False, "injected"), *rest]
+
+        monkeypatch.setattr(cli, "_quick_checks", first_fails)
+        lines = []
+        assert cli.cmd_validate("quick", echo=lines.append) is False
+        assert "FAIL example forwarding graph: injected" in lines
+        assert lines[-1] == "VALIDATION FAILED (10/11)"
+        result = runner.invoke(main, ["validate"])
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == "VALIDATION FAILED (10/11)"
 
 
 def test_version_flag(runner):

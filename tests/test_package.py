@@ -118,6 +118,41 @@ def test_a_traced_exact_posterior_records_each_stage_under_its_span(monkeypatch,
     }
 
 
+def test_a_traced_plan_records_each_stage_under_its_span(monkeypatch, tmp_path):
+    """The same for ``cmd_plan``: it reads the plan, the posterior and the
+    candidates and builds no report, so it records no ``scenario.run_self``,
+    ``scenario.to_json`` or ``scenario.write`` span."""
+    tracer = traced(monkeypatch)
+    (tmp_path / "scenario.txt").write_text(
+        "topology generate n=40 avg_degree=3.0 seed=3\nattach 1 m1\nattach 2 m2\n"
+        "attach 3 m3\nmode probabilistic\nplan budget 2\n"
+    )
+    plan, _ = catchmap.cli.cmd_plan(tmp_path / "scenario.txt", tmp_path / "out")
+    assert plan.selected == (4, 6)
+    # one forward pass; the plan applies an observation once for each of the
+    # 198 branches it evaluates
+    assert Counter(span.name for span in tracer.spans) == {
+        "topology.generate": 1, "topology.policies": 1, "topology.attach": 1,
+        "rgraph.build": 1, "rgraph.topo_order": 1, "inference.certain": 1,
+        "inference.probabilistic": 1, "oracles.apply": 198, "planner.greedy": 1,
+    }
+
+
+def test_readme_python_example_runs():
+    """README's Python block runs as written: the observation's result
+    unpacks into routes and distributions, and the plan is greedy and
+    within its budget."""
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    namespace: dict = {}
+    exec(block, namespace)
+    routes, probs, plan = namespace["routes"], namespace["probs"], namespace["plan"]
+    assert isinstance(routes, dict) and isinstance(probs, dict)
+    assert routes[4] == routes[6] == "m1"
+    assert probs[8] == {"m1": 1.0}
+    assert isinstance(plan, catchmap.MeasurementPlan)
+    assert plan.method == "greedy" and len(plan.selected) <= plan.budget == 2
+
+
 def unused_imports(source: str) -> list[str]:
     """Names a module imports but never references.
 

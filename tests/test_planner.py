@@ -14,9 +14,14 @@ from fractions import Fraction
 import pytest
 
 from catchmap import (
+    DestinationSpec,
+    Relationship,
+    Topology,
     apply_prepending,
+    attach_destination,
     build_rgraph,
     certain_inference,
+    derive_vf_policies,
     exhaustive_plan,
     expected_nc,
     greedy_plan,
@@ -35,6 +40,19 @@ from catchmap.scenario import build_augmented, parse_scenario_file
 import helpers
 
 TOL = 1e-9
+
+
+@pytest.fixture
+def stranded():
+    """The worked example plus node 11, a customer of node 10, with no link
+    to the rest: neither 10 nor 11 has a route. Graph, routes, distributions."""
+    t = Topology()
+    for customer, provider in (*helpers.EXAMPLE_CUSTOMER_LINKS, (11, 10)):
+        t.add_edge(customer, provider, Relationship.C2P)
+    spec = DestinationSpec(attachments=dict(helpers.EXAMPLE_ATTACHMENTS), dst_id=helpers.DST)
+    g = build_rgraph(attach_destination(derive_vf_policies(t), spec))
+    routes = certain_inference(g)
+    return g, routes, probabilistic_inference(g, routes)
 
 
 class TestConditionalCount:
@@ -115,6 +133,35 @@ class TestExpectedCount:
         assert math.isclose(values[4], 0.5 * 7 + 0.5 * 8, abs_tol=TOL)
         # 6 mirrors 4: its sole parent is inferred upward, and m2 cascades
         assert math.isclose(values[6], 0.5 * 7 + 0.5 * 8, abs_tol=TOL)
+
+    def test_unknown_measured_node_rejected(
+        self, example_graph, example_routes, example_probs
+    ):
+        for mode in ("approx", "exact"):
+            with pytest.raises(UnknownNodeError, match="^measured node 77 not in forwarding graph$"):
+                expected_nc(example_graph, example_routes, example_probs, (4, 77), mode=mode)
+
+    def test_unknown_mode_rejected(self, example_graph, example_routes, example_probs):
+        with pytest.raises(InputError, match="^mode must be 'approx' or 'exact', got 'fast'$"):
+            expected_nc(example_graph, example_routes, example_probs, (4,), mode="fast")
+
+    def test_exact_mode_measurement_guard(
+        self, example_graph, example_routes, example_probs
+    ):
+        # the graph is small enough for exact mode; seven measured nodes are not
+        with pytest.raises(CapacityError, match="^exact mode limited to 6 measured nodes, got 7$"):
+            expected_nc(example_graph, example_routes, example_probs, range(1, 8), mode="exact")
+        # six are: only 8 stays open, when 6 reads m1 (prob .5)
+        six = expected_nc(example_graph, example_routes, example_probs, range(1, 7), mode="exact")
+        assert math.isclose(six, 7.5, abs_tol=TOL)
+
+    def test_measuring_a_node_with_no_route_changes_nothing(self, stranded):
+        g, routes, probs = stranded
+        assert routes[10] is None and not probs[10]
+        baseline = expected_nc(g, routes, probs, ())
+        assert math.isclose(baseline, helpers.CERTAIN_COUNT, abs_tol=TOL)
+        assert expected_nc(g, routes, probs, (10,)) == baseline
+        assert expected_nc(g, routes, probs, (8, 10)) == expected_nc(g, routes, probs, (8,))
 
     def test_exact_mode_size_guard(self):
         aug = helpers.random_instance(0, num_nodes=20)
@@ -213,6 +260,15 @@ class TestGreedyPlan:
         )
         assert plan.selected == (8,)
         assert any("destination" in note or "root" in note for note in plan.notes)
+
+    def test_candidates_with_no_route_set_aside(self, stranded):
+        g, routes, probs = stranded
+        plan = greedy_plan(g, routes, probs, (11, 8, 10), 5)
+        assert plan.selected == (8,)
+        assert plan.notes == (
+            "candidate 10 has no possible route; ignored",
+            "candidate 11 has no possible route; ignored",
+        )
 
     def test_negative_budget_rejected(
         self, example_graph, example_routes, example_probs

@@ -30,7 +30,7 @@ from catchmap import (
 )
 from catchmap.cli import main, path_mismatches
 from catchmap.errors import (
-    CapacityError, CycleError, DestinationSpecError, InputError, PolicyError,
+    CapacityError, CycleError, DestinationSpecError, InputError, PolicyError, UnknownNodeError,
 )
 from catchmap.rgraph import (
     MAX_EXACT_NODES,
@@ -349,6 +349,10 @@ class TestPathEnumeration:
         found = enumerate_rpaths(example_graph, 8)
         assert found.paths == helpers.EXPECTED_PATHS_8
         assert not found.truncated
+
+    def test_unknown_node_rejected(self, example_graph):
+        with pytest.raises(UnknownNodeError, match="^node 77 not in forwarding graph$"):
+            enumerate_rpaths(example_graph, 77)
 
     def test_unreachable_node_has_no_paths(self):
         g = RGraph.from_parent_map(0, {1: "m"}, {1: [0]}, nodes=[2])

@@ -297,6 +297,13 @@ class TestCanonicalFormat:
             for j in topo.neighbors(i):
                 assert back.relationship(i, j) == topo.relationship(i, j)
 
+    def test_unset_edge_round_trips(self):
+        text = "# topology v1\nnode 1\nnode 2\nnode 3\nedge 1 2 unset\nedge 2 3 p2c\n"
+        topo = parse_topology(text)
+        assert topo.relationship(1, 2) is None and topo.relationship(2, 1) is None
+        assert topo.relationship(3, 2) is Relationship.C2P
+        assert serialize_topology(topo) == text
+
     def test_unrecognized_line_reports_position(self):
         with pytest.raises(TopologyParseError) as err:
             parse_topology("# topology v1\nwhatever 1 2\n")
