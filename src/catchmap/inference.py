@@ -43,14 +43,17 @@ def mixed_distribution(
     """One node's distribution, from its parents' entries already in ``out``:
     the mixing rule of every forward pass. A node that ``routes`` pins, or
     that ``g.chooser_form`` fixes, gets all its mass on that ingress, and an
-    unreachable node none; ``routes`` must agree with every fixed ingress.
+    unreachable node none: the shared dict of ``g.point_masses``, which
+    must not be mutated (a fresh one for an ingress outside
+    ``g.ingress_points``). ``routes`` must agree with every fixed ingress.
     Every other node mixes its parents' entries by ``g.tie_weights``."""
     assigned = routes.get(node)
     if assigned is not None:
-        return {assigned: 1.0}
+        shared = g.point_masses.get(assigned)
+        return {assigned: 1.0} if shared is None else shared
     fixed = g.chooser_form.fixed
     if node in fixed:
-        return {} if fixed[node] is None else {fixed[node]: 1.0}
+        return g.point_masses[fixed[node]]
     mixed: dict[str, float] = {}
     for parent, weight in zip(g.parents[node], g.tie_weights(node)):
         if weight == 0.0:
@@ -64,7 +67,8 @@ def mixed_distribution(
 
 def probabilistic_inference(g: RGraph, routes: RoutingFunction) -> RouteProbabilities:
     """Per-node distribution over ingress points: ``mixed_distribution`` of
-    every node in ``topological_order(g)``."""
+    every node in ``topological_order(g)``. Fixed and pinned nodes share
+    the dicts of ``g.point_masses``, so no entry may be mutated."""
     out: RouteProbabilities = {}
     for node in topological_order(g):
         out[node] = mixed_distribution(g, routes, out, node)

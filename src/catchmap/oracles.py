@@ -356,16 +356,20 @@ def _condition(
 
 
 def exact_conditional_distribution(
-    g: RGraph, oracles: Mapping[int, str] | None = None
+    g: RGraph,
+    oracles: Mapping[int, str] | None = None,
+    *,
+    prior: tuple[RoutingFunction, RouteProbabilities] | None = None,
 ) -> RouteProbabilities:
     """Exact per-node posterior given the observations: every combination of
     the choosers among the observed nodes and their ancestors, weighed by
     its probability and conditioned on the observations, and every other
-    node mixed exactly. Without observations, the forward probabilistic
-    pass. Keys follow ``topological_order(g)``. Guarded by ``exact_limit``
-    on the whole graph."""
+    node mixed exactly. ``prior``, when given, must be
+    ``(certain_inference(g), probabilistic_inference(g, routes))``. Without
+    observations, the forward probabilistic pass. Keys follow
+    ``topological_order(g)``. Guarded by ``exact_limit`` on the whole graph."""
     feed = functools.partial(_outcomes, g)
-    return _condition(g, oracles, feed, None, "observations rule out every tie-break outcome")[0]
+    return _condition(g, oracles, feed, prior, "observations rule out every tie-break outcome")[0]
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,14 @@ class RGraph:
         return tuple(sorted(set(self.ingress_map.values())))
 
     @functools.cached_property
+    def point_masses(self) -> dict[str | None, dict[str, float]]:
+        """``{m: 1.0}`` for each ingress point ``m``, and ``{}`` under None:
+        the distributions of fixed and pinned nodes, one object per value.
+        Every forward pass shares them between nodes, so they must not be
+        mutated."""
+        return {None: {}, **{m: {m: 1.0} for m in self.ingress_points}}
+
+    @functools.cached_property
     def order(self) -> tuple[int, ...]:
         """Every node, parents first and the smallest id first among ready
         nodes; derived on first read and then kept."""
@@ -584,7 +592,7 @@ def _propagate_with_favorites(
 def rgraph_edgelist(g: RGraph) -> str:
     """One ``parent child`` pair per line, sorted: each parent in ascending
     order, then its children, which are kept sorted."""
-    return "".join(f"{p} {c}\n" for p in g.nodes for c in g.children[p])
+    return "".join(f"{p} {c}\n" for p, kids in g.children.items() for c in kids)
 
 
 def rgraph_dot(g: RGraph) -> str:
@@ -600,8 +608,8 @@ def rgraph_dot(g: RGraph) -> str:
             lines.append(f'  "{node}" [label="{node}" style=dashed];')
         else:
             lines.append(f'  "{node}" [label="{node}"];')
-    for parent in g.nodes:
-        for child in g.children[parent]:
-            lines.append(f'  "{parent}" -> "{child}";')
+    lines.extend(
+        f'  "{parent}" -> "{child}";' for parent, kids in g.children.items() for child in kids
+    )
     lines.append("}")
     return "\n".join(lines) + "\n"

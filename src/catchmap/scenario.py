@@ -286,12 +286,12 @@ class ScenarioReport:
         """The report as ``json.dumps(doc, sort_keys=True, indent=2)`` lays it
         out. The four per-node maps are written row by row, because the
         standard encoder falls back to pure Python once it indents. Each
-        distinct distribution is formatted once; its values are floats, and
-        equal floats print alike except for zeros of opposite sign."""
-        keyed = [
-            (encode_basestring_ascii(k), n)
-            for k, n in sorted({str(n): n for n in self.nodes}.items())
-        ]
+        route and status is formatted once per value, and each distribution
+        once per object and once per distinct content; its values are
+        floats, and equal floats print alike except for zeros of opposite
+        sign."""
+        nodes = sorted(self.nodes, key=str)
+        keys = [encode_basestring_ascii(str(n)) + ": " for n in nodes]
         encoded: dict[str, str] = {}
 
         def value(v) -> str:
@@ -312,17 +312,30 @@ class ScenarioReport:
             return _json_rows([f"{value(m)}: {value(p)}" for m, p in sorted(d.items())], 2)
 
         dists: dict[tuple, str] = {}
+        # the report holds every distribution, so no id is reused meanwhile
+        by_id: dict[int, str] = {}
 
         def dist(d: dict[str, float]) -> str:
+            text = by_id.get(id(d))
+            if text is not None:
+                return text
             if not d:
-                return "{}"
-            if 0.0 in d.values():  # 0.0 == -0.0, but they print differently
-                return rows(d)
-            key = tuple(d.items())
-            text = dists.get(key)
-            if text is None:
-                text = dists[key] = rows(d)
+                text = "{}"
+            elif 0.0 in d.values():  # 0.0 == -0.0, but they print differently
+                text = rows(d)
+            else:
+                key = tuple(d.items())
+                text = dists.get(key)
+                if text is None:
+                    text = dists[key] = rows(d)
+            by_id[id(d)] = text
             return text
+
+        def column(cells: dict, text=None) -> str:
+            # ``text`` formats a cell; by default each distinct value once
+            if text is None:
+                text = {v: value(v) for v in set(map(cells.__getitem__, nodes))}.__getitem__
+            return _json_rows([k + text(cells[n]) for k, n in zip(keys, nodes)], 1)
 
         doc = {
             "config": self.config,
@@ -354,15 +367,9 @@ class ScenarioReport:
             for key, v in doc.items()
         }
         routes, probs, status = self.routes, self.probs, self.prob_status
-        texts["routes"] = _json_rows([f"{k}: {value(routes[n])}" for k, n in keyed], 1)
-        texts["probs"] = (
-            _json_rows([f"{k}: {dist(probs[n])}" for k, n in keyed], 1)
-            if probs is not None else "null"
-        )
-        texts["prob_status"] = (
-            _json_rows([f"{k}: {value(status[n])}" for k, n in keyed], 1)
-            if status is not None else "null"
-        )
+        texts["routes"] = column(routes)
+        texts["probs"] = column(probs, dist) if probs is not None else "null"
+        texts["prob_status"] = column(status) if status is not None else "null"
         texts["probability_mass_deficit"] = _json_rows([
             f"{encode_basestring_ascii(k)}: {value(v)}"
             for k, v in sorted((str(n), v) for n, v in self.probability_mass_deficit.items())
@@ -388,19 +395,26 @@ class ScenarioReport:
             cells.append(state)
             return ",".join(cells)
 
-        # each distinct (route, distribution, status) is formatted once
+        # each (route, distribution, status) is formatted once, looked up by
+        # the distribution's object and then by its content; the report
+        # holds every distribution, so no id is reused meanwhile
         tails: dict[tuple, str] = {}
+        by_content: dict[tuple, str] = {}
         for n in self.nodes:
             route = self.routes[n]
             d = probs[n] if probs is not None else None
             state = status[n] if status else ""
-            if d is not None and 0.0 in d.values():  # as in ``to_json``
-                text = tail(route, d, state)
-            else:
-                key = (route, None if d is None else tuple(d.items()), state)
-                text = tails.get(key)
-                if text is None:
-                    text = tails[key] = tail(route, d, state)
+            key = (route, id(d), state)
+            text = tails.get(key)
+            if text is None:
+                if d is not None and 0.0 in d.values():  # as in ``to_json``
+                    text = tail(route, d, state)
+                else:
+                    content = (route, None if d is None else tuple(d.items()), state)
+                    text = by_content.get(content)
+                    if text is None:
+                        text = by_content[content] = tail(route, d, state)
+                tails[key] = text
             lines.append(str(n) + "," + text)
         return "\n".join(lines) + "\n"
 
@@ -484,7 +498,7 @@ class Scenario:
             }
             return Posterior(applied.routes, applied.probs, status, applied.set_route_calls, stages)
         if cfg.posterior == "exact" or (cfg.posterior is None and exact_limit(g) is None):
-            probs = exact_conditional_distribution(g, oracles)
+            probs = exact_conditional_distribution(g, oracles, prior=(routes, probs))
             stage = status = "posterior-exact"
         else:
             estimate = monte_carlo_inference(
@@ -529,8 +543,11 @@ class Scenario:
         cfg, g, post = self.cfg, self.graph, self.posterior
         figures = _catchments(g, post.routes, post.probs)
         deficit: dict[int, float] = {}
+        masses: dict[int, float] = {}  # by id: many nodes share one distribution
         for n, dist in (figures["probs"] or {}).items():
-            mass = sum(dist.values())
+            mass = masses.get(id(dist))
+            if mass is None:
+                mass = masses[id(dist)] = sum(dist.values())
             if mass < 1.0 - 1e-9:
                 deficit[n] = mass
         pruning = ("shortest-path-pruning",) if cfg.sp else ()
@@ -563,7 +580,8 @@ def _catchments(g: RGraph, routes: RoutingFunction, probs: RouteProbabilities | 
     certain_counts = {m: lower for m, (lower, _) in bounds.items()}
     dists = loads = None
     if probs is not None:
-        dists = {n: probs.get(n, {}) for n in universe}
+        empty = g.point_masses[None]
+        dists = {n: probs.get(n, empty) for n in universe}
         # an ingress point no node can reach still gets its (zero) load
         loads = dict.fromkeys(g.ingress_points, 0.0)
         loads.update(expected_load(dists, {n: 1.0 for n in universe}))

@@ -221,6 +221,8 @@ def parse_caida_asrel(text: str) -> Topology:
     >>> assert t.relationship(3, 1) == Relationship.P2P
     """
     topology = Topology()
+    adj = topology._adj
+    p2c, p2p, c2p = Relationship.P2C, Relationship.P2P, Relationship.C2P
     count = 0
     for line_no, _, line in _data_lines(text):
         parts = line.split("|")
@@ -231,15 +233,26 @@ def parse_caida_asrel(text: str) -> Topology:
         except ValueError:
             raise TopologyParseError(f"non-integer field in {line!r}", line_no) from None
         if rel_code == -1:
-            rel = Relationship.P2C
+            rel, back = p2c, c2p
         elif rel_code == 0:
-            rel = Relationship.P2P
+            rel = back = p2p
         else:
             raise TopologyParseError(f"unknown relationship code {rel_code}", line_no)
-        try:
-            topology.add_edge(as1, as2, rel)
-        except EdgeConflictError as exc:
-            raise TopologyParseError(str(exc), line_no) from None
+        row = adj.get(as1)
+        if row is not None and as2 not in row and as1 != as2:
+            # a new pair from a known node: both rows as ``add_edge`` writes them
+            row[as2] = rel
+            other = adj.get(as2)
+            if other is None:
+                adj[as2] = {as1: back}
+            else:
+                other[as1] = back
+        else:
+            # a new first endpoint, a self-loop or a repeated pair
+            try:
+                topology.add_edge(as1, as2, rel)
+            except EdgeConflictError as exc:
+                raise TopologyParseError(str(exc), line_no) from None
         count += 1
     if logger.isEnabledFor(logging.INFO):  # num_edges walks every row
         logger.info("parsed %d relationship lines: %d nodes, %d edges",

@@ -44,7 +44,8 @@ from catchmap.cli import (  # noqa: F401  (re-exported)
     random_instance,
 )
 from catchmap.errors import (
-    CapacityError, CatchmapError, GenerationError, InfeasibleOracleError, InputError,
+    CapacityError, CatchmapError, EdgeConflictError, GenerationError, InfeasibleOracleError,
+    InputError, TopologyParseError,
 )
 from catchmap.inference import (
     RouteProbabilities,
@@ -69,6 +70,7 @@ from catchmap.rgraph import RGraph, build_rgraph, exact_limit, topological_order
 from catchmap.scenario import (
     _MODES, _POSTERIORS, ScenarioConfig, ScenarioReport, build_augmented,
 )
+from catchmap.topology import _data_lines
 
 logger = logging.getLogger(__name__)
 
@@ -160,6 +162,48 @@ def reference_generate_random_topology(
         add(u, v)
     if len(edges) < target_edges:
         logger.warning("reached %d of %d requested edges", len(edges), target_edges)
+    return topology
+
+
+# ``parse_caida_asrel`` as it was written before its loop wrote adjacency rows
+# directly: every line through ``Topology.add_edge``. Kept verbatim, but for
+# its name, as the oracle for the parser, which must give the same rows, in
+# the same key order at both levels, and the same error at the same line.
+def reference_parse_caida_asrel(text: str) -> Topology:
+    """Parse a serial-1 pipe-delimited AS relationship listing.
+
+    Lines look like ``<as1>|<as2>|<rel>`` where rel -1 marks as1 as the
+    provider of as2 and rel 0 marks a peering; comments follow ``_data_lines``.
+
+    >>> t = parse_caida_asrel("1|2|-1\\n1|3|0  # a peering\\n")
+    >>> assert t.relationship(1, 2) == Relationship.P2C
+    >>> assert t.relationship(2, 1) == Relationship.C2P
+    >>> assert t.relationship(3, 1) == Relationship.P2P
+    """
+    topology = Topology()
+    count = 0
+    for line_no, _, line in _data_lines(text):
+        parts = line.split("|")
+        if len(parts) < 3:
+            raise TopologyParseError(f"expected <as1>|<as2>|<rel>, got {line!r}", line_no)
+        try:
+            as1, as2, rel_code = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise TopologyParseError(f"non-integer field in {line!r}", line_no) from None
+        if rel_code == -1:
+            rel = Relationship.P2C
+        elif rel_code == 0:
+            rel = Relationship.P2P
+        else:
+            raise TopologyParseError(f"unknown relationship code {rel_code}", line_no)
+        try:
+            topology.add_edge(as1, as2, rel)
+        except EdgeConflictError as exc:
+            raise TopologyParseError(str(exc), line_no) from None
+        count += 1
+    if logger.isEnabledFor(logging.INFO):  # num_edges walks every row
+        logger.info("parsed %d relationship lines: %d nodes, %d edges",
+                    count, topology.num_nodes, topology.num_edges)
     return topology
 
 

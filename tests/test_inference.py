@@ -134,22 +134,36 @@ def test_tie_probabilities_validated(example_graph):
                           tie_probs={3: {1: 0.5, 2: 0.4}})
 
 
+def _assert_shared(g, routes, probs):
+    """Each fixed or pinned entry of ``probs`` is the graph's shared point
+    mass, and no mixed entry is one."""
+    masses, fixed = g.point_masses, g.chooser_form.fixed
+    assert masses == {None: {}, **{m: {m: 1.0} for m in g.ingress_points}}
+    for node, dist in probs.items():
+        if routes.get(node) is not None:
+            assert dist is masses[routes[node]], node
+        elif node in fixed:
+            assert dist is masses[fixed[node]], node
+        else:
+            assert all(dist is not shared for shared in masses.values()), node
+
+
 class TestSameAsBeforeTheChooserForm:
     """Certain inference and both forward passes read ``g.chooser_form``,
-    and give what their own sweeps gave before, key order included."""
+    and give what their own sweeps gave before, key order included; their
+    fixed and pinned entries are the graph's shared point masses."""
 
     def assert_same(self, g, rng):
         routes = certain_inference(g)
         assert repr(routes) == repr(helpers.reference_certain_inference(g))
-        assert repr(probabilistic_inference(g, routes)) == repr(
-            helpers.reference_probabilistic_inference(g, routes)
-        )
+        probs = probabilistic_inference(g, routes)
+        assert repr(probs) == repr(helpers.reference_probabilistic_inference(g, routes))
+        _assert_shared(g, routes, probs)
         # with nothing pinned, a node whose parents agree takes their source
         unpinned = dict.fromkeys(g.nodes)
         assert repr(probabilistic_inference(g, unpinned)) == repr(
             helpers.reference_probabilistic_inference(helpers.collapse_to_choosers(g), unpinned)
         )
-        probs = probabilistic_inference(g, routes)
         outcome = helpers.sampled_outcome(g, rng)
         routed = [n for n in g.report_nodes if outcome[n] is not None]
         batch = rng.sample(routed, min(len(routed), rng.randint(1, 3)))
@@ -160,6 +174,7 @@ class TestSameAsBeforeTheChooserForm:
         )
         assert repr(cone) == repr({n: full[n] for n in cone})
         assert {**probs, **cone} == full
+        _assert_shared(g, applied.routes, cone)
 
     def test_random_dags(self):
         rng = random.Random(27)
@@ -172,6 +187,13 @@ class TestSameAsBeforeTheChooserForm:
         for idx in range(60):
             g = build_rgraph(helpers.random_instance(idx))
             self.assert_same(shortest_path_transform(g) if sp else g, rng)
+
+
+def test_a_pin_outside_the_graph_gets_a_dict_of_its_own(example_graph):
+    probs = probabilistic_inference(example_graph, {4: "elsewhere"})
+    assert probs[4] == {"elsewhere": 1.0}
+    assert "elsewhere" not in example_graph.point_masses
+    assert probs[1] is example_graph.point_masses["m1"]
 
 
 def _items(probs):

@@ -105,13 +105,12 @@ def test_a_traced_exact_posterior_records_each_stage_under_its_span(monkeypatch,
     )
     report, _ = catchmap.cli.cmd_run(tmp_path / "scenario.txt", tmp_path / "out")
     assert report.stages[-1] == "posterior-exact"
-    # ``rgraph.topo_order`` is 3: the scenario's forward pass, and the exact
-    # pass's own forward pass and key order (it takes no prior); before the
-    # exact posterior became the Monte Carlo pass fed every combination, it
-    # was 1
+    # ``rgraph.topo_order`` is 2: the scenario's forward pass and the exact
+    # pass's key order; the exact pass reads the scenario's certain routes
+    # and forward pass as its prior, so it runs no forward pass of its own
     assert Counter(span.name for span in tracer.spans) == {
         "topology.generate": 1, "topology.policies": 1, "topology.attach": 1,
-        "rgraph.build": 1, "rgraph.topo_order": 3, "inference.certain": 1,
+        "rgraph.build": 1, "rgraph.topo_order": 2, "inference.certain": 1,
         "inference.probabilistic": 1, "oracles.apply": 1, "oracles.exact": 1,
         "scenario.run_self": 1, "scenario.to_json": 1, "scenario.write": 1,
         "rgraph.edgelist": 1, "rgraph.dot": 1,

@@ -813,6 +813,21 @@ def _signed_zero_probs() -> dict[int, dict[str, float]]:
     }
 
 
+def _shared_objects() -> dict:
+    """Report fields whose cells are shared objects, as the forward pass and
+    ``dict.fromkeys`` share them: one dict under several nodes, a signed-zero
+    one among them, next to an equal dict that is another object, and one
+    status string under every node."""
+    a, b = _ODD_NAMES[0], _ODD_NAMES[1]
+    half, zero, empty = {a: 0.5, b: 0.5}, {a: -0.0, b: 1.0}, {}
+    nodes = (1, 2, 9, 10, 99, 100, 12345, 54321)
+    return {
+        "probs": dict(zip(nodes, (half, zero, half, zero, {a: 0.0, b: 1.0}, empty, zero, empty))),
+        "routes": {n: b if n in (2, 10) else None for n in nodes},
+        "prob_status": dict.fromkeys(nodes, "posterior-exact"),
+    }
+
+
 _HAND_REPORTS = pytest.mark.parametrize("overrides", [
     {},
     {"probs": None, "prob_status": None, "expected_loads": None},
@@ -821,7 +836,11 @@ _HAND_REPORTS = pytest.mark.parametrize("overrides", [
     {"nodes": (), "routes": {}, "probs": {}, "prob_status": {}},
     {"nodes": (7,), "routes": {7: None}, "probs": {7: {}}, "prob_status": {7: "exact"}},
     {"probs": _signed_zero_probs(), "routes": dict.fromkeys((1, 2, 9, 10, 99, 100, 12345, 54321))},
-], ids=["full", "no-probs", "no-plan", "no-deficit", "no-nodes", "one-node", "signed-zeros"])
+    _shared_objects(),
+], ids=[
+    "full", "no-probs", "no-plan", "no-deficit", "no-nodes", "one-node", "signed-zeros",
+    "shared-objects",
+])
 
 
 @_HAND_REPORTS
@@ -836,6 +855,34 @@ def test_node_csv_matches_the_reference_on_hand_built_reports(overrides):
     signed zeros and a missing distribution map still print as before."""
     report = _hand_report(**overrides)
     assert report.to_node_csv() == helpers.reference_node_csv(report)
+
+
+def test_runs_leave_the_shared_point_masses_unchanged(tmp_path):
+    """Fixed nodes share ``g.point_masses`` through every stage, and no stage
+    or writer writes into them: certain and probabilistic mode, observations,
+    a plan and both posteriors, with every report file written."""
+    runs = [
+        example_config(),
+        example_config(mode="probabilistic", sp=True),
+        example_config(oracle_text="8,m1\n", plan_budget=2),
+        example_config(mode="probabilistic", oracle_text="8,m1\n", posterior="exact"),
+        example_config(
+            mode="probabilistic", oracle_text="8,m1\n", posterior="monte-carlo",
+            posterior_trials=200, plan_budget=2,
+        ),
+        ScenarioConfig(
+            generate={"n": 40, "avg_degree": 3.0, "seed": 3},
+            attachments={1: "m1", 2: "m2", 3: "m3"}, mode="probabilistic", plan_budget=2,
+        ),
+    ]
+    for i, cfg in enumerate(runs):
+        s = run_scenario(cfg)
+        write_report_files(s.report, s.graph, tmp_path / str(i))
+        g = s.graph
+        assert g.point_masses == {None: {}, **{m: {m: 1.0} for m in g.ingress_points}}, i
+        if s.report.probs is not None:
+            # node 1 is attached at m1, so every pass shares its point mass
+            assert s.report.probs[1] is g.point_masses["m1"], i
 
 
 def _generated_report_configs() -> list[ScenarioConfig]:

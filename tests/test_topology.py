@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import logging
+import random
 import re
+from collections import Counter
 from operator import attrgetter
 
 import pytest
@@ -216,6 +218,76 @@ class TestCaidaParser:
         with caplog.at_level(logging.INFO, logger="catchmap.topology"):
             parse_caida_asrel("1|2|-1\n1|3|0\n1|2|-1\n")
         assert caplog.messages == ["parsed 3 relationship lines: 3 nodes, 2 edges"]
+
+    def test_same_rows_and_errors_as_reference(self):
+        # same nodes, rows and relationship members, in the same key order at
+        # both levels; where the reference refuses, the same error and line
+        outcomes = Counter()
+        for seed in range(600):
+            text = _caida_text(random.Random(seed))
+            try:
+                want = helpers.reference_parse_caida_asrel(text)
+            except TopologyParseError as exc:
+                with pytest.raises(TopologyParseError, match=f"^{re.escape(str(exc))}$") as err:
+                    parse_caida_asrel(text)
+                assert type(err.value) is TopologyParseError
+                assert err.value.line_no == exc.line_no
+                outcomes[str(exc).split(": ", 1)[1].split(" ", 1)[0]] += 1
+                continue
+            got = parse_caida_asrel(text)
+            assert list(got.nodes()) == list(want.nodes()), seed
+            for node in want.nodes():
+                row, want_row = got.relationships(node), want.relationships(node)
+                assert list(row) == list(want_row), (seed, node)
+                assert all(row[j] is rel for j, rel in want_row.items()), (seed, node)
+            outcomes["parsed"] += 1
+        # every kind of refusal occurs, and most texts parse through
+        assert set(outcomes) == {
+            "parsed", "expected", "non-integer", "unknown", "self-loop", "edge",
+        }, outcomes
+        assert outcomes["parsed"] >= 300, outcomes
+
+
+def _caida_text(rng: random.Random) -> str:
+    """Up to 60 relationship lines over 2-25 nodes: new pairs, repeats (a
+    peering also read from its other end), now and then a conflicting
+    repeat, comments, blank lines, a fourth field and loose spacing; about
+    one text in three also holds a self-loop, a short line, a non-integer
+    or an unknown code."""
+    size = rng.randint(2, 25)
+    pairs: dict[frozenset, tuple[int, int, str]] = {}
+    lines = []
+    for _ in range(rng.randint(0, 60)):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append(rng.choice(["", "   ", "# serial-1", "\t# note"]))
+            continue
+        if roll > 0.985:
+            lines.append(rng.choice([f"{rng.randint(1, size)}|{rng.randint(1, size)}",
+                                     "7|x|0", "3|4|2", "5|5|0", "1|2|+1"]))
+            continue
+        a, b = rng.sample(range(1, size + 2), 2)
+        if roll < 0.3 or frozenset((a, b)) in pairs:
+            if not pairs:
+                continue
+            a, b, code = rng.choice(list(pairs.values()))
+            if code == "0" and rng.random() < 0.5:
+                a, b = b, a
+            if rng.random() < 0.02:
+                a, b, code = rng.choice([(b, a, "-1"), (a, b, "0" if code == "-1" else "-1")])
+        else:
+            code = rng.choice(["-1", "0"])
+            pairs[frozenset((a, b))] = (a, b, code)
+        line = f"{a}|{b}|{code}"
+        extra = rng.random()
+        if extra < 0.1:
+            line += "|bgp"
+        elif extra < 0.2:
+            line = f" {a} |{b}| {code}"
+        elif extra < 0.3:
+            line += "  # a comment"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 # One comment rule for all four line formats. Per format: its parser, a view
