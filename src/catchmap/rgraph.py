@@ -341,14 +341,14 @@ def build_rgraph(aug: AugmentedTopology) -> RGraph:
     offer(routed, Relationship.P2C, _PROVIDER, routed)
 
     # neighbors are dict keys, so each sorted offerer list is already distinct
+    nodes = sorted(topology.nodes())
     g = RGraph(
         root=root,
         ingress_map=aug.ingress_map,
         parents={
-            n: tuple(sorted(offerers[n])) if n in offerers else ()
-            for n in sorted(topology.nodes())
+            n: tuple(sorted(offerers[n])) if n in offerers else () for n in nodes
         },
-        report_nodes=aug.real_nodes,
+        report_nodes=tuple(n for n in nodes if n not in root_side),
         tie_probs={},
     )
     if logger.isEnabledFor(logging.DEBUG):

@@ -515,7 +515,10 @@ def generate_random_topology(
     to ``avg_degree * num_nodes / 2`` total. Each edge is a peering with
     probability ``peer_fraction``, customer/provider otherwise. Without
     ``avg_degree`` the degree is 2.5, or ``num_nodes - 1`` (every pair an
-    edge) when that is smaller.
+    edge) when that is smaller. Every draw comes straight from
+    ``getrandbits`` and is the one the stdlib's ``shuffle``, ``randrange``
+    and ``sample`` (its pool/set switch at 21 nodes included) would make, so
+    a seed gives the topology those calls gave.
     """
     if num_nodes <= 0:
         raise GenerationError(f"need at least one node, got {num_nodes}")
@@ -537,10 +540,19 @@ def generate_random_topology(
             f"but {num_nodes} nodes allow only {max_edges}"
         )
 
+    # Each draw is the one CPython's ``Random._randbelow`` makes for the
+    # stdlib call named beside it: ``bound.bit_length()`` bits, drawn again
+    # until the value is below the bound.
     rng = random.Random(seed)
+    bits, uniform = rng.getrandbits, rng.random
     order = list(range(1, num_nodes + 1))
-    rng.shuffle(order)  # order[0] is the top of the hierarchy
-    rank = {node: idx for idx, node in enumerate(order)}
+    for i in range(num_nodes - 1, 0, -1):  # rng.shuffle(order)
+        k = (i + 1).bit_length()
+        j = bits(k)
+        while j > i:
+            j = bits(k)
+        order[i], order[j] = order[j], order[i]
+    # order[0] is the top of the hierarchy; a node's rank is its index
     p2p, p2c = Relationship.P2P, Relationship.P2C
 
     # Rows are written directly, in add_edge's order: the provider's entry,
@@ -550,22 +562,45 @@ def generate_random_topology(
     adj[order[0]] = {}
     for idx in range(1, num_nodes):
         # a spanning tree: v is ranked earlier (the provider side), u's row is new
+        k = idx.bit_length()
+        j = bits(k)  # rng.randrange(idx)
+        while j >= idx:
+            j = bits(k)
         u = order[idx]
-        v = order[rng.randrange(idx)]
-        rel = p2p if rng.random() < peer_fraction else p2c
+        v = order[j]
+        rel = p2p if uniform() < peer_fraction else p2c
         adj[v][u] = rel
         adj[u] = {v: _REVERSED[rel]}
 
+    # rng.sample(order, 2) picks index a below n, then index b: up to 21
+    # nodes from a pool of the other n - 1, where a's slot holds the last
+    # index; above that, below n again until it differs from a
+    n, last = num_nodes, num_nodes - 1
+    k, k_pool = n.bit_length(), last.bit_length()
+    from_pool = n <= 21
     edges = num_nodes - 1
     attempts = 0
     max_attempts = 50 * target_edges + 100
     while edges < target_edges and attempts < max_attempts:
         attempts += 1
-        u, v = rng.sample(order, 2)
+        a = bits(k)
+        while a >= n:
+            a = bits(k)
+        if from_pool:
+            b = bits(k_pool)
+            while b >= last:
+                b = bits(k_pool)
+            if b == a:
+                b = last
+        else:
+            b = bits(k)
+            while b >= n or b == a:
+                b = bits(k)
+        u, v = order[a], order[b]
         if v in adj[u]:
             continue
-        provider, customer = (u, v) if rank[u] < rank[v] else (v, u)
-        rel = p2p if rng.random() < peer_fraction else p2c
+        provider, customer = (u, v) if a < b else (v, u)
+        rel = p2p if uniform() < peer_fraction else p2c
         adj[provider][customer] = rel
         adj[customer][provider] = _REVERSED[rel]
         edges += 1

@@ -546,6 +546,19 @@ class TestGenerator:
             assert [list(r) for r in rows] == [list(r) for r in want_rows], kwargs
             assert got.has_policies == want.has_policies
 
+    def test_same_draws_either_side_of_the_sample_switch(self):
+        # ``sample`` takes a pair from a pool up to 21 nodes and through a set
+        # of picked indices above; n = 2 and 3 draw from the smallest pools
+        cases = [
+            (n, degree, peers)
+            for n in (20, 21, 22, 23) for degree in (2.5, 4) for peers in (0, 0.15)
+        ]
+        cases += [(n, n - 1, peers) for n in (2, 3) for peers in (0, 0.15)]
+        for (n, degree, peers), seed in itertools.product(cases, range(5)):
+            kwargs = {"avg_degree": degree, "peer_fraction": peers, "seed": seed}
+            want = helpers.reference_generate_random_topology(n, **kwargs)
+            assert _state(generate_random_topology(n, **kwargs)) == _state(want), (n, kwargs)
+
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(min_value=4, max_value=40),
